@@ -1,10 +1,15 @@
-"""Hot-loop kernels with a compiled fast path.
+"""Hot-loop kernels: the Keccak-256 sponge and the bytecode frame interpreter.
 
-Two kernels dominate campaign runtime: the Keccak-256 permutation and the
-bytecode frame interpreter.  Both ship twice — a Cython extension
-(_speedups) and pure-Python twins — with the backend chosen here at import
-time.  Set SCTEST_PURE_PYTHON=1 to force the fallback; tests and the
-benchmark script use that to compare the two.
+Both are pure Python.  keccak_py memoises digests of inputs shorter than
+one 136-byte absorb block (at most 4096 entries, oldest dropped first)
+and writes each keccak-f[1600] round out over local lane variables;
+tests/test_keccak.py checks the round against a loop-form reference and
+the memo against the uncached sponge.  interp_py runs one call frame.
+
+A compiled module named `_speedups`, when importable, replaces both;
+none ships with the package, so BACKEND is "python" unless one is built.
+SCTEST_PURE_PYTHON=1 skips that import.  perfbench/run.py reports
+BACKEND with every benchmark run and times each kernel per caller.
 """
 
 import os

@@ -3,8 +3,9 @@
 Executes one call frame over preprocessed code arrays until it halts or
 reaches a CALL-class instruction, at which point it pauses and returns
 control to the driver (sctest.evm.engine), which resolves the callee and
-resumes the frame.  Keeping call resolution out of the kernel lets the
-compiled twin in _speedups.pyx stay world-agnostic.
+resumes the frame, so the kernel never touches the world.  SHA3 calls
+keccak_py.keccak256 directly and so shares its single-block memo with
+every other caller.
 
 Conventions:
 - all arithmetic is modulo 2^256; DIV/MOD by zero yield 0

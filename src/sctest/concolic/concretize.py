@@ -17,7 +17,7 @@ Three rewrites, each trading completeness for solvability:
 All three return a simplified predicate and never mutate the input.
 """
 
-from ..errors import SctestError
+from ..errors import NoSymbolicInput
 from .symexpr import (
     Binop,
     Const,
@@ -33,10 +33,6 @@ from .symexpr import (
 NONLINEAR_OPS = frozenset(
     ("MUL", "DIV", "MOD", "EXP", "AND", "OR", "XOR", "SHL", "SHR")
 )
-
-
-class NoSymbolicInput(SctestError):
-    """The predicate mentions no input atoms, so nothing can be kept."""
 
 
 def _contains_input(e: SymExpr) -> bool:

@@ -441,7 +441,11 @@ class _SmtEmitter:
 
 
 def to_smt(conjunction) -> str:
-    """Render the conjunction as an SMT-LIB 2 problem (logic QF_BV)."""
+    """Render the conjunction as an SMT-LIB 2 problem.
+
+    The logic is QF_UFBV when the problem declares uninterpreted functions
+    (keccakN, sload, exp256) and QF_BV otherwise.
+    """
     em = _SmtEmitter()
     atoms: list[Input] = []
     seen = set()
@@ -452,7 +456,7 @@ def to_smt(conjunction) -> str:
                 seen.add(a)
                 atoms.append(a)
         asserts.append(f"(assert (distinct {em.emit(p)} {_ZERO}))")
-    lines = ["(set-logic QF_BV)"]
+    lines = ["(set-logic QF_UFBV)" if em.funs else "(set-logic QF_BV)"]
     lines += sorted(em.funs.values())
     for a in atoms:
         lines.append(f"(declare-const {_smt_name(a)} (_ BitVec 256))")

@@ -336,6 +336,10 @@ def _shr_over_disjoint(shift: int, e: SymExpr) -> SymExpr | None:
             continue  # shifted out entirely
         if s >= shift:
             out.append(t if s == shift else simplify(Binop("SHL", Const(s - shift), t)))
+        elif t is e:
+            # e is a single unshifted term: nothing to fold, and
+            # simplifying SHR(shift, e) again would recurse forever
+            out.append(Binop("SHR", Const(shift), t))
         else:
             out.append(simplify(Binop("SHR", Const(shift - s), t)))
     if not out:

@@ -7,21 +7,13 @@ branch bottlenecks (see bottleneck.py) that sit inside that body.
 
 from dataclasses import dataclass, field
 
-from ..errors import SctestError
+from ..errors import MissingBodyRange
 from ..evm.bundle import ContractBundle, genesis_config
 from .bottleneck import BranchConstraintInfo, extract_bottlenecks
 from .covmap import CoverageMap
 
 FULLY_UNCOVERED = "fully_uncovered"
 PARTIALLY_COVERED = "partially_covered"
-
-
-class MissingBodyRange(SctestError):
-    """A function has no body range and none could be inferred."""
-
-    def __init__(self, function: str):
-        super().__init__(f"function {function} has no body range")
-        self.function = function
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,11 @@ class SchemaError(SctestError):
 
 
 class MissingBodyRange(SctestError):
-    """A function has no body_range and dispatch inference failed."""
+    """A function has no body range and none could be inferred."""
+
+    def __init__(self, function: str):
+        super().__init__(f"function {function} has no body range")
+        self.function = function
 
 
 # -- abi value encoding -----------------------------------------------------
@@ -96,7 +100,7 @@ class TargetInvalid(SctestError):
 # -- concolic ---------------------------------------------------------------
 
 class NoSymbolicInput(SctestError):
-    pass
+    """The predicate mentions no input atoms, so nothing can be kept."""
 
 
 # -- models -----------------------------------------------------------------

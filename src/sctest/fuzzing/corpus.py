@@ -8,6 +8,7 @@ time.  Findings point back at the test case that produced them.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from ..bytecode.hashing import keccak256
@@ -55,11 +56,15 @@ def _tx_from_doc(doc: dict, destination: int) -> Transaction:
 
 @dataclass(frozen=True)
 class TestCase:
-    """An ordered transaction list, identified by its canonical digest."""
+    """An ordered transaction list, identified by its canonical digest.
+
+    The id is computed once per instance: txs is an immutable tuple of
+    frozen transactions, so the digest cannot go stale.
+    """
 
     txs: tuple[Transaction, ...]
 
-    @property
+    @cached_property
     def id(self) -> str:
         doc = json.dumps([_tx_doc(t) for t in self.txs], sort_keys=True)
         return keccak256(doc.encode()).hex()[:32]

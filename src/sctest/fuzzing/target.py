@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from ..bytecode.abi import AbiType, FunctionSig
-from ..errors import SctestError
+from ..errors import EmptyAbi
 
 _U256 = (1 << 256) - 1
 _U64 = (1 << 64) - 1
@@ -36,10 +36,6 @@ _TARGET_RE = re.compile(rf"target\s+({_IDENT})\s*$")
 _ORDER_RE = re.compile(r"order\s+(\S+)\s*$")
 _MUTABLE_RE = re.compile(rf"\?({_IDENT}):([A-Za-z0-9\[\]]+)=(.+)$", re.S)
 _TAIL_RE = re.compile(r"(from|value|delay)\s+(\S+)")
-
-
-class EmptyAbi(SctestError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -374,6 +374,20 @@ def test_testcase_id_is_canonical():
     assert other.id != tc.id
 
 
+def test_testcase_id_is_cached_and_stable():
+    bundle = load_bundle(FIXTURES / "pool")
+    world, _ = make_world(bundle)
+    t = parse_target(POOL_TARGET, bundle.resolved_abi)
+    _, corpus, _ = run_campaign(world, t, {"execs": 50}, rng_seed=3)
+    assert len(corpus) >= 1
+    for tc in corpus.entries:
+        first = tc.id
+        assert "id" in vars(tc)  # computed once, kept on the instance
+        assert tc.id is first
+        assert first == FuzzCase(tc.txs).id
+        assert tc == FuzzCase(tc.txs) and hash(tc) == hash(FuzzCase(tc.txs))
+
+
 def test_corpus_save_load_roundtrip(tmp_path):
     bundle = load_bundle(FIXTURES / "pool")
     world, at = make_world(bundle)
