@@ -4,30 +4,17 @@ Both are pure Python.  keccak_py memoises digests of inputs shorter than
 one 136-byte absorb block (at most 4096 entries, oldest dropped first)
 and writes each keccak-f[1600] round out over local lane variables;
 tests/test_keccak.py checks the round against a loop-form reference and
-the memo against the uncached sponge.  interp_py runs one call frame.
-
-A compiled module named `_speedups`, when importable, replaces both;
-none ships with the package, so BACKEND is "python" unless one is built.
-SCTEST_PURE_PYTHON=1 skips that import.  perfbench/run.py reports
-BACKEND with every benchmark run and times each kernel per caller.
+the memo against the uncached sponge.  interp_py runs one call frame and
+inlines the two-operand arithmetic that sctest.bytecode.opcodes.BINOP
+defines; tests/test_evm.py holds the two to each other.  perfbench/run.py
+reports BACKEND with every benchmark run and times each kernel per
+caller.
 """
-
-import os
 
 from . import interp_py, keccak_py
 
 BACKEND = "python"
 keccak256 = keccak_py.keccak256
 run_frame = interp_py.run_frame
-
-if os.environ.get("SCTEST_PURE_PYTHON") != "1":
-    try:
-        from . import _speedups  # type: ignore[attr-defined]
-    except ImportError:
-        pass
-    else:
-        BACKEND = "compiled"
-        keccak256 = _speedups.keccak256
-        run_frame = _speedups.run_frame
 
 __all__ = ["BACKEND", "keccak256", "run_frame"]

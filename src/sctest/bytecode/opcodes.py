@@ -4,7 +4,10 @@ The subset is closed over what the fixtures and the engines need; any
 byte outside the table decodes (and executes) as INVALID.
 """
 
+import operator
 from dataclasses import dataclass
+
+_MASK256 = (1 << 256) - 1
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,29 @@ CALL_CLASS = frozenset(
     _BY_NAME[n].code
     for n in ("CREATE", "CALL", "DELEGATECALL", "CREATE2", "STATICCALL", "SELFDESTRUCT")
 )
+
+
+# Word semantics of the two-operand instructions, by mnemonic.  x is the
+# operand popped first (the stack top) and y the one beneath it, so
+# SUB(x, y) is x - y and SHL(x, y) shifts y left by x.  The frame
+# interpreter inlines the same arithmetic for speed; tests hold it to
+# this table.
+BINOP = {
+    "ADD": lambda x, y: (x + y) & _MASK256,
+    "MUL": lambda x, y: (x * y) & _MASK256,
+    "SUB": lambda x, y: (x - y) & _MASK256,
+    "DIV": lambda x, y: x // y if y else 0,
+    "MOD": lambda x, y: x % y if y else 0,
+    "EXP": lambda x, y: pow(x, y, 1 << 256),
+    "LT": lambda x, y: 1 if x < y else 0,
+    "GT": lambda x, y: 1 if x > y else 0,
+    "EQ": lambda x, y: 1 if x == y else 0,
+    "AND": operator.and_,
+    "OR": operator.or_,
+    "XOR": operator.xor,
+    "SHL": lambda x, y: (y << x) & _MASK256 if x < 256 else 0,
+    "SHR": lambda x, y: y >> x if x < 256 else 0,
+}
 
 
 def by_name(mnemonic: str) -> Opcode:

@@ -21,8 +21,10 @@ import itertools
 from dataclasses import dataclass, replace
 
 from ..coverage.covmap import CoverageMap, merge_result
+from ..errors import SctestError
 from ..evm.bundle import ContractBundle
 from ..evm.engine import execute_sequence
+from ..evm.snapshots import SnapshotCache
 from ..evm.types import Transaction
 from ..evm.world import make_world
 from ..fuzzing.corpus import Corpus, TestCase
@@ -32,7 +34,7 @@ from .concretize import (
     concretize_nonlinear,
     substitute_all_but,
 )
-from .shadow import ShadowRun, SnapshotCache, concretize_loop, shadow_run
+from .shadow import ShadowRun, concretize_loop, shadow_run
 from .solve import Sat, Unknown, Unsat, export_smt, has_keccak, solve
 from .symexpr import (
     Binop,
@@ -202,7 +204,7 @@ def drive(
                 continue
             try:
                 run = shadow_run(world, list(tc.txs[:pos]), tx, cache=cache)
-            except Exception:
+            except SctestError:
                 continue
             enqueue_flips(tc.txs, pos, run)
 
@@ -339,7 +341,7 @@ def drive(
         ) + ((constraints[j].branch_offset, not constraints[j].taken),)
         try:
             run = shadow_run(world, list(prefix), new_tx, cache=cache)
-        except Exception:
+        except SctestError:
             return "diverged"
         if run.decisions[: len(predicted)] != predicted:
             return "diverged"
@@ -382,7 +384,7 @@ def drive(
             gained = instr_count() > before
             try:
                 run = shadow_run(world, list(prefix), pinned_tx, cache=cache)
-            except Exception:
+            except SctestError:
                 continue
             if gained:
                 emit(TestCase(case_txs))

@@ -22,6 +22,12 @@ isolates a byte.
 Execution stops collecting at the first CALL-class instruction: cross-
 contract data flow stays concrete (the engine handles it when the
 materialized input is replayed).
+
+The two-operand arithmetic reads sctest.bytecode.opcodes.BINOP, the
+table symexpr evaluates with, so a folded constant and the concrete
+word agree by construction.  The world after a transaction prefix comes
+from the engine, or from a sctest.evm.snapshots.SnapshotCache when the
+caller passes one.
 """
 
 from dataclasses import dataclass, replace
@@ -29,8 +35,10 @@ from dataclasses import dataclass, replace
 from .._kernels import keccak256
 from .._kernels.interp_py import MEM_LIMIT, STACK_LIMIT, _GAS
 from ..bytecode.abi import encode_call
+from ..bytecode.opcodes import BINOP, OPCODES
 from ..errors import SctestError, UnknownDestination
 from ..evm.engine import _route, execute_sequence
+from ..evm.snapshots import SnapshotCache, restore
 from ..evm.types import Transaction
 from ..evm.world import EvmWorld
 from .symexpr import (
@@ -48,6 +56,8 @@ MASK256 = (1 << 256) - 1
 ADDR_MASK = (1 << 160) - 1
 
 _BITS = {"uint": None, "address": 160, "bool": 1, "bytes": 8}
+
+_BIN_NAME = {code: o.mnemonic for code, o in OPCODES.items() if o.mnemonic in BINOP}
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,8 @@ class ArgLayout:
 class ShadowRun:
     """Everything one lockstep execution observed."""
 
-    halt: str  # stop | return | revert | invalid | out_of_gas | external_call
+    # stop | return | revert | invalid | out_of_gas | selfdestruct | external_call
+    halt: str
     return_data: bytes
     gas_used: int
     trace: tuple[int, ...]
@@ -246,40 +257,13 @@ def _shadow_frame(
             pc = nxt[pc]
             continue
 
-        if 0x01 <= op <= 0x1C and op in _BIN_NAME:  # two-operand arithmetic
+        name = _BIN_NAME.get(op)
+        if name is not None:  # two-operand arithmetic
             if len(stack) < 2:
                 return halt("invalid")
             a_snap = stack.pop()
             b_snap = stack[-1]
-            name = _BIN_NAME[op]
-            if op == 0x01:
-                stack[-1] = (a_snap + b_snap) & MASK256
-            elif op == 0x02:
-                stack[-1] = (a_snap * b_snap) & MASK256
-            elif op == 0x03:
-                stack[-1] = (a_snap - b_snap) & MASK256
-            elif op == 0x04:
-                stack[-1] = a_snap // b_snap if b_snap else 0
-            elif op == 0x06:
-                stack[-1] = a_snap % b_snap if b_snap else 0
-            elif op == 0x0A:
-                stack[-1] = pow(a_snap, b_snap, 1 << 256)
-            elif op == 0x10:
-                stack[-1] = 1 if a_snap < b_snap else 0
-            elif op == 0x11:
-                stack[-1] = 1 if a_snap > b_snap else 0
-            elif op == 0x14:
-                stack[-1] = 1 if a_snap == b_snap else 0
-            elif op == 0x16:
-                stack[-1] = a_snap & b_snap
-            elif op == 0x17:
-                stack[-1] = a_snap | b_snap
-            elif op == 0x18:
-                stack[-1] = a_snap ^ b_snap
-            elif op == 0x1B:
-                stack[-1] = (b_snap << a_snap) & MASK256 if a_snap < 256 else 0
-            elif op == 0x1C:
-                stack[-1] = b_snap >> a_snap if a_snap < 256 else 0
+            stack[-1] = BINOP[name](a_snap, b_snap)
             sym[-1] = binop(name)
         elif op == 0x15:  # ISZERO
             if not stack:
@@ -501,7 +485,7 @@ def _shadow_frame(
         elif op == 0xFF:  # SELFDESTRUCT
             if not stack:
                 return halt("invalid")
-            return halt("stop")
+            return halt("selfdestruct")
         elif op == 0x00:  # STOP
             return halt("stop")
         elif op in (0xF3, 0xFD):  # RETURN / REVERT
@@ -523,82 +507,6 @@ def _shadow_frame(
         pc = nxt[pc]
 
 
-_BIN_NAME = {
-    0x01: "ADD", 0x02: "MUL", 0x03: "SUB", 0x04: "DIV", 0x06: "MOD",
-    0x0A: "EXP", 0x10: "LT", 0x11: "GT", 0x14: "EQ", 0x16: "AND",
-    0x17: "OR", 0x18: "XOR", 0x1B: "SHL", 0x1C: "SHR",
-}
-
-
-class SnapshotCache:
-    """LRU over post-prefix worlds, bounded by an approximate byte budget."""
-
-    def __init__(self, max_bytes: int | None = None):
-        self.max_bytes = max_bytes
-        self._entries: dict[bytes, tuple[EvmWorld, tuple]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _weight(world: EvmWorld) -> int:
-        slots = sum(len(s) for s in world.storage.values())
-        return 256 + 64 * slots + 48 * len(world.accounts)
-
-    def _evict(self):
-        if self.max_bytes is None:
-            return
-        total = sum(self._weight(w) for w, _ in self._entries.values())
-        while total > self.max_bytes and len(self._entries) > 1:
-            key = next(iter(self._entries))
-            w, _ = self._entries.pop(key)
-            total -= self._weight(w)
-
-    def get(self, key: bytes):
-        hit = self._entries.pop(key, None)
-        if hit is not None:
-            self._entries[key] = hit  # refresh recency
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
-
-    def put(self, key: bytes, world: EvmWorld, preimages: tuple):
-        self._entries[key] = (world, preimages)
-        self._evict()
-
-
-def _prefix_key(prefix) -> bytes:
-    parts = []
-    for tx in prefix:
-        args = tx.args if tx.args is not None else ()
-        parts.append(
-            repr((tx.function_call, args, tx.call_data, tx.delay, tx.source,
-                  tx.destination, tx.value))
-        )
-    return keccak256("\n".join(parts).encode())
-
-
-def snapshot_of(
-    world: EvmWorld, prefix, cache: SnapshotCache | None = None
-) -> tuple[EvmWorld, tuple]:
-    """World state after running prefix transactions from `world`, plus
-    the keccak preimages those runs computed.  Cached runs are reused;
-    the cache never changes results, only skips re-execution."""
-    prefix = list(prefix)
-    if not prefix:
-        return world.copy(), ()
-    key = _prefix_key(prefix)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit[0].copy(), hit[1]
-    after, results = execute_sequence(world, prefix)
-    pre = tuple(p for r in results for p in r.sha_preimages)
-    if cache is not None:
-        cache.put(key, after.copy(), pre)
-    return after, pre
-
-
 def shadow_run(
     world: EvmWorld,
     prefix,
@@ -607,8 +515,15 @@ def shadow_run(
 ) -> ShadowRun:
     """Execute tx with symbolic call-data shadowing after a concrete
     prefix.  tx must carry structured args (the concrete seed values for
-    every symbolic parameter)."""
-    base, _ = snapshot_of(world, prefix, cache)
+    every symbolic parameter).  With a cache, a prefix seen before is
+    restored from its snapshot instead of being run again."""
+    prefix = list(prefix)
+    if not prefix:
+        base = world.copy()
+    elif cache is None:
+        base, _ = execute_sequence(world, prefix)
+    else:
+        base = restore(world, cache.get_or_build(world, prefix))
     base.block.timestamp += tx.delay
     bundle = base.deployed.get(tx.destination)
     if bundle is None:
@@ -625,7 +540,7 @@ def shadow_run(
         balances[tx.source] = balances.get(tx.source, 0) - tx.value
         balances[tx.destination] = balances.get(tx.destination, 0) + tx.value
     storage = dict(base.storage.get(tx.destination, {}))
-    start_pc, _ = _route(bundle, calldata)
+    start_pc = _route(bundle, calldata)
     return _shadow_frame(
         bundle.image,
         calldata,

@@ -5,7 +5,8 @@ evaluating a tree under a concrete argument assignment is total and
 produces the same word the interpreter would compute.  Binop operand
 order follows the interpreter's stack convention: `x` is the operand
 popped first (the top of the stack), `y` the one beneath it, so
-SUB(x, y) is x - y and SHL(x, y) shifts y left by x.
+SUB(x, y) is x - y and SHL(x, y) shifts y left by x.  Binop semantics
+are sctest.bytecode.opcodes.BINOP, the table the shadow computes with.
 
 Input atoms name a position inside one decoded argument:
   kind "word"    the 32-byte word of a static argument (offset 0) or of
@@ -19,14 +20,11 @@ is 8 bits, an address 160); solvers use it as the search domain.
 from dataclasses import dataclass
 
 from .._kernels import keccak256
+from ..bytecode.opcodes import BINOP
 
 MASK256 = (1 << 256) - 1
 
 UNOPS = ("NOT", "ISZERO", "NEG")
-BINOPS = (
-    "ADD", "SUB", "MUL", "DIV", "MOD", "EXP",
-    "LT", "GT", "EQ", "AND", "OR", "XOR", "SHL", "SHR",
-)
 
 _BOOL_OPS = ("LT", "GT", "EQ")
 
@@ -94,90 +92,45 @@ def atom_value(atom: Input, env: dict) -> int:
     return _eval_input(atom, env)
 
 
-def evaluate(expr: SymExpr, env: dict, storage: dict | None = None) -> int:
-    """Total evaluation under a concrete assignment {param name: value}."""
+def _unop(op: str, x: int) -> int:
+    if op == "NOT":
+        return x ^ MASK256
+    if op == "ISZERO":
+        return 1 if x == 0 else 0
+    return (-x) & MASK256  # NEG
+
+
+def _evaluate(expr: SymExpr, atom, storage: dict | None) -> int:
+    """Total evaluation; atom(Input) gives each atom's word."""
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Input):
-        return _eval_input(expr, env)
+        return atom(expr)
     if isinstance(expr, Unop):
-        x = evaluate(expr.x, env, storage)
-        if expr.op == "NOT":
-            return x ^ MASK256
-        if expr.op == "ISZERO":
-            return 1 if x == 0 else 0
-        return (-x) & MASK256  # NEG
+        return _unop(expr.op, _evaluate(expr.x, atom, storage))
     if isinstance(expr, Binop):
-        x = evaluate(expr.x, env, storage)
-        y = evaluate(expr.y, env, storage)
-        op = expr.op
-        if op == "ADD":
-            return (x + y) & MASK256
-        if op == "SUB":
-            return (x - y) & MASK256
-        if op == "MUL":
-            return (x * y) & MASK256
-        if op == "DIV":
-            return x // y if y else 0
-        if op == "MOD":
-            return x % y if y else 0
-        if op == "EXP":
-            return pow(x, y, 1 << 256)
-        if op == "LT":
-            return 1 if x < y else 0
-        if op == "GT":
-            return 1 if x > y else 0
-        if op == "EQ":
-            return 1 if x == y else 0
-        if op == "AND":
-            return x & y
-        if op == "OR":
-            return x | y
-        if op == "XOR":
-            return x ^ y
-        if op == "SHL":
-            return (y << x) & MASK256 if x < 256 else 0
-        if op == "SHR":
-            return y >> x if x < 256 else 0
-        raise ValueError(f"unknown binop {op}")
+        return BINOP[expr.op](
+            _evaluate(expr.x, atom, storage), _evaluate(expr.y, atom, storage)
+        )
     if isinstance(expr, Keccak):
         buf = b"".join(
-            evaluate(p, env, storage).to_bytes(32, "big") for p in expr.parts
+            _evaluate(p, atom, storage).to_bytes(32, "big") for p in expr.parts
         )
         return int.from_bytes(keccak256(buf[: expr.size]), "big")
     if isinstance(expr, Sload):
-        slot = evaluate(expr.slot, env, storage)
+        slot = _evaluate(expr.slot, atom, storage)
         return (storage or {}).get(slot, 0)
     raise TypeError(f"not a SymExpr: {expr!r}")
+
+
+def evaluate(expr: SymExpr, env: dict, storage: dict | None = None) -> int:
+    """Total evaluation under a concrete assignment {param name: value}."""
+    return _evaluate(expr, lambda a: _eval_input(a, env), storage)
 
 
 def evaluate_atoms(expr: SymExpr, assignment: dict, storage: dict | None = None) -> int:
     """Evaluate with atoms bound directly: {Input atom: word value}."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Input):
-        return assignment[expr] & MASK256
-    if isinstance(expr, Unop):
-        return evaluate(Unop(expr.op, Const(evaluate_atoms(expr.x, assignment, storage))), {})
-    if isinstance(expr, Binop):
-        return evaluate(
-            Binop(
-                expr.op,
-                Const(evaluate_atoms(expr.x, assignment, storage)),
-                Const(evaluate_atoms(expr.y, assignment, storage)),
-            ),
-            {},
-        )
-    if isinstance(expr, Keccak):
-        buf = b"".join(
-            evaluate_atoms(p, assignment, storage).to_bytes(32, "big")
-            for p in expr.parts
-        )
-        return int.from_bytes(keccak256(buf[: expr.size]), "big")
-    if isinstance(expr, Sload):
-        slot = evaluate_atoms(expr.slot, assignment, storage)
-        return (storage or {}).get(slot, 0)
-    raise TypeError(f"not a SymExpr: {expr!r}")
+    return _evaluate(expr, lambda a: assignment[a] & MASK256, storage)
 
 
 def inputs_of(expr: SymExpr) -> tuple[Input, ...]:
@@ -371,7 +324,7 @@ def simplify(expr: SymExpr) -> SymExpr:
     if isinstance(expr, Unop):
         x = simplify(expr.x)
         if isinstance(x, Const):
-            return Const(evaluate(Unop(expr.op, x), {}))
+            return Const(_unop(expr.op, x.value))
         if expr.op == "ISZERO" and isinstance(x, Unop) and x.op == "ISZERO":
             if is_boolean(x.x):
                 return x.x
@@ -389,7 +342,7 @@ def simplify(expr: SymExpr) -> SymExpr:
     x = simplify(expr.x)
     y = simplify(expr.y)
     if isinstance(x, Const) and isinstance(y, Const):
-        return Const(evaluate(Binop(op, x, y), {}))
+        return Const(BINOP[op](x.value, y.value))
 
     if op == "ADD":
         if isinstance(x, Const) and x.value == 0:

@@ -20,6 +20,7 @@ from typing import Optional
 
 from ..bytecode.abi import AbiType, FunctionSig
 from ..bytecode.cfg import Cfg
+from ..bytecode.opcodes import BINOP, CALL_CLASS, lookup
 from ..evm.bundle import ContractBundle, genesis_config
 from .covmap import CoverageMap
 
@@ -41,11 +42,6 @@ _U256 = (1 << 256) - 1
 
 _CHAIN_LIMIT = 16
 
-_BINOPS = {
-    "ADD", "MUL", "SUB", "DIV", "MOD", "EXP",
-    "LT", "GT", "EQ", "AND", "OR", "XOR", "SHL", "SHR",
-}
-
 _ENV = {
     "CALLER": "msg.sender",
     "CALLVALUE": "msg.value",
@@ -61,42 +57,6 @@ class BranchConstraintInfo:
     constraint_text: str
     inputs_involved: tuple[str, ...]
     features: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# constant folding for the handful of ops worth simplifying
-# ---------------------------------------------------------------------------
-
-def _fold(op: str, x: int, y: int) -> int | None:
-    if op == "ADD":
-        return (x + y) & _U256
-    if op == "MUL":
-        return (x * y) & _U256
-    if op == "SUB":
-        return (x - y) & _U256
-    if op == "DIV":
-        return x // y if y else 0
-    if op == "MOD":
-        return x % y if y else 0
-    if op == "EXP":
-        return pow(x, y, 1 << 256)
-    if op == "LT":
-        return int(x < y)
-    if op == "GT":
-        return int(x > y)
-    if op == "EQ":
-        return int(x == y)
-    if op == "AND":
-        return x & y
-    if op == "OR":
-        return x | y
-    if op == "XOR":
-        return x ^ y
-    if op == "SHL":
-        return (y << x) & _U256 if x < 256 else 0
-    if op == "SHR":
-        return y >> x if x < 256 else 0
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +136,12 @@ class _Replay:
             )
         elif name == "POP":
             self.pop()
-        elif name in _BINOPS:
+        elif name in BINOP:
             x, y = self.pop(), self.pop()
             if x[0] == "const" and y[0] == "const":
-                folded = _fold(name, x[1], y[1])
-                if folded is not None:
-                    self.push(("const", folded))
-                    return
-            self.push(("bin", name, x, y))
+                self.push(("const", BINOP[name](x[1], y[1])))
+            else:
+                self.push(("bin", name, x, y))
         elif name == "ISZERO":
             x = self.pop()
             if x[0] == "const":
@@ -225,8 +183,6 @@ class _Replay:
         elif name == "JUMPI":
             self.pop(), self.pop()
         else:
-            from ..bytecode.opcodes import CALL_CLASS, lookup
-
             info = lookup(ins.code)
             for _ in range(info.pops):
                 self.pop()

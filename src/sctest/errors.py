@@ -102,34 +102,3 @@ class TargetInvalid(SctestError):
 class NoSymbolicInput(SctestError):
     """The predicate mentions no input atoms, so nothing can be kept."""
 
-
-# -- models -----------------------------------------------------------------
-
-class ModelError(SctestError):
-    pass
-
-
-class MissingGroundTruth(ModelError):
-    pass
-
-
-class UnexpectedGroundTruth(ModelError):
-    pass
-
-
-class Unparseable(ModelError):
-    """Model response contains no standalone 0/1 token."""
-
-
-class NoBlockingConstraint(ModelError):
-    pass
-
-
-class EmptyResponse(ModelError):
-    pass
-
-
-# -- orchestrator -----------------------------------------------------------
-
-class EmptyInput(SctestError):
-    pass

@@ -57,17 +57,15 @@ class _TxCtx:
         return ov
 
 
-def _route(bundle: ContractBundle, calldata: bytes) -> tuple[int, str]:
-    """Fallback monitor: unmatched selectors route to a function named
-    "fallback" when the ABI declares one; otherwise execution starts at
-    the dispatcher, whose no-match arm returns empty success."""
-    sig = bundle.by_selector.get(calldata[:4]) if len(calldata) >= 4 else None
-    if sig is not None:
-        return 0, sig.name
+def _route(bundle: ContractBundle, calldata: bytes) -> int:
+    """Entry pc.  Fallback monitor: unmatched selectors route to a
+    function named "fallback" when the ABI declares one; otherwise
+    execution starts at the dispatcher, whose no-match arm returns empty
+    success."""
+    if len(calldata) >= 4 and calldata[:4] in bundle.by_selector:
+        return 0
     entry = bundle.fallback_entry
-    if entry is not None:
-        return entry, "fallback"
-    return 0, ""
+    return 0 if entry is None else entry
 
 
 def _run_call(
@@ -80,10 +78,8 @@ def _run_call(
     static: bool,
     depth: int,
     start_pc: int = 0,
-    fn_name: str = "",
 ) -> tuple[str, bytes]:
     world = ctx.world
-    world.runtime_stack.append((exec_addr, fn_name))
     storage = ctx.overlay(exec_addr)
     seg: list[int] = []
     state = None if start_pc == 0 else ([], bytearray(), start_pc, 0, 0)
@@ -103,7 +99,6 @@ def _run_call(
             ctx.gas = gas_left
             if seg:
                 ctx.segments.append((exec_addr, tuple(seg)))
-            world.runtime_stack.pop()
             return kind, data
         # paused at a call instruction
         _, kind, to, value, arg, gas_left, st = r
@@ -156,10 +151,9 @@ def _resolve_call(
         exec_addr, caller, callvalue, st = from_addr, outer_caller, outer_value, static
     else:  # staticcall
         exec_addr, caller, callvalue, st = to, from_addr, 0, True
-    start_pc, fn_name = _route(bundle, arg)
     halt, data = _run_call(
         ctx, bundle.image, exec_addr, caller, callvalue, arg, st,
-        depth + 1, start_pc, fn_name,
+        depth + 1, _route(bundle, arg),
     )
     success = 1 if halt in ("stop", "return", "selfdestruct") else 0
     return success, data
@@ -195,10 +189,9 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
         ctx.balances[tx.source] -= tx.value
         ctx.balances[tx.destination] = ctx.balances.get(tx.destination, 0) + tx.value
 
-    start_pc, fn_name = _route(bundle, calldata)
     kind, data = _run_call(
         ctx, bundle.image, tx.destination, tx.source, tx.value, calldata,
-        False, 0, start_pc, fn_name or tx.function_call,
+        False, 0, _route(bundle, calldata),
     )
     halt = _HALT_NAME[kind]
 

@@ -26,7 +26,6 @@ def _tx_json(tx: Transaction) -> dict:
         "call_data": tx.call_data.hex() if tx.call_data is not None else None,
         "delay": tx.delay,
         "gas": tx.gas,
-        "gas_price": tx.gas_price,
         "source": f"0x{tx.source:040x}",
         "destination": f"0x{tx.destination:040x}",
         "value": tx.value,
@@ -84,8 +83,6 @@ def restore(base: EvmWorld, snap: Snapshot) -> EvmWorld:
         storage={a: dict(slots) for a, slots in snap.storage},
         block=BlockCtx(timestamp=snap.block[0], number=snap.block[1]),
         tx_queue=[],
-        runtime_stack=[],
-        fallback_monitor=dict(base.fallback_monitor),
     )
 
 
@@ -128,6 +125,9 @@ class SnapshotCache:
         key = prefix_key(prefix)
         snap = self.get(key)
         if snap is None:
-            snap = snapshot_of(world, prefix)
+            from .engine import execute_sequence
+
+            after, _ = execute_sequence(world, list(prefix))
+            snap = capture(after, key)
             self.put(snap)
         return snap

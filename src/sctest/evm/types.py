@@ -56,7 +56,6 @@ class Transaction:
     call_data: bytes | None = None
     delay: int = 0
     gas: int = DEFAULT_GAS
-    gas_price: int = 1  # carried per the transaction tuple; unused by the interpreter
     source: int = 0
     destination: int = 0
     value: int = 0

@@ -15,9 +15,6 @@ class EvmWorld:
     storage: dict[int, dict[int, int]] = field(default_factory=dict)
     block: BlockCtx = field(default_factory=BlockCtx)
     tx_queue: list[Transaction] = field(default_factory=list)
-    # transient call stack of (address, function name); empty between txs
-    runtime_stack: list[tuple[int, str]] = field(default_factory=list)
-    fallback_monitor: dict[int, int | None] = field(default_factory=dict)
 
     def copy(self) -> "EvmWorld":
         return EvmWorld(
@@ -26,8 +23,6 @@ class EvmWorld:
             storage={a: dict(slots) for a, slots in self.storage.items()},
             block=BlockCtx(self.block.timestamp, self.block.number),
             tx_queue=list(self.tx_queue),
-            runtime_stack=[],
-            fallback_monitor=dict(self.fallback_monitor),
         )
 
     def balance(self, address: int) -> int:
@@ -69,7 +64,6 @@ def deploy(world: EvmWorld, contract: ContractBundle, at: int) -> EvmWorld:
     w = world.copy()
     w.deployed[at] = contract
     w.storage[at] = {}
-    w.fallback_monitor[at] = contract.fallback_entry
     if at not in w.accounts:
         w.accounts[at] = Account(at, 0)
     return w

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sctest._kernels import keccak256
+from sctest._kernels import keccak256, run_frame
 from sctest.bytecode.abi import FunctionSig, parse_abi
 from sctest.bytecode.asm import Asm, dispatcher
+from sctest.bytecode.opcodes import BINOP, by_name
 from sctest.errors import (
     AddressInUse,
     DuplicateAddress,
@@ -16,6 +17,7 @@ from sctest.errors import (
     UnknownDestination,
 )
 from sctest.evm import (
+    CodeImage,
     ContractBundle,
     Transaction,
     deploy,
@@ -166,6 +168,42 @@ def test_binop_agrees_with_bigint_oracle(a, b, op):
     )
     _, res = run_raw(hx)
     assert returned_word(res) == _BINOPS[op](a, b)
+
+
+_EDGE_WORDS = (0, 1, 255, 256, 1 << 255, (1 << 256) - 1)
+_WORDS = st.one_of(st.sampled_from(_EDGE_WORDS), st.integers(0, (1 << 256) - 1))
+
+
+def kernel_binop(name: str, x: int, y: int) -> int:
+    """The word run_frame returns for PUSH32 y, PUSH32 x, <name>."""
+    code = bytes.fromhex(
+        "7f" + y.to_bytes(32, "big").hex()
+        + "7f" + x.to_bytes(32, "big").hex()
+        + f"{by_name(name).code:02x}" + "600052" + "60206000f3"
+    )
+    image = CodeImage.from_bytecode(code)
+    halt, kind, data, _ = run_frame(
+        image.code, image.imm, image.nxt, image.is_jumpdest, len(image.code),
+        b"", {}, {}, AT, ACCT, 0, 1, 1, 10_000, False, [], [], [], [],
+    )
+    assert (halt, kind) == ("halt", "return")
+    return int.from_bytes(data, "big")
+
+
+@pytest.mark.parametrize("name", sorted(BINOP))
+def test_kernel_binop_matches_table_on_edge_words(name):
+    for x in _EDGE_WORDS:
+        for y in _EDGE_WORDS:
+            assert kernel_binop(name, x, y) == BINOP[name](x, y), (x, y)
+
+
+@pytest.mark.parametrize("name", sorted(BINOP))
+@settings(max_examples=40, deadline=None)
+@given(x=_WORDS, y=_WORDS)
+def test_kernel_binop_matches_table(name, x, y):
+    # the kernel inlines its arithmetic; the table is what the shadow,
+    # symexpr and the bottleneck replay compute with
+    assert kernel_binop(name, x, y) == BINOP[name](x, y)
 
 
 # -- environment opcodes -----------------------------------------------------
@@ -461,7 +499,6 @@ def test_unmatched_selector_routes_to_fallback():
                                         source=ACCT, destination=AT))
     assert res.halt == "STOP"
     assert w2.storage[AT] == {0: 2}  # fallback body ran, not the dispatcher
-    assert w2.runtime_stack == []
 
 
 def test_matched_selector_skips_fallback():
