@@ -4,6 +4,12 @@ A CoverageMap keeps one bitset of executed instruction offsets per
 contract address plus a set of 64-bit path hashes.  A path is the
 sequence of basic-block entries a transaction makes, hashed with FNV-1a
 and truncated at PATH_BLOCK_LIMIT blocks so the monitor stays O(trace).
+
+A fuzzing campaign takes the same few paths over and over, so path
+hashes are memoised in `_PATH_MEMO`, keyed by the truncated entry tuple.
+The memo is bounded by the block entries its keys hold together
+(`_PATH_MEMO_CAP`, about 1.6 MB at most; a single key holds up to
+PATH_BLOCK_LIMIT entries) and drops the oldest key first.
 """
 
 import json
@@ -17,6 +23,10 @@ FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 PATH_BLOCK_LIMIT = 4096
+
+_PATH_MEMO: dict[tuple[tuple[int, int], ...], int] = {}
+_PATH_MEMO_CAP = 4 * PATH_BLOCK_LIMIT  # block entries over all keys
+_path_memo_size = 0  # block entries the keys of _PATH_MEMO hold now
 
 
 def fnv1a64(data: bytes) -> int:
@@ -68,10 +78,20 @@ class CoverageMap:
 
 def _path_hash(entries: list[tuple[int, int]]) -> int:
     """Hash a sequence of (address, block_start) entries."""
-    h = FNV_OFFSET
-    for addr, start in entries[:PATH_BLOCK_LIMIT]:
-        for b in addr.to_bytes(20, "big") + start.to_bytes(4, "big"):
-            h = ((h ^ b) * FNV_PRIME) & _MASK64
+    global _path_memo_size
+    key = tuple(entries[:PATH_BLOCK_LIMIT])
+    h = _PATH_MEMO.get(key)
+    if h is None:
+        h = FNV_OFFSET
+        for addr, start in key:
+            for b in addr.to_bytes(20, "big") + start.to_bytes(4, "big"):
+                h = ((h ^ b) * FNV_PRIME) & _MASK64
+        _PATH_MEMO[key] = h
+        _path_memo_size += len(key)
+        while _path_memo_size > _PATH_MEMO_CAP:
+            oldest = next(iter(_PATH_MEMO))  # FIFO: dicts keep insertion order
+            del _PATH_MEMO[oldest]
+            _path_memo_size -= len(oldest)
     return h
 
 

@@ -12,6 +12,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .._kernels import keccak256
+from .engine import execute_sequence
 from .types import Account, BlockCtx, Transaction
 from .world import EvmWorld
 
@@ -69,10 +70,12 @@ def capture(world: EvmWorld, key: bytes) -> Snapshot:
 
 def snapshot_of(world: EvmWorld, prefix) -> Snapshot:
     """Execute prefix against a copy of world and capture the result."""
-    from .engine import execute_sequence
+    return _build(world, prefix, prefix_key(prefix))
 
+
+def _build(world: EvmWorld, prefix, key: bytes) -> Snapshot:
     after, _ = execute_sequence(world, list(prefix))
-    return capture(after, prefix_key(prefix))
+    return capture(after, key)
 
 
 def restore(base: EvmWorld, snap: Snapshot) -> EvmWorld:
@@ -125,9 +128,6 @@ class SnapshotCache:
         key = prefix_key(prefix)
         snap = self.get(key)
         if snap is None:
-            from .engine import execute_sequence
-
-            after, _ = execute_sequence(world, list(prefix))
-            snap = capture(after, key)
+            snap = _build(world, prefix, key)
             self.put(snap)
         return snap

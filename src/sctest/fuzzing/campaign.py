@@ -5,7 +5,11 @@ The setup calls run once; every candidate executes its fuzz calls from
 that post-setup world (worlds are values, so the snapshot is just a
 retained reference).  Candidates are scheduled in proportion to how
 many uncovered basic blocks sit adjacent to the blocks their own trace
-reached, plus one so fresh entries always have weight.
+reached, plus one so fresh entries always have weight.  The weights
+change only when the coverage bits grow, and an execution that grows
+them always adds an entry; so they are kept between picks and rescored
+after each added entry, and at the start of each run() in case the
+caller replaced or edited the coverage map.
 
 Bug detection applies two rules to each executed candidate:
   * assert_failure     - a transaction halted on INVALID
@@ -15,7 +19,9 @@ Bug detection applies two rules to each executed candidate:
 
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from ..bytecode.abi import FunctionSig
 from ..coverage.covmap import CoverageMap, merge_result
@@ -172,6 +178,7 @@ class Campaign:
         self.rng = random.Random(self.rng_seed)
         self._cands: list[Candidate] = []
         self._blocks: list[set[tuple[int, int]]] = []  # per-entry block starts
+        self._cum_weights: list[int] | None = None  # None: rescore on next pick
         self._finding_keys: set[tuple[str, int, str]] = set()
         self._started = False
 
@@ -226,15 +233,12 @@ class Campaign:
         return len(uncovered) + 1
 
     def _pick(self) -> Candidate:
-        weights = [self._score(b) for b in self._blocks]
-        total = sum(weights)
-        r = self.rng.random() * total
-        acc = 0.0
-        for cand, w in zip(self._cands, weights):
-            acc += w
-            if r < acc:
-                return cand
-        return self._cands[-1]
+        if self._cum_weights is None:
+            self._cum_weights = list(accumulate(map(self._score, self._blocks)))
+        cum = self._cum_weights
+        # the first entry whose running weight exceeds r
+        i = bisect_right(cum, self.rng.random() * cum[-1])
+        return self._cands[min(i, len(cum) - 1)]
 
     # -- execution ------------------------------------------------------------
 
@@ -255,6 +259,7 @@ class Campaign:
     def run(self, execs: int = CHUNK) -> ChunkStats:
         """Execute up to `execs` candidates; returns what the chunk gained."""
         stats = ChunkStats()
+        self._cum_weights = None
         for _ in range(execs):
             if not self._started:
                 cand = initial_candidate(self.target)
@@ -301,6 +306,7 @@ class Campaign:
                 )
                 self._cands.append(cand)
                 self._blocks.append(self._trace_blocks(results))
+                self._cum_weights = None
                 for kind, pc, fn, msg in fresh:
                     self._finding_keys.add((kind, pc, fn))
                     self.report.findings.append(

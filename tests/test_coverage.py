@@ -6,6 +6,8 @@ to them is a behavior change, not a cosmetic one.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sctest.bytecode.abi import parse_abi
 from sctest.coverage import (
@@ -20,6 +22,8 @@ from sctest.coverage import (
     merge_result,
     render_report,
 )
+from sctest.coverage import covmap
+from sctest.coverage.covmap import PATH_BLOCK_LIMIT, _path_hash
 from sctest.evm import Transaction, execute_sequence, make_world
 from sctest.evm.bundle import ContractBundle, genesis_config
 
@@ -59,6 +63,71 @@ def test_fnv1a64_reference_vectors():
     assert fnv1a64(b"") == 0xCBF29CE484222325
     assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
     assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+def reference_path_hash(entries) -> int:
+    """FNV-1a over 20-byte address + 4-byte block start, first
+    PATH_BLOCK_LIMIT entries only, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for addr, start in entries[:PATH_BLOCK_LIMIT]:
+        for b in addr.to_bytes(20, "big") + start.to_bytes(4, "big"):
+            h = ((h ^ b) * 0x100000001B3) % 2**64
+    return h
+
+
+ENTRY = st.tuples(st.integers(0, 2**160 - 1), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def entry_lists(draw):
+    """Entry lists up to a few hundred past PATH_BLOCK_LIMIT: a short
+    drawn pattern repeated to a drawn length."""
+    pattern = draw(st.lists(ENTRY, min_size=1, max_size=6))
+    n = draw(
+        st.one_of(
+            st.integers(0, 40),
+            st.integers(PATH_BLOCK_LIMIT - 2, PATH_BLOCK_LIMIT + 300),
+        )
+    )
+    return (pattern * (n // len(pattern) + 1))[:n]
+
+
+@settings(max_examples=30, deadline=None)
+@given(entry_lists())
+def test_path_hash_matches_reference_fold(entries):
+    want = reference_path_hash(entries)
+    assert _path_hash(entries) == want
+    assert _path_hash(list(entries)) == want  # second call: a memo hit
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(ENTRY, min_size=1, max_size=20), st.lists(ENTRY, max_size=20))
+def test_entries_past_the_block_limit_do_not_change_the_hash(tail_a, tail_b):
+    head = [(0xC0DE, i) for i in range(PATH_BLOCK_LIMIT)]
+    assert _path_hash(head + tail_a) == _path_hash(head + tail_b)
+    assert _path_hash(head + tail_a) == _path_hash(head)
+
+
+def test_path_memo_stays_within_its_bound_and_rehashes_evicted_keys(monkeypatch):
+    monkeypatch.setattr(covmap, "_PATH_MEMO", {})
+    monkeypatch.setattr(covmap, "_path_memo_size", 0)
+    monkeypatch.setattr(covmap, "_PATH_MEMO_CAP", 12)
+    keys = [[(0xA, j) for j in range(i % 5 + 1)] + [(i, 0)] for i in range(20)]
+
+    def check(entries):
+        assert _path_hash(entries) == reference_path_hash(entries)
+        held = sum(len(k) for k in covmap._PATH_MEMO)
+        assert held == covmap._path_memo_size <= 12
+
+    for entries in keys:
+        check(entries)
+    assert tuple(keys[0]) not in covmap._PATH_MEMO  # evicted
+    for entries in keys:  # every early key comes back, evicting others
+        check(entries)
+    assert tuple(keys[-1]) in covmap._PATH_MEMO
+    # a key longer than the bound is hashed but not kept
+    check([(0xB, j) for j in range(13)])
+    assert covmap._PATH_MEMO == {}
 
 
 def test_merge_sets_bits_and_one_path(cubic):

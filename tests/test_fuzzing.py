@@ -1,12 +1,17 @@
 """Fuzz-target DSL, mutation, campaign, corpus, and replay tests."""
 
 import random
+from itertools import accumulate
 
 import pytest
 
 from sctest.bytecode.abi import AbiType, FunctionSig
 from sctest.bytecode.asm import Asm, dispatcher
-from sctest.coverage import PARTIALLY_COVERED, extract_uncovered_functions
+from sctest.coverage import (
+    PARTIALLY_COVERED,
+    CoverageMap,
+    extract_uncovered_functions,
+)
 from sctest.evm.bundle import ContractBundle, load_bundle
 from sctest.evm.world import make_world
 from sctest.fuzzing import (
@@ -435,6 +440,69 @@ def test_campaign_is_deterministic():
         )
 
     assert run() == run()
+
+
+class RescoringCampaign(Campaign):
+    """The scheduler before weights were cached: rescore every entry on
+    every pick."""
+
+    def _pick(self):
+        weights = [self._score(b) for b in self._blocks]
+        r = self.rng.random() * sum(weights)
+        acc = 0.0
+        for cand, w in zip(self._cands, weights):
+            acc += w
+            if r < acc:
+                return cand
+        return self._cands[-1]
+
+
+def test_cached_weights_pick_as_rescoring_does():
+    bundle = load_bundle(FIXTURES / "bytekey")
+    world, _ = make_world(bundle)
+    t = seed_initial_target(bundle.resolved_abi)
+    runs = []
+    for cls in (Campaign, RescoringCampaign):
+        camp = cls(world, t, rng_seed=42)
+        for _ in range(2):
+            camp.run(1000)
+        runs.append(
+            (
+                camp.coverage.to_json(),
+                [e.id for e in camp.corpus.entries],
+                camp.report.to_json(),
+            )
+        )
+    assert len(runs[0][1]) > 2  # coverage grew, so the weights were rescored
+    assert runs[0] == runs[1]
+
+
+def test_replaced_or_edited_coverage_refreshes_weights(monkeypatch):
+    bundle = load_bundle(FIXTURES / "bytekey")
+    world, at = make_world(bundle)
+    camp = Campaign(world, seed_initial_target(bundle.resolved_abi), rng_seed=42)
+    camp.run(300)
+    used = []
+    pick = camp._pick
+
+    def spy():
+        cand = pick()
+        used.append(list(camp._cum_weights))
+        return cand
+
+    monkeypatch.setattr(camp, "_pick", spy)
+    camp.run(1)
+    stale = used[-1]
+
+    camp.coverage = CoverageMap()
+    fresh = list(accumulate(camp._score(b) for b in camp._blocks))
+    camp.run(1)
+    assert used[-1] == fresh != stale
+
+    camp.coverage.bits[at] = (1 << len(bundle.bytecode)) - 1
+    entries = len(camp._blocks)
+    camp.run(1)
+    assert used[-1] == list(range(1, entries + 1))  # every score is 1
 
 
 def test_campaign_seeds_differ():

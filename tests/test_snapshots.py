@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sctest.bytecode.abi import FunctionSig, parse_abi
 from sctest.bytecode.asm import Asm, dispatcher
+from sctest.evm import snapshots
 from sctest.evm import (
     ContractBundle,
     SnapshotCache,
@@ -111,6 +112,22 @@ def test_cache_hit_returns_same_snapshot():
     s2 = cache.get_or_build(w, [_bump(4)])
     assert s1 is s2
     assert cache.hits == 1 and cache.misses == 1
+
+
+def test_cache_miss_builds_what_snapshot_of_builds_and_hashes_once(monkeypatch):
+    w = _world()
+    prefix = [_bump(5), _bump(7, delay=2)]
+    want = snapshot_of(w, prefix)
+    keyed = []
+
+    def counting_key(p):
+        keyed.append(len(p))
+        return prefix_key(p)
+
+    monkeypatch.setattr(snapshots, "prefix_key", counting_key)
+    got = SnapshotCache().get_or_build(w, prefix)
+    assert got == want
+    assert keyed == [2]
 
 
 def test_cache_evicts_least_recently_used():
