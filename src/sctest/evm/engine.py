@@ -197,7 +197,7 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
 
     if halt != "OUT_OF_GAS":
         for addr in sorted(ctx.overlays):
-            w.storage[addr] = dict(ctx.overlays[addr])
+            w.storage[addr] = ctx.overlays[addr]  # a private copy already
         for addr in sorted(ctx.balances):
             bal = ctx.balances[addr]
             acc = w.accounts.get(addr)

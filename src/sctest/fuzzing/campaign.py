@@ -11,6 +11,17 @@ them always adds an entry; so they are kept between picks and rescored
 after each added entry, and at the start of each run() in case the
 caller replaced or edited the coverage map.
 
+Mutation often hands back a candidate already executed in the same
+run() call.  Such a repeat is counted as an execution (and in
+ChunkStats.repeats) but not run again: execution is a pure function of
+the snapshot and the transactions, merging coverage is idempotent, the
+first run already recorded every finding key it raised, a repeat never
+adds a corpus entry (so the weights stay put), and executing draws
+nothing from the RNG.  Skipping it leaves every output byte-identical.
+The set of executed candidates starts empty at each run(), like the
+weights, so a caller that replaces or edits the coverage map between
+runs still gets repeats re-executed.
+
 Bug detection applies two rules to each executed candidate:
   * assert_failure     - a transaction halted on INVALID
   * property_violation - a zero-argument property function reverts or
@@ -142,6 +153,7 @@ class ChunkStats:
     new_instructions: int = 0
     new_paths: int = 0
     new_findings: int = 0
+    repeats: int = 0  # executions skipped: the candidate already ran
 
 
 @dataclass
@@ -260,6 +272,7 @@ class Campaign:
         """Execute up to `execs` candidates; returns what the chunk gained."""
         stats = ChunkStats()
         self._cum_weights = None
+        ran: set[Candidate] = set()  # candidates executed in this call
         for _ in range(execs):
             if not self._started:
                 cand = initial_candidate(self.target)
@@ -275,6 +288,12 @@ class Campaign:
                 )
                 force_insert = False
 
+            self.executions += 1
+            stats.executions += 1
+            if cand in ran:
+                stats.repeats += 1
+                continue
+            ran.add(cand)
             txs = self._fuzz_txs(cand)
             before_instr = self._instr_count()
             before_paths = len(self.coverage.path_set)
@@ -283,8 +302,6 @@ class Campaign:
                 merge_result(self.coverage, res, world_after)
             gained = self._instr_count() - before_instr
             new_paths = len(self.coverage.path_set) - before_paths
-            self.executions += 1
-            stats.executions += 1
             stats.new_instructions += gained
             stats.new_paths += new_paths
 
@@ -346,18 +363,20 @@ def run_campaign(
     return camp.coverage, camp.corpus, camp.report
 
 
-def replay(world, corpus: Corpus) -> tuple[CoverageMap, BugReport]:
-    """Re-execute every corpus entry from genesis and re-derive findings.
+def _replay_entries(world, corpus: Corpus):
+    """Run each corpus entry once from genesis.
 
-    Entries naming functions the deployed contract no longer exposes are
-    marked stale in their delta record and skipped; replay never fails
-    on them.
+    Yields (index, results, world after, raw findings) for every entry
+    that runs.  Entries naming functions the deployed contract no longer
+    exposes, or whose sequence raises, are marked stale in their delta
+    record and skipped.
     """
-    coverage = CoverageMap()
-    report = BugReport()
-    seen: set[tuple[str, int, str]] = set()
     deployed = sorted(world.deployed)
     destination = deployed[0] if len(deployed) == 1 else None
+    props, sender = [], None
+    if destination is not None:
+        props = [s for s in world.deployed[destination].resolved_abi if s.is_property]
+        sender = next(iter(world.accounts))
 
     for i, tc in enumerate(corpus.entries):
         stale = any(
@@ -378,48 +397,72 @@ def replay(world, corpus: Corpus) -> tuple[CoverageMap, BugReport]:
             if i < len(corpus.deltas):
                 corpus.deltas[i]["stale"] = True
             continue
-        for res in results:
-            merge_result(coverage, res, world_after)
         raw = _detect_asserts(list(tc.txs), results, world_after)
         if destination is not None:
-            bundle = world.deployed[destination]
-            props = [s for s in bundle.resolved_abi if s.is_property]
-            raw += _probe_properties(
-                world_after, props, next(iter(world.accounts)), destination
-            )
+            raw += _probe_properties(world_after, props, sender, destination)
+        yield i, results, world_after, raw
+
+
+def replay(world, corpus: Corpus) -> tuple[CoverageMap, BugReport]:
+    """Re-execute every corpus entry from genesis and re-derive findings.
+
+    Entries naming functions the deployed contract no longer exposes are
+    marked stale in their delta record and skipped; replay never fails
+    on them.
+    """
+    coverage = CoverageMap()
+    report = BugReport()
+    seen: set[tuple[str, int, str]] = set()
+    for i, results, world_after, raw in _replay_entries(world, corpus):
+        for res in results:
+            merge_result(coverage, res, world_after)
         for kind, pc, fn, msg in raw:
             if (kind, pc, fn) in seen:
                 continue
             seen.add((kind, pc, fn))
-            report.findings.append(Finding(kind, pc, fn, tc.id, msg))
+            report.findings.append(
+                Finding(kind, pc, fn, corpus.entries[i].id, msg)
+            )
     return coverage, report
 
 
-def _replay_signature(world, corpus: Corpus) -> tuple:
-    cov, rep = replay(world, corpus)
-    return (
-        tuple(sorted((a, b) for a, b in cov.bits.items())),
-        frozenset((f.kind, f.pc, f.function) for f in rep.findings),
-    )
+def _union(signatures) -> tuple[dict[int, int], set[tuple[str, int, str]]]:
+    bits: dict[int, int] = {}
+    keys: set[tuple[str, int, str]] = set()
+    for entry_bits, entry_keys in signatures:
+        for addr, b in entry_bits.items():
+            bits[addr] = bits.get(addr, 0) | b
+        keys |= entry_keys
+    return bits, keys
 
 
 def minimize_corpus(world, corpus: Corpus, report: BugReport) -> Corpus:
     """Greedy one-pass shrink: drop any entry whose removal leaves replay
     coverage (instruction bits plus findings) intact.  Entries cited by a
-    finding are always kept so findings stay reproducible."""
+    finding are always kept so findings stay reproducible.
+
+    Every entry replays from genesis on its own, so the replay of any
+    subset is the union of its entries' bits and finding keys.  Each
+    entry is therefore run once, and each greedy trial is a union over
+    the kept entries, not a replay; stale entries add nothing."""
     protected = {f.testcase_id for f in report.findings}
     entries = list(corpus.entries)
     deltas = list(corpus.deltas)
-    baseline = _replay_signature(world, corpus)
+    signatures = [({}, frozenset())] * len(entries)  # stale: nothing
+    for i, results, world_after, raw in _replay_entries(world, corpus):
+        cov = CoverageMap()
+        for res in results:
+            merge_result(cov, res, world_after)
+        signatures[i] = (cov.bits, frozenset((k, pc, fn) for k, pc, fn, _ in raw))
+    baseline = _union(signatures)
     keep = [True] * len(entries)
     for i in range(len(entries) - 1, -1, -1):
         if entries[i].id in protected:
             continue
-        trial = Corpus(
-            [e for j, e in enumerate(entries) if keep[j] and j != i],
-            [d for j, d in enumerate(deltas) if keep[j] and j != i],
+        trial = _union(
+            sig for j, sig in enumerate(signatures) if keep[j] and j != i
         )
-        if _replay_signature(world, trial) == baseline:
+        if trial == baseline:
             keep[i] = False
     out = Corpus()
     for j, (e, d) in enumerate(zip(entries, deltas)):

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 from ..bytecode.abi import AbiType, FunctionSig
 from ..errors import EmptyAbi
+from ..evm.types import normalize_args
 
 _U256 = (1 << 256) - 1
 _U64 = (1 << 64) - 1
@@ -56,6 +57,9 @@ class ConcreteCall:
     sender: str | None = None  # alias; resolved at execution time
     value: int = 0
     delay: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "args", normalize_args(self.args))
 
 
 @dataclass(frozen=True)

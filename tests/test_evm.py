@@ -371,6 +371,31 @@ def test_sstore_zero_clears_slot():
     assert w.storage[AT] == {}
 
 
+def test_committed_storage_is_independent_of_input_and_other_runs():
+    # SLOAD slot 0, add 5, SSTORE slot 0: each run writes input + 5
+    w = world_with(bundle_from_hex("600054" + "6005" + "01" + "600055" + "00"))
+    w.storage[AT] = {0: 1}
+    tx = Transaction(function_call="raw", call_data=RAW4, source=ACCT,
+                     destination=AT)
+    first, _ = execute_tx(w, tx)
+    second, _ = execute_tx(w, tx)
+    assert first.storage[AT] == second.storage[AT] == {0: 6}
+    assert first.storage[AT] is not second.storage[AT]
+    assert w.storage[AT] == {0: 1}
+
+    first.storage[AT][0] = 99
+    first.storage[AT][7] = 1
+    assert w.storage[AT] == {0: 1}
+    assert second.storage[AT] == {0: 6}
+    third, _ = execute_tx(w, tx)
+    assert third.storage[AT] == {0: 6}
+
+    # running on top of a committed world leaves that world as it was
+    fourth, _ = execute_tx(second, tx)
+    assert fourth.storage[AT] == {0: 11}
+    assert second.storage[AT] == {0: 6}
+
+
 def test_value_transfer_moves_balance():
     w, res = run_raw("00", value=250, accounts=[(ACCT, 1000)])
     assert w.balance(ACCT) == 750

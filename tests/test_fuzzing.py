@@ -13,6 +13,7 @@ from sctest.coverage import (
     extract_uncovered_functions,
 )
 from sctest.evm.bundle import ContractBundle, load_bundle
+from sctest.evm.types import Transaction
 from sctest.evm.world import make_world
 from sctest.fuzzing import (
     ASSERT_FAILURE,
@@ -35,6 +36,8 @@ from sctest.fuzzing import (
     seed_initial_target,
 )
 from sctest.fuzzing import TestCase as FuzzCase
+from sctest.fuzzing import campaign as campaign_mod
+from sctest.fuzzing.target import FuzzCall
 
 from conftest import FIXTURES
 
@@ -364,6 +367,21 @@ def test_adjacent_swap_only_in_shuffle_mode():
     assert same.order == (0, 1)  # nothing to do: no mutables, no shuffle
 
 
+def test_list_valued_array_seed_mutates():
+    call = FuzzCall("f", (7, True, bytearray(b"\x01"), [1, 2]), None, 0, 0,
+                    ("a", "b", "c", "d"))
+    assert call.args == (7, True, b"\x01", (1, 2))
+    t = FuzzTarget("t", {}, (), (call,), "fixed")
+    rng = random.Random(5)
+    cand = initial_candidate(t)
+    seen = {cand}
+    for _ in range(50):
+        cand = mutate(cand, t, TOY_ABI, rng, ())
+        seen.add(cand)  # candidates must hash
+        assert isinstance(cand.args[0][3], tuple)
+    assert len(seen) > 1
+
+
 # -- test cases and corpus ----------------------------------------------------
 
 
@@ -503,6 +521,64 @@ def test_replaced_or_edited_coverage_refreshes_weights(monkeypatch):
     entries = len(camp._blocks)
     camp.run(1)
     assert used[-1] == list(range(1, entries + 1))  # every score is 1
+
+
+def _count_sequences(monkeypatch) -> list:
+    """Record every sequence the campaign module executes."""
+    calls = []
+    execute = campaign_mod.execute_sequence
+
+    def counting(world, txs):
+        calls.append(len(txs))
+        return execute(world, txs)
+
+    monkeypatch.setattr(campaign_mod, "execute_sequence", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["bytekey", "cubic"])
+def test_skipped_repeats_leave_outputs_unchanged(name, monkeypatch):
+    bundle = load_bundle(FIXTURES / name)
+    world, _ = make_world(bundle)
+    t = seed_initial_target(bundle.resolved_abi)
+    calls = _count_sequences(monkeypatch)
+    runs = []
+    for chunk in (1000, 1):  # a one-exec chunk never skips: the reference
+        camp = Campaign(world, t, rng_seed=42)
+        del calls[:]
+        stats = [camp.run(chunk) for _ in range(2000 // chunk)]
+        executions = sum(s.executions for s in stats)
+        repeats = sum(s.repeats for s in stats)
+        assert executions == camp.executions == 2000
+        # a repeat runs no sequence; the setup ran before counting began
+        assert len(calls) == executions - repeats
+        runs.append(
+            (
+                camp.coverage.to_json(),
+                [e.id for e in camp.corpus.entries],
+                camp.report.to_json(),
+                repeats,
+            )
+        )
+    (*chunked, skipped), (*single, none_skipped) = runs
+    assert skipped > 0 and none_skipped == 0
+    assert chunked == single
+
+
+def test_replaced_coverage_reruns_repeats():
+    bundle = gate_bundle()
+    world, at = make_world(bundle)
+    doc = "target gate\nfuzz:\n    call poke(5)\norder fixed\n"
+    camp = Campaign(world, parse_target(doc, bundle.resolved_abi), rng_seed=1)
+    first = camp.run(10)  # nothing is mutable: one candidate, nine repeats
+    assert (first.executions, first.repeats) == (10, 9)
+    covered = camp.coverage.to_json()
+
+    camp.coverage = CoverageMap()
+    again = camp.run(10)
+    assert (again.executions, again.repeats) == (10, 9)
+    assert again.new_instructions == first.new_instructions > 0
+    assert camp.coverage.to_json() == covered
 
 
 def test_campaign_seeds_differ():
@@ -662,6 +738,101 @@ def test_minimize_drops_duplicate_entries():
     assert len(slim) < len(doubled)
     full_bits = replay(world, doubled)[0].bits
     assert replay(world, slim)[0].bits == full_bits
+
+
+def reference_minimize(world, corpus: Corpus, report: BugReport) -> Corpus:
+    """Minimisation before it replayed each entry once: a full corpus
+    replay for the baseline and one for every greedy trial."""
+
+    def signature(c):
+        cov, rep = replay(world, c)
+        return (
+            tuple(sorted(cov.bits.items())),
+            frozenset((f.kind, f.pc, f.function) for f in rep.findings),
+        )
+
+    protected = {f.testcase_id for f in report.findings}
+    entries, deltas = list(corpus.entries), list(corpus.deltas)
+    baseline = signature(corpus)
+    keep = [True] * len(entries)
+    for i in range(len(entries) - 1, -1, -1):
+        if entries[i].id in protected:
+            continue
+        trial = Corpus(
+            [e for j, e in enumerate(entries) if keep[j] and j != i],
+            [d for j, d in enumerate(deltas) if keep[j] and j != i],
+        )
+        if signature(trial) == baseline:
+            keep[i] = False
+    out = Corpus()
+    for j, (e, d) in enumerate(zip(entries, deltas)):
+        if keep[j]:
+            out.add(e, d)
+    return out
+
+
+def _mixed_corpus(name: str, target_doc: str | None, execs: int):
+    """The unminimised corpora of three seeds' campaigns, which overlap,
+    with every entry doubled and an entry naming a missing function or a
+    missing contract (stale) before each pair; the report holds every
+    campaign's findings."""
+    bundle = load_bundle(FIXTURES / name)
+    world, at = make_world(bundle)
+    t = (
+        parse_target(target_doc, bundle.resolved_abi)
+        if target_doc
+        else seed_initial_target(bundle.resolved_abi)
+    )
+    sender = next(iter(world.accounts))
+    stale = [
+        FuzzCase((Transaction("noSuchFunction", (), source=sender, destination=at),)),
+        FuzzCase((Transaction("deposit", (1,), source=sender, destination=at + 1),)),
+    ]
+    mixed, report = Corpus(), BugReport()
+    for seed in (1, 2, 42):
+        camp = Campaign(world, t, rng_seed=seed)
+        camp.run(execs)
+        report.findings += camp.report.findings
+        for e, d in zip(camp.corpus.entries, camp.corpus.deltas):
+            mixed.add(stale[len(mixed) % 2], {"new_instructions": 0, "new_paths": 0})
+            mixed.add(e, dict(d))
+            mixed.add(e, dict(d))
+    return world, mixed, report
+
+
+def _copy(corpus: Corpus) -> Corpus:
+    return Corpus(list(corpus.entries), [dict(d) for d in corpus.deltas])
+
+
+@pytest.mark.parametrize(
+    "name, target_doc, execs, finds",
+    [
+        ("pool", POOL_TARGET, 300, True),
+        ("bytekey", None, 6000, True),
+        ("lottery", None, 2000, False),
+    ],
+    ids=["pool", "bytekey", "lottery"],
+)
+def test_minimize_matches_full_replay_reference(
+    name, target_doc, execs, finds, monkeypatch
+):
+    world, mixed, report = _mixed_corpus(name, target_doc, execs)
+    assert bool(report.findings) == finds  # finding-protected entries
+    assert len(mixed) >= 6
+
+    want_in = _copy(mixed)
+    want = reference_minimize(world, want_in, report)
+    calls = _count_sequences(monkeypatch)
+    got_in = _copy(mixed)
+    got = minimize_corpus(world, got_in, report)
+
+    assert [e.id for e in got.entries] == [e.id for e in want.entries]
+    assert got.deltas == want.deltas
+    assert got_in.deltas == want_in.deltas  # the same entries marked stale
+    stale = sum(bool(d.get("stale")) for d in got_in.deltas)
+    assert stale == len(mixed) // 3
+    assert len(calls) == len(mixed) - stale  # every live entry runs once
+    assert len(got) < len(mixed)
 
 
 def test_minimized_corpus_entries_are_essential():
