@@ -53,6 +53,11 @@ class AbiType:
     def is_dynamic(self) -> bool:
         return self.kind in ("bytes", "array")
 
+    @property
+    def word_bits(self) -> int:
+        """Value width of a static argument's word (a bool is 0 or 1)."""
+        return 1 if self.kind == "bool" else self.bits
+
     def default(self):
         return {"uint": 0, "address": 0, "bool": False, "bytes": b"", "array": []}[
             self.kind

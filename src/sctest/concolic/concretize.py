@@ -26,6 +26,7 @@ from .symexpr import (
     Sload,
     SymExpr,
     Unop,
+    has_node,
     inputs_of,
     simplify,
 )
@@ -33,20 +34,6 @@ from .symexpr import (
 NONLINEAR_OPS = frozenset(
     ("MUL", "DIV", "MOD", "EXP", "AND", "OR", "XOR", "SHL", "SHR")
 )
-
-
-def _contains_input(e: SymExpr) -> bool:
-    if isinstance(e, Input):
-        return True
-    if isinstance(e, Unop):
-        return _contains_input(e.x)
-    if isinstance(e, Binop):
-        return _contains_input(e.x) or _contains_input(e.y)
-    if isinstance(e, Keccak):
-        return any(_contains_input(p) for p in e.parts)
-    if isinstance(e, Sload):
-        return _contains_input(e.slot)
-    return False
 
 
 def _subst_except(e: SymExpr, env: dict, keep: Input) -> SymExpr:
@@ -95,8 +82,8 @@ def concretize_nonlinear(pred: SymExpr, env: dict, keep: Input | None = None):
         if isinstance(e, Binop):
             if (
                 e.op in NONLINEAR_OPS
-                and _contains_input(e.x)
-                and _contains_input(e.y)
+                and has_node(e.x, Input)
+                and has_node(e.y, Input)
             ):
                 return Binop(
                     e.op,
@@ -176,7 +163,7 @@ def concretize_keccak(
             return Unop(e.op, walk(e.x))
         if isinstance(e, Keccak):
             parts = tuple(walk(p) for p in e.parts)
-            if env and any(_contains_input(p) for p in parts):
+            if env and any(has_node(p, Input) for p in parts):
                 # pin the buffer to its observed contents; simplify folds
                 # a fully concrete hash into its digest
                 parts = tuple(

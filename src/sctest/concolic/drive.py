@@ -35,12 +35,13 @@ from .concretize import (
     substitute_all_but,
 )
 from .shadow import ShadowRun, concretize_loop, shadow_run
-from .solve import Sat, Unknown, Unsat, export_smt, has_keccak, solve
+from .solve import Sat, Unknown, Unsat, export_smt, solve
 from .symexpr import (
+    UNINTERPRETED,
     Binop,
     Input,
+    Keccak,
     PathConstraint,
-    Sload,
     atom_value,
     evaluate_atoms,
     has_node,
@@ -275,7 +276,7 @@ def drive(
         assignment = dict(env)
         assignment.update(model)
         for p in original:
-            if has_keccak(p) or has_node(p, Sload):
+            if has_node(p, UNINTERPRETED):
                 continue
             if evaluate_atoms(p, assignment) == 0:
                 return False
@@ -302,7 +303,7 @@ def drive(
         lists = []
         for p in conj:
             n = len(inputs_of(p))
-            if n <= 1 and not has_keccak(p):
+            if n <= 1 and not has_node(p, Keccak):
                 lists.append([p])
             else:
                 cands = candidate_rewrites(p, env)

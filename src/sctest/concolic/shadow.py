@@ -55,8 +55,6 @@ from .symexpr import (
 MASK256 = (1 << 256) - 1
 ADDR_MASK = (1 << 160) - 1
 
-_BITS = {"uint": None, "address": 160, "bool": 1, "bytes": 8}
-
 _BIN_NAME = {code: o.mnemonic for code, o in OPCODES.items() if o.mnemonic in BINOP}
 
 
@@ -79,8 +77,7 @@ class ArgLayout:
         tail = 4 + 32 * len(sig.params)
         for t, name, v in zip(sig.params, sig.param_names, args):
             if not t.is_dynamic:
-                bits = _BITS[t.kind] or t.bits
-                self.regions.append(_Region(head, 32, name, "word", bits))
+                self.regions.append(_Region(head, 32, name, "word", t.word_bits))
             else:
                 n = len(v)
                 self.regions.append(_Region(tail, 32, name, "length", 256))

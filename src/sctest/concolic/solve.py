@@ -2,7 +2,9 @@
 
 A conjunction is a list of predicates, each required to evaluate to a
 nonzero word.  The pipeline: fold constants, split boolean ANDs, then
-require every remaining predicate to mention exactly one unknown atom.
+require every remaining predicate to mention exactly one unknown atom
+and no uninterpreted term (a hash, a storage read or a bottleneck-replay
+atom, see symexpr.UNINTERPRETED); otherwise the answer is Unknown.
 Per atom, in order: linear (mod 2^256) equality and interval reasoning,
 exhaustive search when the atom's declared width is 16 bits or less,
 integer-root extraction for pure-power equalities, otherwise Unknown.
@@ -20,6 +22,7 @@ from pathlib import Path
 from .._kernels import keccak256
 from ..errors import SctestError
 from .symexpr import (
+    UNINTERPRETED,
     Binop,
     Const,
     Input,
@@ -330,10 +333,8 @@ def solve(conjunction) -> SolverResult:
 
     by_atom: dict[Input, list[_Rel]] = {}
     for p in preds:
-        if has_keccak(p):
-            return Unknown("unresolved keccak term")
-        if has_sload(p):
-            return Unknown("unresolved storage read")
+        if has_node(p, UNINTERPRETED):
+            return Unknown("uninterpreted term: hash, storage read or replay atom")
         atoms = inputs_of(p)
         if len(atoms) != 1:
             return Unknown(
@@ -354,14 +355,6 @@ def solve(conjunction) -> SolverResult:
                 f"model {model} does not satisfy {format_expr(p)}"
             )
     return Sat(model)
-
-
-def has_keccak(expr: SymExpr) -> bool:
-    return has_node(expr, Keccak)
-
-
-def has_sload(expr: SymExpr) -> bool:
-    return has_node(expr, Sload)
 
 
 # --- SMT-LIB 2 export for conjunctions the built-in solver cannot decide ---

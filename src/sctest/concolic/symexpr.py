@@ -15,6 +15,21 @@ Input atoms name a position inside one decoded argument:
   kind "length"  the length word of a dynamic argument
 `bits` bounds the atom's value range as declared by the ABI (a byte atom
 is 8 bits, an address 160); solvers use it as the search domain.
+
+The bottleneck replay (sctest.coverage.bottleneck) reads predicates
+straight off the bytecode, without a concrete run, and needs five more
+atoms for words that no argument position determines:
+  Env           an environment word, named as in source (msg.sender, ...)
+  CallDataSize  msg.data.length
+  LoopVar       a loop-carried stack slot at a loop header
+  Opaque        a word the replay cannot track (an unresolved block-entry
+                stack slot when `slot` >= 0)
+  CallDataLoad  a read at an address no fixed argument position answers:
+                the selector word, `tickets[i]`, a dynamic argument's
+                offset word
+`evaluate` raises TypeError on them, and `solve` answers Unknown for a
+predicate that holds one (as it does for Keccak and Sload terms, see
+UNINTERPRETED).  `format_expr` renders every node.
 """
 
 from dataclasses import dataclass
@@ -69,10 +84,44 @@ class Sload:
     slot: "SymExpr"
 
 
-SymExpr = Const | Input | Unop | Binop | Keccak | Sload
+@dataclass(frozen=True)
+class Env:
+    name: str  # source spelling: msg.sender, msg.value, block.timestamp, ...
 
 
-def _eval_input(atom: Input, env: dict) -> int:
+@dataclass(frozen=True)
+class CallDataSize:
+    pass
+
+
+@dataclass(frozen=True)
+class LoopVar:
+    slot: int  # stack depth at the loop header's entry
+
+
+@dataclass(frozen=True)
+class Opaque:
+    slot: int = -1  # >= 0: unresolved block-entry slot, depth from the top
+
+
+@dataclass(frozen=True)
+class CallDataLoad:
+    addr: "SymExpr"
+    param: str = ""  # the dynamic argument the read is tied to, if any
+    kind: str = ""  # with param: "offset" (head word), "word" or "byte"
+
+
+SymExpr = (
+    Const | Input | Unop | Binop | Keccak | Sload
+    | Env | CallDataSize | LoopVar | Opaque | CallDataLoad
+)
+
+# terms the solver cannot decide: hashes, storage reads, the replay's atoms
+UNINTERPRETED = (Keccak, Sload, Env, CallDataSize, LoopVar, Opaque, CallDataLoad)
+
+
+def atom_value(atom: Input, env: dict) -> int:
+    """The word an atom denotes under {param name: value} bindings."""
     v = env[atom.param]
     if atom.kind == "length":
         return len(v) & MASK256
@@ -85,11 +134,6 @@ def _eval_input(atom: Input, env: dict) -> int:
     if isinstance(v, bool):
         return 1 if v else 0
     return int(v) & MASK256
-
-
-def atom_value(atom: Input, env: dict) -> int:
-    """The word an atom denotes under {param name: value} bindings."""
-    return _eval_input(atom, env)
 
 
 def _unop(op: str, x: int) -> int:
@@ -120,12 +164,12 @@ def _evaluate(expr: SymExpr, atom, storage: dict | None) -> int:
     if isinstance(expr, Sload):
         slot = _evaluate(expr.slot, atom, storage)
         return (storage or {}).get(slot, 0)
-    raise TypeError(f"not a SymExpr: {expr!r}")
+    raise TypeError(f"no value for {expr!r}")
 
 
 def evaluate(expr: SymExpr, env: dict, storage: dict | None = None) -> int:
     """Total evaluation under a concrete assignment {param name: value}."""
-    return _evaluate(expr, lambda a: _eval_input(a, env), storage)
+    return _evaluate(expr, lambda a: atom_value(a, env), storage)
 
 
 def evaluate_atoms(expr: SymExpr, assignment: dict, storage: dict | None = None) -> int:
@@ -133,43 +177,32 @@ def evaluate_atoms(expr: SymExpr, assignment: dict, storage: dict | None = None)
     return _evaluate(expr, lambda a: assignment[a] & MASK256, storage)
 
 
+def nodes(expr: SymExpr):
+    """Every node of the tree, depth first, each before its operands."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, Binop):
+            stack += (e.y, e.x)
+        elif isinstance(e, Unop):
+            stack.append(e.x)
+        elif isinstance(e, Keccak):
+            stack += reversed(e.parts)
+        elif isinstance(e, Sload):
+            stack.append(e.slot)
+        elif isinstance(e, CallDataLoad):
+            stack.append(e.addr)
+
+
 def inputs_of(expr: SymExpr) -> tuple[Input, ...]:
     """Distinct Input atoms in first-occurrence (depth-first) order."""
-    out: list[Input] = []
-    seen: set[Input] = set()
-
-    def walk(e):
-        if isinstance(e, Input):
-            if e not in seen:
-                seen.add(e)
-                out.append(e)
-        elif isinstance(e, Unop):
-            walk(e.x)
-        elif isinstance(e, Binop):
-            walk(e.x)
-            walk(e.y)
-        elif isinstance(e, Keccak):
-            for p in e.parts:
-                walk(p)
-        elif isinstance(e, Sload):
-            walk(e.slot)
-
-    walk(expr)
-    return tuple(out)
+    return tuple(dict.fromkeys(n for n in nodes(expr) if isinstance(n, Input)))
 
 
 def has_node(expr: SymExpr, node_type) -> bool:
-    if isinstance(expr, node_type):
-        return True
-    if isinstance(expr, Unop):
-        return has_node(expr.x, node_type)
-    if isinstance(expr, Binop):
-        return has_node(expr.x, node_type) or has_node(expr.y, node_type)
-    if isinstance(expr, Keccak):
-        return any(has_node(p, node_type) for p in expr.parts)
-    if isinstance(expr, Sload):
-        return has_node(expr.slot, node_type)
-    return False
+    """True when some node is an instance of node_type (a class or tuple)."""
+    return any(isinstance(n, node_type) for n in nodes(expr))
 
 
 def substitute(expr: SymExpr, model: dict) -> SymExpr:
@@ -256,9 +289,11 @@ def _shift_term(term: SymExpr) -> tuple[int, SymExpr] | None:
     return 0, term
 
 
-def _flatten_additive(e: SymExpr) -> list[SymExpr]:
-    if isinstance(e, Binop) and e.op in ("ADD", "OR"):
-        return _flatten_additive(e.x) + _flatten_additive(e.y)
+def _flatten(e: SymExpr, ops: tuple) -> list[SymExpr]:
+    """Operands of a chain of Binops in ops, x before y.  Reversed, they
+    are in the order the code computed them (y was pushed first)."""
+    if isinstance(e, Binop) and e.op in ops:
+        return _flatten(e.x, ops) + _flatten(e.y, ops)
     return [e]
 
 
@@ -269,7 +304,7 @@ def _shr_over_disjoint(shift: int, e: SymExpr) -> SymExpr | None:
     right shift of an assembled word collapse back to the byte atom.
     """
     terms = []
-    for raw in _flatten_additive(e):
+    for raw in _flatten(e, ("ADD", "OR")):
         dec = _shift_term(raw)
         if dec is None:
             return None
@@ -303,24 +338,10 @@ def _shr_over_disjoint(shift: int, e: SymExpr) -> SymExpr | None:
     return acc
 
 
-def is_concrete(expr: SymExpr) -> bool:
-    if isinstance(expr, Const):
-        return True
-    if isinstance(expr, (Input, Sload)):
-        return False
-    if isinstance(expr, Unop):
-        return is_concrete(expr.x)
-    if isinstance(expr, Binop):
-        return is_concrete(expr.x) and is_concrete(expr.y)
-    if isinstance(expr, Keccak):
-        return all(is_concrete(p) for p in expr.parts)
-    return False
-
-
 def simplify(expr: SymExpr) -> SymExpr:
     """Constant folding plus the structural rules the shadow relies on."""
-    if isinstance(expr, (Const, Input, Sload)):
-        return expr
+    if not isinstance(expr, (Unop, Keccak, Binop)):
+        return expr  # atoms; a storage read or calldata address stays as is
     if isinstance(expr, Unop):
         x = simplify(expr.x)
         if isinstance(x, Const):
@@ -335,8 +356,6 @@ def simplify(expr: SymExpr) -> SymExpr:
         if all(isinstance(p, Const) for p in parts):
             return Const(evaluate(e, {}))
         return e
-    if not isinstance(expr, Binop):
-        raise TypeError(f"not a SymExpr: {expr!r}")
 
     op = expr.op
     x = simplify(expr.x)
@@ -405,36 +424,94 @@ class PathConstraint:
         return self.predicate
 
 
+_INFIX = {
+    "ADD": "+", "SUB": "-", "MUL": "*", "DIV": "/", "MOD": "%",
+    "LT": "<", "GT": ">", "EQ": "==", "AND": "&", "OR": "|", "XOR": "^",
+    "SHL": "<<", "SHR": ">>",
+}
+_NEGATED = {"LT": ">=", "GT": "<="}
+
+
+def _is_test(e: SymExpr) -> bool:
+    """A comparison or ISZERO: what a source `&&` joins."""
+    if isinstance(e, Binop):
+        return e.op in _BOOL_OPS
+    return isinstance(e, Unop) and e.op == "ISZERO"
+
+
+def _ordered(a: str, sym: str, b: str) -> str:
+    """A symmetric relation with the shorter operand first."""
+    a, b = sorted((a, b), key=lambda t: (len(t), t))
+    return f"{a} {sym} {b}"
+
+
 def format_expr(expr: SymExpr) -> str:
-    """Compact infix rendering, for logs and error messages."""
+    """Source-flavoured infix text, for bottleneck reports and messages.
+
+    No brackets.  Operands appear in source order (`x*x*x + x*x + 2`),
+    negated tests as `!=`, `>=` and `<=`, boolean ANDs as `&&` chains,
+    and calldata reads by argument name: `name`, `name.length`,
+    `name.offset`, `name[k]` for a fixed element and `name[i]` for a
+    computed one.  Total over every node, the replay's atoms included.
+    """
+    f = format_expr
     if isinstance(expr, Const):
-        return str(expr.value) if expr.value < 1 << 32 else f"0x{expr.value:x}"
+        return str(expr.value) if expr.value < 4096 else hex(expr.value)
     if isinstance(expr, Input):
         if expr.kind == "length":
-            return f"len({expr.param})"
+            return f"{expr.param}.length"
         if expr.kind == "byte":
             return f"{expr.param}[{expr.offset}]"
         if expr.offset:
             return f"{expr.param}[{expr.offset // 32}]"
         return expr.param
-    if isinstance(expr, Unop):
-        if expr.op == "ISZERO":
-            return f"!({format_expr(expr.x)})"
-        if expr.op == "NOT":
-            return f"~({format_expr(expr.x)})"
-        return f"-({format_expr(expr.x)})"
-    if isinstance(expr, Binop):
-        sym = {
-            "ADD": "+", "SUB": "-", "MUL": "*", "DIV": "/", "MOD": "%",
-            "EXP": "**", "LT": "<", "GT": ">", "EQ": "==", "AND": "&",
-            "OR": "|", "XOR": "^", "SHL": "<<", "SHR": ">>",
-        }[expr.op]
-        if expr.op in ("SHL", "SHR"):
-            # operand order: shift amount is x, value is y
-            return f"({format_expr(expr.y)} {sym} {format_expr(expr.x)})"
-        return f"({format_expr(expr.x)} {sym} {format_expr(expr.y)})"
-    if isinstance(expr, Keccak):
-        return f"keccak({', '.join(format_expr(p) for p in expr.parts)})"
+    if isinstance(expr, Env):
+        return expr.name
+    if isinstance(expr, CallDataSize):
+        return "msg.data.length"
+    if isinstance(expr, LoopVar):
+        return "i"
+    if isinstance(expr, Opaque):
+        return "opaque"
+    if isinstance(expr, CallDataLoad):
+        if not expr.param:
+            return f"calldata[{f(expr.addr)}]"
+        return f"{expr.param}.offset" if expr.kind == "offset" else f"{expr.param}[i]"
     if isinstance(expr, Sload):
-        return f"storage[{format_expr(expr.slot)}]"
-    return repr(expr)
+        return f"storage[{f(expr.slot)}]"
+    if isinstance(expr, Keccak):
+        return "keccak(" + " ++ ".join(f(p) for p in expr.parts) + ")"
+    if isinstance(expr, Unop):
+        x = expr.x
+        if expr.op == "NOT":
+            return f"~{f(x)}"
+        if expr.op == "NEG":
+            return f"-({f(x)})"
+        if isinstance(x, Binop) and x.op in _NEGATED:
+            return f"{f(x.x)} {_NEGATED[x.op]} {f(x.y)}"
+        if isinstance(x, Binop) and x.op == "EQ":
+            return _ordered(f(x.x), "!=", f(x.y))
+        if isinstance(x, Unop) and x.op == "ISZERO":
+            return f(x.x) if _is_test(x.x) else f"{f(x.x)} != 0"
+        return f"!({f(x)})"
+    op, x, y = expr.op, expr.x, expr.y
+    if op == "AND" and (_is_test(x) or _is_test(y)):
+        return " && ".join(f(p) for p in reversed(_flatten(expr, ("AND",))))
+    if op == "EQ":
+        return _ordered(f(x), "==", f(y))
+    if op == "MUL":
+        parts = reversed(_flatten(expr, ("MUL",)))
+        return "*".join(f(p) for p in sorted(parts, key=lambda p: not isinstance(p, Const)))
+    if op == "ADD":
+        terms = [(isinstance(p, Const), f(p)) for p in _flatten(expr, ("ADD",))]
+        terms.sort(key=lambda t: (t[0], -len(t[1]), t[1]))
+        return " + ".join(t for _, t in terms)
+    if op == "EXP":
+        return f"{f(x)}**{f(y)}"
+    if op == "SHR" and x == Const(248) and isinstance(y, CallDataLoad) and y.kind == "byte":
+        return f"{y.param}[i]"  # a byte pulled out of a bytes argument
+    if op in ("SHL", "SHR"):  # the shift amount is x, the value y
+        x, y = y, x
+    elif op in ("AND", "OR", "XOR") and isinstance(x, Const) and not isinstance(y, Const):
+        x, y = y, x
+    return f"{f(x)} {_INFIX[op]} {f(y)}"

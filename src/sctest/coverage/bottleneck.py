@@ -7,6 +7,13 @@ predicate by symbolically replaying the stack along one acyclic chain of
 predecessor blocks, then renders it as source-flavoured text and derives
 routing features from its shape.
 
+Predicates are sctest.concolic.symexpr trees.  A CALLDATALOAD of a
+static argument's head word or of a dynamic argument's length word is
+the same Input atom the shadow interpreter makes, so a predicate over
+such reads alone goes to `solve` and `evaluate` as it is.  Every other
+word the replay meets becomes one of symexpr's replay atoms (Env,
+CallDataSize, LoopVar, Opaque, CallDataLoad), which `solve` answers Unknown.
+
 The replay is deliberately best effort.  At a join it follows the
 lowest-offset predecessor; at a loop header it marks the loop-carried
 stack slots (those the back edge rewrites) as an induction variable and
@@ -15,30 +22,32 @@ express renders as "opaque" while the feature flags still reflect the
 recognizable parts.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from ..bytecode.abi import AbiType, FunctionSig
+from ..bytecode.abi import FunctionSig
 from ..bytecode.cfg import Cfg
 from ..bytecode.opcodes import BINOP, CALL_CLASS, lookup
+from ..concolic.symexpr import (
+    MASK256,
+    Binop,
+    CallDataLoad,
+    CallDataSize,
+    Const,
+    Env,
+    Input,
+    Keccak,
+    LoopVar,
+    Opaque,
+    Sload,
+    SymExpr,
+    Unop,
+    format_expr,
+    has_node,
+    nodes,
+)
 from ..evm.bundle import ContractBundle, genesis_config
 from .covmap import CoverageMap
-
-# Expressions are tagged tuples:
-#   ("const", v)          literal word
-#   ("bin", op, x, y)     x = first pop (top), y = second; semantics op(x, y)
-#   ("iszero", x) ("not", x)
-#   ("cdl", addr)         CALLDATALOAD
-#   ("cds",)              CALLDATASIZE
-#   ("sload", slot)
-#   ("sha3", (w0, w1..))  hash over fully tracked memory words
-#   ("env", name)         caller / callvalue / timestamp / number / address
-#   ("stackin", k)        unresolved block-entry slot, k = depth from top
-#   ("loopvar", k)        loop-carried slot at a header join
-#   ("opaque",)           anything the replay cannot track
-Expr = tuple
-
-_U256 = (1 << 256) - 1
 
 _CHAIN_LIMIT = 16
 
@@ -56,7 +65,8 @@ class BranchConstraintInfo:
     branch_offset: int
     constraint_text: str
     inputs_involved: tuple[str, ...]
-    features: dict = field(default_factory=dict)
+    features: dict
+    predicate: SymExpr  # nonzero exactly when the dark arm is taken
 
 
 # ---------------------------------------------------------------------------
@@ -66,63 +76,88 @@ class BranchConstraintInfo:
 class _Replay:
     """Stack/memory shadow over one chain of blocks.
 
-    Entry slots materialize lazily as ("stackin", k); k counts depth from
-    the top of the stack at the start of the chain.  Memory is a dict of
+    Entry slots materialize lazily as Opaque(k); k counts depth from the
+    top of the stack at the start of the chain.  Memory is a dict of
     constant offsets, dropped entirely on any untrackable write.
+    CALLDATALOADs are tied to `sig`'s parameter layout when one is given.
     """
 
-    def __init__(self):
-        self.stack: list[Expr] = []
+    def __init__(self, sig: FunctionSig | None = None):
+        self.sig = sig
+        self.stack: list[SymExpr] = []
         self.watermark = 0
-        self.mem: dict[int, Expr] | None = {}
+        self.mem: dict[int, SymExpr] | None = {}
 
     def need(self, k: int) -> None:
         while len(self.stack) < k:
-            self.stack.insert(0, ("stackin", self.watermark))
+            self.stack.insert(0, Opaque(self.watermark))
             self.watermark += 1
 
-    def pop(self) -> Expr:
+    def pop(self) -> SymExpr:
         self.need(1)
         return self.stack.pop()
 
-    def push(self, e: Expr) -> None:
+    def push(self, e: SymExpr) -> None:
         self.stack.append(e)
 
     def clobber_mem(self) -> None:
         self.mem = None
 
-    def write_mem(self, off: Expr, val: Expr | None) -> None:
+    def write_mem(self, off: SymExpr, val: SymExpr | None) -> None:
         if self.mem is None:
             return
-        if off[0] != "const":
+        if not isinstance(off, Const):
             self.mem = None
             return
-        at = off[1]
+        at = off.value
         for k in [k for k in self.mem if k < at + 32 and k + 32 > at]:
             del self.mem[k]
         if val is not None:
             self.mem[at] = val
 
-    def read_sha3(self, off: Expr, size: Expr) -> Expr:
+    def read_sha3(self, off: SymExpr, size: SymExpr) -> SymExpr:
         if (
             self.mem is None
-            or off[0] != "const"
-            or size[0] != "const"
-            or size[1] <= 0
-            or size[1] % 32
+            or not isinstance(off, Const)
+            or not isinstance(size, Const)
+            or size.value <= 0
+            or size.value % 32
         ):
-            return ("opaque",)
+            return Opaque()
         words = []
-        for k in range(off[1], off[1] + size[1], 32):
+        for k in range(off.value, off.value + size.value, 32):
             if k not in self.mem:
-                return ("opaque",)
+                return Opaque()
             words.append(self.mem[k])
-        return ("sha3", tuple(words))
+        return Keccak(tuple(words), size.value)
+
+    def load_calldata(self, addr: SymExpr) -> SymExpr:
+        """A parameter's Input atom when the address is its head word (a
+        static parameter) or its length word (a dynamic one); otherwise a
+        CallDataLoad node, tied to the first dynamic parameter whose offset
+        word the address reads."""
+        sig = self.sig
+        for k, p in enumerate(sig.params if sig else ()):
+            name = sig.param_names[k]
+            head = Const(4 + 32 * k)
+            if addr == head:
+                if p.is_dynamic:
+                    return CallDataLoad(addr, name, "offset")
+                return Input(name, 0, "word", p.word_bits)
+            if not p.is_dynamic:
+                continue
+            head_load = CallDataLoad(head, name, "offset")
+            four = Const(4)
+            if addr in (Binop("ADD", four, head_load), Binop("ADD", head_load, four)):
+                return Input(name, 0, "length", 256)
+            if head_load in nodes(addr):
+                return CallDataLoad(addr, name, "byte" if p.kind == "bytes" else "word")
+        return CallDataLoad(addr)
 
     def step(self, ins) -> None:
         name = ins.name
         if name.startswith("PUSH"):
-            self.push(("const", ins.imm or 0))
+            self.push(Const(ins.imm or 0))
         elif name.startswith("DUP"):
             k = int(name[3:])
             self.need(k)
@@ -138,27 +173,24 @@ class _Replay:
             self.pop()
         elif name in BINOP:
             x, y = self.pop(), self.pop()
-            if x[0] == "const" and y[0] == "const":
-                self.push(("const", BINOP[name](x[1], y[1])))
+            if isinstance(x, Const) and isinstance(y, Const):
+                self.push(Const(BINOP[name](x.value, y.value)))
             else:
-                self.push(("bin", name, x, y))
+                self.push(Binop(name, x, y))
         elif name == "ISZERO":
             x = self.pop()
-            if x[0] == "const":
-                self.push(("const", int(x[1] == 0)))
-            else:
-                self.push(("iszero", x))
+            self.push(Const(int(x.value == 0)) if isinstance(x, Const) else Unop(name, x))
         elif name == "NOT":
             x = self.pop()
-            self.push(("const", x[1] ^ _U256) if x[0] == "const" else ("not", x))
+            self.push(Const(x.value ^ MASK256) if isinstance(x, Const) else Unop(name, x))
         elif name == "CALLDATALOAD":
-            self.push(("cdl", self.pop()))
+            self.push(self.load_calldata(self.pop()))
         elif name == "CALLDATASIZE":
-            self.push(("cds",))
+            self.push(CallDataSize())
         elif name in _ENV:
-            self.push(("env", _ENV[name]))
+            self.push(Env(_ENV[name]))
         elif name == "SLOAD":
-            self.push(("sload", self.pop()))
+            self.push(Sload(self.pop()))
         elif name == "SSTORE":
             self.pop(), self.pop()
         elif name == "SHA3":
@@ -166,10 +198,10 @@ class _Replay:
             self.push(self.read_sha3(off, size))
         elif name == "MLOAD":
             off = self.pop()
-            if self.mem is not None and off[0] == "const" and off[1] in self.mem:
-                self.push(self.mem[off[1]])
+            if self.mem is not None and isinstance(off, Const) and off.value in self.mem:
+                self.push(self.mem[off.value])
             else:
-                self.push(("opaque",))
+                self.push(Opaque())
         elif name == "MSTORE":
             off, val = self.pop(), self.pop()
             self.write_mem(off, val)
@@ -187,7 +219,7 @@ class _Replay:
             for _ in range(info.pops):
                 self.pop()
             for _ in range(info.pushes):
-                self.push(("opaque",))
+                self.push(Opaque())
             if ins.code in CALL_CLASS or name in ("CALLDATACOPY",):
                 self.clobber_mem()
 
@@ -263,7 +295,7 @@ def _mutated_positions(cfg: Cfg, back_preds: list[int]) -> set[int]:
             out.update(range(max(len(rp.stack), rp.watermark)))
             continue
         for j in range(len(rp.stack)):
-            if rp.stack[-1 - j] != ("stackin", j):
+            if rp.stack[-1 - j] != Opaque(j):
                 out.add(j)
     return out
 
@@ -292,22 +324,29 @@ def _guard_chain(
     return chain, joins
 
 
-def branch_condition(bundle: ContractBundle, block_start: int) -> Expr | None:
-    """Taken-branch predicate of the JUMPI ending the given block, or None."""
-    cfg = bundle.cfg
+def branch_condition(bundle: ContractBundle, block_start: int) -> SymExpr | None:
+    """Taken-branch predicate of the JUMPI ending the given block, or None.
+    Calldata reads are tied to the parameters of the enclosing function."""
+    blk = bundle.cfg.blocks.get(block_start)
+    sig = blk and _enclosing_sig(bundle, blk.instrs[-1].offset)
+    return _condition(bundle.cfg, _sccs(bundle.cfg), block_start, sig)
+
+
+def _condition(
+    cfg: Cfg, comp: dict[int, int], block_start: int, sig: FunctionSig | None
+) -> SymExpr | None:
     blk = cfg.blocks.get(block_start)
     if blk is None or blk.terminator != "JUMPI":
         return None
-    comp = _sccs(cfg)
     chain, joins = _guard_chain(cfg, comp, block_start)
-    rp = _Replay()
-    cond: Expr | None = None
+    rp = _Replay(sig)
+    cond: SymExpr | None = None
     for b in chain:
         pins = joins.get(b)
         if pins:
             rp.need(max(pins) + 1)
             for j in pins:
-                rp.stack[-1 - j] = ("loopvar", j)
+                rp.stack[-1 - j] = LoopVar(j)
         instrs = cfg.blocks[b].instrs
         for ins in instrs:
             if b == block_start and ins.name == "JUMPI":
@@ -319,217 +358,31 @@ def branch_condition(bundle: ContractBundle, block_start: int) -> Expr | None:
 
 
 # ---------------------------------------------------------------------------
-# calldata pattern classification against a function's parameter layout
-# ---------------------------------------------------------------------------
-
-def _contains(e: Expr, probe: Expr) -> bool:
-    if e == probe:
-        return True
-    if e[0] == "bin":
-        return _contains(e[2], probe) or _contains(e[3], probe)
-    if e[0] in ("iszero", "not", "cdl", "sload"):
-        return _contains(e[1], probe)
-    if e[0] == "sha3":
-        return any(_contains(w, probe) for w in e[1])
-    return False
-
-
-def _classify_cdl(addr: Expr, sig: FunctionSig | None):
-    """("static"|"head"|"length"|"elem", param index) or None."""
-    if sig is None:
-        return None
-    for k, p in enumerate(sig.params):
-        head = ("const", 4 + 32 * k)
-        if addr == head:
-            return ("static", k) if not p.is_dynamic else ("head", k)
-        if not p.is_dynamic:
-            continue
-        head_load = ("cdl", head)
-        if addr == ("bin", "ADD", ("const", 4), head_load) or addr == (
-            "bin",
-            "ADD",
-            head_load,
-            ("const", 4),
-        ):
-            return ("length", k)
-        if _contains(addr, head_load):
-            return ("elem", k)
-    return None
-
-
-def _reads_dynamic_extent(e: Expr, sig: FunctionSig | None) -> bool:
-    """True when the expression reads CALLDATASIZE or a dynamic length word."""
-    if e[0] == "cds":
-        return True
-    if e[0] == "cdl":
-        kind = _classify_cdl(e[1], sig)
-        if kind and kind[0] == "length":
-            return True
-        return _reads_dynamic_extent(e[1], sig)
-    if e[0] == "bin":
-        return _reads_dynamic_extent(e[2], sig) or _reads_dynamic_extent(e[3], sig)
-    if e[0] in ("iszero", "not", "sload"):
-        return _reads_dynamic_extent(e[1], sig)
-    if e[0] == "sha3":
-        return any(_reads_dynamic_extent(w, sig) for w in e[1])
-    return False
-
-
-# ---------------------------------------------------------------------------
-# rendering
-# ---------------------------------------------------------------------------
-
-_CMP = {"LT": "<", "GT": ">", "EQ": "=="}
-_CMP_NEG = {"LT": ">=", "GT": "<="}
-
-
-def _is_const(e: Expr) -> bool:
-    return e[0] == "const"
-
-
-def _is_boolish(e: Expr) -> bool:
-    return (e[0] == "bin" and e[1] in _CMP) or e[0] == "iszero"
-
-
-def _flatten(e: Expr, op: str) -> list[Expr]:
-    """Operands of a chain of one associative op, in evaluation-source order
-    (second operand first, since it was computed earlier)."""
-    if e[0] == "bin" and e[1] == op:
-        return _flatten(e[3], op) + _flatten(e[2], op)
-    return [e]
-
-
-class _Unrenderable(Exception):
-    pass
-
-
-def _render(e: Expr, sig: FunctionSig | None) -> str:
-    tag = e[0]
-    if tag == "const":
-        v = e[1]
-        return str(v) if v < 4096 else hex(v)
-    if tag == "loopvar":
-        return "i"
-    if tag == "cds":
-        return "msg.data.length"
-    if tag == "env":
-        return e[1]
-    if tag == "sload":
-        return f"storage[{_render(e[1], sig)}]"
-    if tag == "sha3":
-        return "keccak(" + " ++ ".join(_render(w, sig) for w in e[1]) + ")"
-    if tag == "cdl":
-        kind = _classify_cdl(e[1], sig)
-        if kind:
-            what, k = kind
-            name = sig.param_names[k]
-            if what == "static":
-                return name
-            if what == "length":
-                return f"{name}.length"
-            if what == "elem":
-                return f"{name}[i]"
-            return f"{name}.offset"
-        return f"calldata[{_render(e[1], sig)}]"
-    if tag == "not":
-        return f"~{_render(e[1], sig)}"
-    if tag == "iszero":
-        inner = e[1]
-        if inner[0] == "bin" and inner[1] in _CMP_NEG:
-            x = _render(inner[2], sig)
-            y = _render(inner[3], sig)
-            return f"{x} {_CMP_NEG[inner[1]]} {y}"
-        if inner[0] == "bin" and inner[1] == "EQ":
-            x = _render(inner[2], sig)
-            y = _render(inner[3], sig)
-            a, b = sorted((x, y), key=lambda t: (len(t), t))
-            return f"{a} != {b}"
-        if inner[0] == "iszero":
-            if _is_boolish(inner[1]):
-                return _render(inner[1], sig)
-            return f"{_render(inner[1], sig)} != 0"
-        return f"!({_render(inner, sig)})"
-    if tag == "bin":
-        op = e[1]
-        if op == "AND" and (_is_boolish(e[2]) or _is_boolish(e[3])):
-            parts = [_render(p, sig) for p in _flatten(e, "AND")]
-            return " && ".join(parts)
-        if op == "EQ":
-            x, y = _render(e[2], sig), _render(e[3], sig)
-            a, b = sorted((x, y), key=lambda t: (len(t), t))
-            return f"{a} == {b}"
-        if op in _CMP:
-            return f"{_render(e[2], sig)} {_CMP[op]} {_render(e[3], sig)}"
-        if op == "MUL":
-            parts = _flatten(e, "MUL")
-            parts.sort(key=lambda p: (not _is_const(p),))
-            return "*".join(_render(p, sig) for p in parts)
-        if op == "ADD":
-            rendered = [(_is_const(p), _render(p, sig)) for p in _flatten(e, "ADD")]
-            rendered.sort(key=lambda t: (t[0], -len(t[1]), t[1]))
-            return " + ".join(t[1] for t in rendered)
-        if op == "SUB":
-            return f"{_render(e[2], sig)} - {_render(e[3], sig)}"
-        if op == "DIV":
-            return f"{_render(e[2], sig)} / {_render(e[3], sig)}"
-        if op == "MOD":
-            return f"{_render(e[2], sig)} % {_render(e[3], sig)}"
-        if op == "EXP":
-            return f"{_render(e[2], sig)}**{_render(e[3], sig)}"
-        if op == "SHR":
-            # a byte pulled out of a packed bytes parameter reads as the
-            # element itself
-            if e[2] == ("const", 248) and e[3][0] == "cdl":
-                kind = _classify_cdl(e[3][1], sig)
-                if kind and kind[0] == "elem" and sig.params[kind[1]].kind == "bytes":
-                    return f"{sig.param_names[kind[1]]}[i]"
-            return f"{_render(e[3], sig)} >> {_render(e[2], sig)}"
-        if op == "SHL":
-            return f"{_render(e[3], sig)} << {_render(e[2], sig)}"
-        sym = {"AND": "&", "OR": "|", "XOR": "^"}[op]
-        x, y = _render(e[2], sig), _render(e[3], sig)
-        if _is_const(e[2]) and not _is_const(e[3]):
-            x, y = y, x
-        return f"{x} {sym} {y}"
-    raise _Unrenderable(tag)
-
-
-# ---------------------------------------------------------------------------
 # feature flags
 # ---------------------------------------------------------------------------
 
-def _walk(e: Expr):
-    yield e
-    if e[0] == "bin":
-        yield from _walk(e[2])
-        yield from _walk(e[3])
-    elif e[0] in ("iszero", "not", "cdl", "sload"):
-        yield from _walk(e[1])
-    elif e[0] == "sha3":
-        for w in e[1]:
-            yield from _walk(w)
-
-
-def _is_const_valued(e: Expr) -> bool:
-    return all(n[0] == "const" for n in _walk(e))
+def _reads_dynamic_extent(e: SymExpr) -> bool:
+    """True when the expression reads CALLDATASIZE or a dynamic length word."""
+    return any(
+        isinstance(n, CallDataSize) or (isinstance(n, Input) and n.kind == "length")
+        for n in nodes(e)
+    )
 
 
 def _features(
     bundle: ContractBundle,
-    cond: Expr,
+    cond: SymExpr,
     block: int,
     comp: dict[int, int],
     sig: FunctionSig | None,
 ) -> dict:
-    has_keccak = any(n[0] == "sha3" for n in _walk(cond))
     nonlinear = any(
-        n[0] == "bin"
-        and n[1] in ("MUL", "EXP")
-        and not _is_const_valued(n[2])
-        and not _is_const_valued(n[3])
-        for n in _walk(cond)
+        isinstance(n, Binop)
+        and n.op in ("MUL", "EXP")
+        and not isinstance(n.x, Const)
+        and not isinstance(n.y, Const)
+        for n in nodes(cond)
     )
-    storage = any(n[0] == "sload" for n in _walk(cond))
 
     loop_guarded = False
     cfg = bundle.cfg
@@ -543,30 +396,25 @@ def _features(
                 continue
             if not any(comp.get(s) != cid for s in blk.succs):
                 continue
-            exit_cond = branch_condition(bundle, b)
-            if exit_cond is not None and _reads_dynamic_extent(exit_cond, sig):
+            exit_cond = _condition(cfg, comp, b, sig)
+            if exit_cond is not None and _reads_dynamic_extent(exit_cond):
                 loop_guarded = True
                 break
 
     return {
-        "has_keccak": has_keccak,
+        "has_keccak": has_node(cond, Keccak),
         "has_nonlinear_term": nonlinear,
         "loop_guarded": loop_guarded,
-        "storage_dependent": storage,
+        "storage_dependent": has_node(cond, Sload),
     }
 
 
-def _inputs_involved(cond: Expr, sig: FunctionSig | None) -> tuple[str, ...]:
+def _inputs_involved(cond: SymExpr, sig: FunctionSig | None) -> tuple[str, ...]:
+    """Parameters the predicate reads, in declaration order."""
     if sig is None:
         return ()
-    found: set[int] = set()
-    for n in _walk(cond):
-        if n[0] != "cdl":
-            continue
-        kind = _classify_cdl(n[1], sig)
-        if kind:
-            found.add(kind[1])
-    return tuple(sig.param_names[k] for k in sorted(found))
+    found = {n.param for n in nodes(cond) if isinstance(n, (Input, CallDataLoad))}
+    return tuple(name for name in sig.param_names if name in found)
 
 
 # ---------------------------------------------------------------------------
@@ -607,26 +455,21 @@ def extract_bottlenecks(
             continue
 
         sig = _enclosing_sig(bundle, branch_offset)
-        cond = branch_condition(bundle, start)
+        cond = _condition(cfg, comp, start, sig)
         if cond is None:
             continue
         if cov_t:  # the fallthrough arm is dark: the block is its negation
-            blocking = ("iszero", cond)
+            blocking = Unop("ISZERO", cond)
         else:
             blocking = cond
 
-        try:
-            if any(n[0] in ("opaque", "stackin") for n in _walk(blocking)):
-                raise _Unrenderable("unresolved input")
-            text = _render(blocking, sig)
-        except (_Unrenderable, KeyError):
-            text = "opaque"
         out.append(
             BranchConstraintInfo(
                 branch_offset,
-                text,
+                "opaque" if has_node(blocking, Opaque) else format_expr(blocking),
                 _inputs_involved(blocking, sig),
                 _features(bundle, blocking, start, comp, sig),
+                blocking,
             )
         )
     return out

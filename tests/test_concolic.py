@@ -4,24 +4,37 @@ interpreter and error handling in drive."""
 import importlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sctest.concolic
 import sctest.evm
 from sctest._kernels import run_frame
+from sctest.bytecode.opcodes import BINOP
 from sctest.concolic import (
     Binop,
+    CallDataLoad,
+    CallDataSize,
     Const,
     DriveBudget,
+    Env,
     Input,
     Keccak,
+    LoopVar,
+    Opaque,
     Sload,
     SnapshotCache,
+    Unknown,
+    Unop,
     drive,
     evaluate,
+    format_expr,
     shadow_run,
     simplify,
+    solve,
     to_smt,
 )
+from sctest.concolic.symexpr import UNOPS
 from sctest.concolic.shadow import _shadow_frame
 from sctest.coverage import CoverageMap
 from sctest.errors import SctestError
@@ -55,6 +68,91 @@ def test_shr_still_folds_disjoint_terms():
     hi = Binop("SHL", Const(8), X8)
     assert simplify(Binop("SHR", Const(8), Binop("OR", hi, Input("y", bits=8)))) == X8
     assert simplify(Binop("SHR", Const(8), X8)) == Const(0)
+
+
+# -- properties of simplify and format_expr ----------------------------------
+
+# narrow atoms keep the bit-range rules of simplify (disjoint shifted
+# terms, upper bounds) in play; env values stay inside each atom's width
+SMALL_ATOMS = (Input("a", bits=1), Input("b", bits=4), Input("c", bits=8))
+WORDS = st.one_of(
+    st.integers(0, 16),
+    st.sampled_from((31, 32, 224, 248, 255, 256, 2**255, 2**256 - 1)),
+    st.integers(0, 2**256 - 1),
+)
+
+
+@st.composite
+def packed_shifts(draw):
+    """SHR(k, atoms shifted apart and added or ORed): the byte-assembled
+    calldata shape simplify's SHR rule takes apart, with k often at a
+    term's lowest or highest bit."""
+    acc, edges = None, []
+    for atom in draw(st.lists(st.sampled_from(SMALL_ATOMS), min_size=1, max_size=3)):
+        s = draw(st.integers(0, 24))
+        edges += [s, s + atom.bits - 1, s + atom.bits]
+        t = Binop("SHL", Const(s), atom) if s else atom
+        acc = t if acc is None else Binop(draw(st.sampled_from(("ADD", "OR"))), acc, t)
+    k = draw(st.one_of(st.sampled_from(edges), st.integers(0, 32)))
+    return Binop("SHR", Const(k), acc)
+
+
+ARITH = st.recursive(
+    st.one_of(st.builds(Const, WORDS), st.sampled_from(SMALL_ATOMS), packed_shifts()),
+    lambda kids: st.one_of(
+        st.builds(Binop, st.sampled_from(sorted(BINOP)), kids, kids),
+        st.builds(Unop, st.sampled_from(UNOPS), kids),
+    ),
+    max_leaves=10,
+)
+ENVS = st.fixed_dictionaries({a.param: st.integers(0, 2**a.bits - 1) for a in SMALL_ATOMS})
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARITH, ENVS)
+def test_simplify_keeps_the_value(expr, env):
+    assert evaluate(simplify(expr), env) == evaluate(expr, env)
+
+
+ANY_TREE = st.recursive(
+    st.one_of(
+        st.builds(Const, WORDS),
+        st.sampled_from(SMALL_ATOMS),
+        st.builds(Input, st.just("arr"), st.sampled_from((0, 32, 64)), st.just("word")),
+        st.builds(Input, st.just("data"), st.integers(0, 40), st.just("byte"), st.just(8)),
+        st.builds(Input, st.just("data"), st.just(0), st.just("length")),
+        st.sampled_from(
+            (Env("msg.sender"), CallDataSize(), LoopVar(0), Opaque(), Opaque(2))
+        ),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Binop, st.sampled_from(sorted(BINOP)), kids, kids),
+        st.builds(Unop, st.sampled_from(UNOPS), kids),
+        st.builds(Keccak, st.lists(kids, min_size=1, max_size=3).map(tuple), st.just(64)),
+        st.builds(Sload, kids),
+        st.builds(
+            CallDataLoad,
+            kids,
+            st.sampled_from(("", "tokens", "key")),
+            st.sampled_from(("", "offset", "word", "byte")),
+        ),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_TREE)
+def test_format_expr_renders_every_tree(expr):
+    text = format_expr(expr)
+    assert isinstance(text, str) and text
+
+
+def test_solve_answers_unknown_for_an_input_beside_a_replay_atom():
+    # one Input atom passes the one-unknown rule; the Env atom must stop
+    # the predicate before evaluate_atoms meets it
+    pred = Binop("EQ", Input("x", bits=8), Env("msg.sender"))
+    assert isinstance(solve([pred]), Unknown)
 
 
 def test_smt_logic_is_qf_bv_without_functions():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sctest.bytecode.abi import parse_abi
+from sctest.concolic import ArgLayout, Unknown, evaluate, inputs_of, solve
 from sctest.coverage import (
     FULLY_UNCOVERED,
     PARTIALLY_COVERED,
@@ -436,3 +437,57 @@ def test_fully_exercised_branch_is_not_a_bottleneck(cubic):
         b for b in extract_bottlenecks(cubic, map_) if lo <= b.branch_offset < hi
     ]
     assert in_body == []
+
+
+def covers(bundle, map_, offset) -> bool:
+    return bool((map_.bits[genesis_config(bundle)["deploy_at"]] >> offset) & 1)
+
+
+def dark_successor(bundle, map_, b):
+    """The uncovered successor block of bottleneck b's branch."""
+    blocks = bundle.cfg.blocks.values()
+    (blk,) = [k for k in blocks if k.instrs[-1].offset == b.branch_offset]
+    (dark,) = [s for s in blk.succs if not covers(bundle, map_, s)]
+    return dark
+
+
+def test_cubic_blocker_predicate_evaluates_to_the_dark_arm(cubic):
+    map_ = run_cover(cubic, [("example", (1, 2, 10))])
+    by_text = {b.constraint_text: b for b in bottleneck_in(cubic, map_, "example")}
+    b = by_text["y*y != x*x*x + x*x + 2"]
+    # the replay's atoms are the ones the shadow makes for the same reads
+    layout = ArgLayout(cubic.by_name["example"], (1, 2, 10))
+    x, y = layout.word_at(4, b""), layout.word_at(36, b"")
+    assert set(inputs_of(b.predicate)) == {x, y}
+    assert evaluate(b.predicate, {"x": 1, "y": 2, "z": 10}) == 0
+    assert evaluate(b.predicate, {"x": 1, "y": 3, "z": 10}) == 1
+    dark = dark_successor(cubic, map_, b)
+    assert covers(cubic, run_cover(cubic, [("example", (1, 3, 10))]), dark)
+
+
+def test_ballot_keccak_predicate_evaluates_to_the_dark_arm(ballot):
+    map_ = run_cover(ballot, FUZZ_SHAPE_BALLOT)
+    (b,) = bottleneck_in(ballot, map_, "castVote")
+    miss = {"id": 5, "voter": 7, "reason": 7, "params": 0, "sig": 6}
+    hit = dict(miss, id=5 + 0xBADBEEF, sig=5)
+    assert evaluate(b.predicate, miss) == 0
+    assert evaluate(b.predicate, hit) == 1
+    args = tuple(hit[n] for n in ballot.by_name["castVote"].param_names)
+    dark = dark_successor(ballot, map_, b)
+    assert covers(ballot, run_cover(ballot, [("castVote", args)]), dark)
+
+
+def test_solve_answers_unknown_for_replay_atoms(cubic, lottery):
+    # the selector read and tickets[i] are CallDataLoad atoms; solve must not
+    # hand them to evaluate_atoms
+    map_ = run_cover(cubic, [("example", (1, 2, 10))])
+    (selector,) = [
+        b
+        for b in extract_bottlenecks(cubic, map_)
+        if b.constraint_text == "0xabcec51 != calldata[0] >> 224"
+    ]
+    map_ = run_cover(lottery, [("checkBalance", ([5, 9], 2))])
+    (loop,) = bottleneck_in(lottery, map_, "checkBalance")
+    assert loop.constraint_text == "tickets[i] == amount*amount*amount"
+    for b in (selector, loop):
+        assert isinstance(solve([b.predicate]), Unknown)

@@ -4,12 +4,18 @@ Each digest was recorded before the campaign's hot path gained its
 caches (path-hash memo, scheduler weight cache).  A cache that changed
 what a campaign does would change the digest, even when it changes it
 the same way on every run, which a run-twice comparison cannot see.
+
+The bottleneck list was recorded from the same campaigns while the
+bottleneck replay still kept its own tuple expression form, so it pins
+the texts, inputs and features across the move onto symexpr trees.
 """
 
+import functools
 import hashlib
 
 import pytest
 
+from sctest.coverage import extract_bottlenecks
 from sctest.evm import load_bundle
 from sctest.evm.world import make_world
 from sctest.fuzzing import run_campaign, seed_initial_target
@@ -46,11 +52,56 @@ GOLDEN = {
 }
 
 
-def campaign_digest(name: str) -> str:
+# (branch_offset, constraint_text, inputs_involved, features set) of
+# extract_bottlenecks after the same campaigns, all fixtures in name order
+GOLDEN_BOTTLENECKS = [
+    ("ballot", 16, "0x63604d38 != calldata[0] >> 224", (), ()),
+    (
+        "ballot",
+        64,
+        "keccak(voter ++ id) == keccak(reason ++ sig + 0xbadbeef)",
+        ("id", "voter", "reason", "sig"),
+        ("has_keccak",),
+    ),
+    ("bytekey", 16, "0xcaf92785 != calldata[0] >> 224", (), ()),
+    (
+        "bytekey",
+        71,
+        "0 < key[i]*key[i]*key[i] - 12 && key[i]*key[i]*key[i] - 12 < 16",
+        ("key",),
+        ("has_nonlinear_term", "loop_guarded"),
+    ),
+    ("cubic", 16, "0xabcec51 != calldata[0] >> 224", (), ()),
+    ("cubic", 43, "y*y == x*x*x + x*x + 2", ("x", "y"), ("has_nonlinear_term",)),
+    ("feeswap", 38, "0xba4035d7 != calldata[0] >> 224", (), ()),
+    ("feeswap", 135, "123 == tokens[i]", ("tokens",), ("loop_guarded",)),
+    ("lottery", 16, "0x420b42ef != calldata[0] >> 224", (), ()),
+    ("pool", 38, "0xefe6a8b != calldata[0] >> 224", (), ()),
+    (
+        "pool",
+        205,
+        "0 < value && storage[keccak(id ++ 2)] >= value"
+        " && storage[keccak(id ++ keccak(from ++ 3))] >= value",
+        ("from", "id", "value"),
+        ("has_keccak", "storage_dependent"),
+    ),
+]
+
+FEATURES = ("has_keccak", "has_nonlinear_term", "loop_guarded", "storage_dependent")
+
+
+@functools.cache
+def campaign(name: str):
+    """(bundle, coverage, corpus, report) of the fixture's 300-exec,
+    seed-42 campaign; each fixture's campaign runs once per session."""
     bundle = load_bundle(FIXTURES / name)
     world, _ = make_world(bundle)
     target = seed_initial_target(bundle.resolved_abi)
-    cov, corpus, report = run_campaign(world, target, {"execs": 300}, rng_seed=42)
+    return bundle, *run_campaign(world, target, {"execs": 300}, rng_seed=42)
+
+
+def campaign_digest(name: str) -> str:
+    _, cov, corpus, report = campaign(name)
     doc = "\n".join(
         [cov.to_json(), *(e.id for e in corpus.entries), report.to_json()]
     )
@@ -60,3 +111,16 @@ def campaign_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_campaign_output_matches_golden(name):
     assert campaign_digest(name) == GOLDEN[name]
+
+
+def test_bottlenecks_after_campaign_match_golden():
+    got = []
+    for name in sorted(GOLDEN):
+        bundle, cov, _, _ = campaign(name)
+        for b in extract_bottlenecks(bundle, cov):
+            assert set(b.features) == set(FEATURES)
+            flags = tuple(f for f in FEATURES if b.features[f])
+            got.append(
+                (name, b.branch_offset, b.constraint_text, b.inputs_involved, flags)
+            )
+    assert got == GOLDEN_BOTTLENECKS
