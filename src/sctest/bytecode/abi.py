@@ -81,9 +81,12 @@ class AbiType:
         elif k == "array":
             if not isinstance(value, (list, tuple)):
                 raise TypeMismatch(f"{self.canonical()} needs a list")
-            elem = AbiType("uint", self.bits)
+            limit = 1 << self.bits
             for v in value:
-                elem.validate(v)
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise TypeMismatch(f"uint{self.bits} needs an integer")
+                if not 0 <= v < limit:
+                    raise ValueOutOfRange(f"{v} out of range for uint{self.bits}")
         else:  # pragma: no cover
             raise TypeMismatch(f"unhandled kind {k}")
 
@@ -196,41 +199,37 @@ def _word(v: int) -> bytes:
 
 
 def encode_args(params: tuple[AbiType, ...], args) -> bytes:
-    """Standard head/tail ABI encoding of args (selector not included)."""
+    """Standard head/tail ABI encoding of args (selector not included).
+
+    Every argument is validated before its word is built.  Static
+    arguments are their own head word; a dynamic one's head is the byte
+    offset of its tail, counted from the start of the heads.  With no
+    dynamic argument the encoding is just the joined head words."""
     args = tuple(args)
     if len(args) != len(params):
         raise ArityMismatch(f"expected {len(params)} args, got {len(args)}")
+    words: list[bytes] = []
+    tails: list[bytes] = []
+    offset = 32 * len(params)
     for t, v in zip(params, args):
         t.validate(v)
-
-    heads: list[bytes | None] = []
-    tails: list[bytes] = []
-    for t, v in zip(params, args):
-        if not t.is_dynamic:
-            if t.kind == "bool":
-                heads.append(_word(1 if v else 0))
-            else:
-                heads.append(_word(int(v)))
-            tails.append(b"")
+        kind = t.kind
+        if kind == "bytes":
+            payload = bytes(v)
+            tail = _word(len(payload)) + payload.ljust(
+                (len(payload) + 31) // 32 * 32, b"\x00"
+            )
+        elif kind == "array":
+            tail = _word(len(v)) + b"".join([_word(int(x)) for x in v])
         else:
-            heads.append(None)  # offset patched below
-            if t.kind == "bytes":
-                payload = bytes(v)
-                padded = payload.ljust((len(payload) + 31) // 32 * 32, b"\x00")
-                tails.append(_word(len(payload)) + padded)
-            else:
-                tails.append(_word(len(v)) + b"".join(_word(int(x)) for x in v))
-
-    head_size = 32 * len(params)
-    out_heads = bytearray()
-    out_tail = bytearray()
-    for h, t in zip(heads, tails):
-        if h is None:
-            out_heads.extend(_word(head_size + len(out_tail)))
-            out_tail.extend(t)
-        else:
-            out_heads.extend(h)
-    return bytes(out_heads + out_tail)
+            if kind == "bool":
+                v = 1 if v else 0
+            words.append(v.to_bytes(32, "big"))
+            continue
+        words.append(_word(offset))
+        tails.append(tail)
+        offset += len(tail)
+    return b"".join(words + tails)
 
 
 def encode_call(sig: FunctionSig, args) -> bytes:

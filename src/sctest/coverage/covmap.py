@@ -10,6 +10,15 @@ hashes are memoised in `_PATH_MEMO`, keyed by the truncated entry tuple.
 The memo is bounded by the block entries its keys hold together
 (`_PATH_MEMO_CAP`, about 1.6 MB at most; a single key holds up to
 PATH_BLOCK_LIMIT entries) and drops the oldest key first.
+
+merge_result folds a transaction's trace segment by segment, and the
+same few segments recur just as often.  `_SEG_MEMO` maps a segment's
+instruction-offset tuple to the CFG it was folded under, its
+instruction bitmask and its block entries in order; a hit under the
+same CFG object replaces the walk over every offset by a dict lookup,
+and a hit under another CFG is folded again and replaces the entry.
+The memo is bounded the same way: by the offsets its keys hold together
+(`_SEG_MEMO_CAP`), oldest key dropped first.
 """
 
 import json
@@ -27,6 +36,11 @@ PATH_BLOCK_LIMIT = 4096
 _PATH_MEMO: dict[tuple[tuple[int, int], ...], int] = {}
 _PATH_MEMO_CAP = 4 * PATH_BLOCK_LIMIT  # block entries over all keys
 _path_memo_size = 0  # block entries the keys of _PATH_MEMO hold now
+
+# segment offsets -> (cfg, instruction bitmask, block entries)
+_SEG_MEMO: dict[tuple[int, ...], tuple[Cfg, int, tuple[int, ...]]] = {}
+_SEG_MEMO_CAP = 1 << 16  # instruction offsets over all keys
+_seg_memo_size = 0  # offsets the keys of _SEG_MEMO hold now
 
 
 def fnv1a64(data: bytes) -> int:
@@ -113,23 +127,47 @@ def merge(
     return map_
 
 
-def merge_result(map_: CoverageMap, result: ExecResult, world) -> CoverageMap:
-    """Fold a transaction's (possibly interleaved) trace into the map.
+def _segment(offsets: tuple[int, ...], cfg: Cfg) -> tuple[int, tuple[int, ...]]:
+    """(instruction bitmask, block entries in order) of one trace segment
+    of a contract whose CFG is cfg."""
+    global _seg_memo_size
+    hit = _SEG_MEMO.get(offsets)
+    if hit is not None and hit[0] is cfg:
+        return hit[1], hit[2]
+    blocks = cfg.blocks
+    mask = 0
+    for off in offsets:
+        mask |= 1 << off
+    starts = tuple(off for off in offsets if off in blocks)
+    if hit is None:
+        _seg_memo_size += len(offsets)
+    _SEG_MEMO[offsets] = (cfg, mask, starts)
+    while _seg_memo_size > _SEG_MEMO_CAP:
+        oldest = next(iter(_SEG_MEMO))  # FIFO: dicts keep insertion order
+        del _SEG_MEMO[oldest]
+        _seg_memo_size -= len(oldest)
+    return mask, starts
+
+
+def merge_result(map_: CoverageMap, result: ExecResult, world) -> int:
+    """Fold a transaction's (possibly interleaved) trace into the map and
+    return how many instructions it covered for the first time.
 
     Block entries from every deployed contract the trace touched land in
     one path hash, so call interleavings count as distinct paths.
+    Segments of addresses with no deployed code are skipped.
     """
+    new = 0
     entries: list[tuple[int, int]] = []
+    bits_of = map_.bits
     for address, offsets in result.trace:
         bundle = world.deployed.get(address)
         if bundle is None:
             continue
-        bits = map_.bits.get(address, 0)
-        blocks = bundle.cfg.blocks
-        for off in offsets:
-            bits |= 1 << off
-            if off in blocks:
-                entries.append((address, off))
-        map_.bits[address] = bits
+        mask, starts = _segment(tuple(offsets), bundle.cfg)
+        bits = bits_of.get(address, 0)
+        new += (mask & ~bits).bit_count()
+        bits_of[address] = bits | mask
+        entries += [(address, start) for start in starts]
     map_.path_set.add(_path_hash(entries))
-    return map_
+    return new

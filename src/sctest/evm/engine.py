@@ -21,7 +21,7 @@ from ..errors import (
     UnknownDestination,
 )
 from .bundle import ContractBundle
-from .types import Account, ExecResult, Transaction
+from .types import Account, BlockCtx, ExecResult, Transaction
 from .world import EvmWorld
 
 CALL_DEPTH_LIMIT = 8
@@ -160,9 +160,21 @@ def _resolve_call(
 
 
 def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
-    """Deterministic interpretation of tx against a copy of world."""
-    w = world.copy()
-    w.block.timestamp += tx.delay
+    """Deterministic interpretation of tx against world.
+
+    Worlds are values: the input world is never changed, and the result
+    world shares every storage map and Account the transaction left
+    untouched, and its deployed map.  It gets fresh accounts and storage
+    dicts, a fresh BlockCtx, the committed storage overlays (private
+    copies) and a new Account for each balance that changed.  So a caller
+    must never mutate a world's maps or accounts in place;
+    EvmWorld.copy() gives a deep copy to edit.
+    """
+    block = BlockCtx(world.block.timestamp + tx.delay, world.block.number)
+    w = EvmWorld(
+        dict(world.accounts), world.deployed, dict(world.storage), block,
+        list(world.tx_queue),
+    )
 
     bundle = w.deployed.get(tx.destination)
     if bundle is None:
@@ -198,13 +210,12 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
     if halt != "OUT_OF_GAS":
         for addr in sorted(ctx.overlays):
             w.storage[addr] = ctx.overlays[addr]  # a private copy already
+        accounts = w.accounts
         for addr in sorted(ctx.balances):
             bal = ctx.balances[addr]
-            acc = w.accounts.get(addr)
-            if acc is None:
-                w.accounts[addr] = Account(addr, bal)
-            else:
-                acc.balance = bal
+            acc = accounts.get(addr)
+            if acc is None or acc.balance != bal:
+                accounts[addr] = Account(addr, bal)
 
     result = ExecResult(
         halt=halt,

@@ -1,5 +1,12 @@
 """The modeled execution context: accounts, deployed contracts, storage,
-block metadata, and the transaction queue."""
+block metadata, and the transaction queue.
+
+Worlds are values.  execute_tx and deploy return a new world and leave
+their input as it was, and execute_tx shares with its input every
+storage map and Account the transaction did not change.  So never
+mutate a world's maps or accounts in place: take copy(), a deep copy
+that shares only the immutable bundles, and edit that.
+"""
 
 from dataclasses import dataclass, field
 
@@ -28,13 +35,6 @@ class EvmWorld:
     def balance(self, address: int) -> int:
         acc = self.accounts.get(address)
         return acc.balance if acc else 0
-
-    def credit(self, address: int, amount: int) -> None:
-        acc = self.accounts.get(address)
-        if acc is None:
-            self.accounts[address] = Account(address, amount)
-        else:
-            acc.balance += amount
 
     def storage_view(self) -> dict[int, dict[int, int]]:
         """Storage restricted to live (nonempty) contract maps, for

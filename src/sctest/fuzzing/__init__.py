@@ -12,7 +12,14 @@ from .campaign import (
     run_campaign,
 )
 from .corpus import BugReport, Corpus, Finding, TestCase
-from .mutate import Candidate, initial_candidate, mutate, mutate_value
+from .mutate import (
+    Candidate,
+    MutationPlan,
+    initial_candidate,
+    mutate,
+    mutate_value,
+    mutation_plan,
+)
 from .target import (
     CompileError,
     ConcreteCall,
@@ -39,12 +46,14 @@ __all__ = [
     "Finding",
     "FuzzCall",
     "FuzzTarget",
+    "MutationPlan",
     "TestCase",
     "detect_bugs",
     "initial_candidate",
     "minimize_corpus",
     "mutate",
     "mutate_value",
+    "mutation_plan",
     "parse_target",
     "render_target",
     "replay",

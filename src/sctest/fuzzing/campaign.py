@@ -40,7 +40,7 @@ from ..errors import SctestError
 from ..evm.engine import execute_sequence, execute_tx
 from ..evm.types import ExecResult, Transaction
 from .corpus import BugReport, Corpus, Finding, TestCase
-from .mutate import Candidate, initial_candidate, mutate
+from .mutate import Candidate, initial_candidate, mutate, mutation_plan
 from .target import ConcreteCall, FuzzTarget
 
 CHUNK = 1000  # executions per scheduling iteration
@@ -179,7 +179,6 @@ class Campaign:
             self.destination = deployed[0]
         self.bundle = self.world.deployed[self.destination]
         self.abi = self.bundle.resolved_abi
-        self._by_name = {s.name: s for s in self.abi}
         self._props = [s for s in self.abi if s.is_property]
         self.default_sender = next(iter(self.world.accounts))
         self.pool = tuple(
@@ -188,6 +187,7 @@ class Campaign:
             )
         )
         self.rng = random.Random(self.rng_seed)
+        self._plan = mutation_plan(self.target, self.abi, self.pool)
         self._cands: list[Candidate] = []
         self._blocks: list[set[tuple[int, int]]] = []  # per-entry block starts
         self._cum_weights: list[int] | None = None  # None: rescore on next pick
@@ -265,9 +265,6 @@ class Campaign:
                 out.update((addr, off) for off in offsets if off in blocks)
         return out
 
-    def _instr_count(self) -> int:
-        return sum(b.bit_count() for b in self.coverage.bits.values())
-
     def run(self, execs: int = CHUNK) -> ChunkStats:
         """Execute up to `execs` candidates; returns what the chunk gained."""
         stats = ChunkStats()
@@ -283,9 +280,7 @@ class Campaign:
                 other = None
                 if len(self._cands) >= 2:
                     other = self._cands[self.rng.randrange(len(self._cands))]
-                cand = mutate(
-                    cand, self.target, self.abi, self.rng, self.pool, other
-                )
+                cand = mutate(cand, self._plan, self.rng, other)
                 force_insert = False
 
             self.executions += 1
@@ -295,12 +290,11 @@ class Campaign:
                 continue
             ran.add(cand)
             txs = self._fuzz_txs(cand)
-            before_instr = self._instr_count()
             before_paths = len(self.coverage.path_set)
             world_after, results = execute_sequence(self.snapshot, txs)
+            gained = 0
             for res in results:
-                merge_result(self.coverage, res, world_after)
-            gained = self._instr_count() - before_instr
+                gained += merge_result(self.coverage, res, world_after)
             new_paths = len(self.coverage.path_set) - before_paths
             stats.new_instructions += gained
             stats.new_paths += new_paths

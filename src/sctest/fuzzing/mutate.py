@@ -4,6 +4,11 @@ A Candidate is the campaign's working form of one test: the argument
 tuple for every fuzz call (in declaration order) plus the order the
 calls execute in.  Mutation only ever touches parameters the target
 marked mutable, and reordering only happens in shuffle mode.
+
+What a step may touch depends only on the target, the ABI and the
+address pool, so it is worked out once per campaign into a MutationPlan
+(mutation_plan) rather than on every step; mutate itself only draws
+from the RNG and rebuilds the one changed argument row.
 """
 
 import random
@@ -79,39 +84,49 @@ def mutate_value(v, ty: AbiType, rng: random.Random, pool: tuple[int, ...]):
     return _mutate_int(v, ty.bits, rng)
 
 
-def _mutable_positions(
-    target: FuzzTarget, by_name: dict[str, FunctionSig]
-) -> list[tuple[int, int]]:
-    """(fuzz call index, parameter index) for every mutable slot."""
-    out = []
+@dataclass(frozen=True)
+class MutationPlan:
+    """What mutate needs that is fixed for a whole campaign: every
+    mutable (fuzz call, parameter) slot with its declared type, the
+    address pool, and the op lists mutate draws from, without and with
+    a splice partner.  Build it once with mutation_plan."""
+
+    slots: tuple[tuple[int, int, AbiType], ...]
+    pool: tuple[int, ...]
+    ops: tuple[str, ...]
+    ops_splice: tuple[str, ...]
+
+
+def mutation_plan(
+    target: FuzzTarget, abi: list[FunctionSig], pool: tuple[int, ...] = ()
+) -> MutationPlan:
+    by_name = {s.name: s for s in abi}
+    slots = []
     for ci, call in enumerate(target.fuzz):
-        names = by_name[call.function].param_names
-        for pi, name in enumerate(names):
+        sig = by_name[call.function]
+        for pi, name in enumerate(sig.param_names):
             if name in call.mutable_params:
-                out.append((ci, pi))
-    return out
+                slots.append((ci, pi, sig.params[pi]))
+    # the op order is part of the RNG contract: param x6, splice, swap
+    head = ("param",) * 6 if slots else ()
+    tail = ("swap",) if target.order_mode == "shuffle" and len(target.fuzz) >= 2 else ()
+    return MutationPlan(tuple(slots), pool, head + tail, head + ("splice",) + tail)
 
 
 def mutate(
     cand: Candidate,
-    target: FuzzTarget,
-    abi: list[FunctionSig],
+    plan: MutationPlan,
     rng: random.Random,
-    pool: tuple[int, ...] = (),
     other: "Candidate | None" = None,
 ) -> Candidate:
     """One mutation step: a type-directed value mutation on a mutable
     parameter, a splice with another candidate, or (in shuffle mode)
-    an adjacent swap in the execution order."""
-    by_name = {s.name: s for s in abi}
-    slots = _mutable_positions(target, by_name)
-    ops: list[str] = []
-    if slots:
-        ops += ["param"] * 6
+    an adjacent swap in the execution order.  Everything that depends
+    only on the target and the ABI comes precomputed in `plan`."""
     if other is not None and other != cand:
-        ops.append("splice")
-    if target.order_mode == "shuffle" and len(target.fuzz) >= 2:
-        ops.append("swap")
+        ops = plan.ops_splice
+    else:
+        ops = plan.ops
     if not ops:
         return cand
     op = rng.choice(ops)
@@ -128,9 +143,8 @@ def mutate(
         cut = rng.randrange(1, len(cand.args))
         return Candidate(cand.args[:cut] + other.args[cut:], cand.order)
 
-    ci, pi = rng.choice(slots)
-    sig = by_name[target.fuzz[ci].function]
+    ci, pi, ty = rng.choice(plan.slots)
     row = list(cand.args[ci])
-    row[pi] = mutate_value(row[pi], sig.params[pi], rng, pool)
+    row[pi] = mutate_value(row[pi], ty, rng, plan.pool)
     new_args = cand.args[:ci] + (tuple(row),) + cand.args[ci + 1 :]
     return Candidate(new_args, cand.order)

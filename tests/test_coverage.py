@@ -5,6 +5,8 @@ contract the fuzzing pipeline and the model prompts build on; any change
 to them is a behavior change, not a cosmetic one.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +27,16 @@ from sctest.coverage import (
 )
 from sctest.coverage import covmap
 from sctest.coverage.covmap import PATH_BLOCK_LIMIT, _path_hash
-from sctest.evm import Transaction, execute_sequence, make_world
+from sctest.evm import (
+    Transaction,
+    deploy,
+    execute_sequence,
+    execute_tx,
+    make_world,
+    new_world,
+)
 from sctest.evm.bundle import ContractBundle, genesis_config
+from sctest.fuzzing import run_campaign, seed_initial_target
 
 ACCT_A = 0x1001
 
@@ -129,6 +139,125 @@ def test_path_memo_stays_within_its_bound_and_rehashes_evicted_keys(monkeypatch)
     # a key longer than the bound is hashed but not kept
     check([(0xB, j) for j in range(13)])
     assert covmap._PATH_MEMO == {}
+
+
+# -- merge_result and its segment memo -------------------------------------
+
+
+def reference_merge_result(map_, result, world) -> int:
+    """merge_result as a walk over every executed offset, with the
+    reference path hash; returns the instructions covered anew."""
+    before = sum(b.bit_count() for b in map_.bits.values())
+    entries = []
+    for address, offsets in result.trace:
+        bundle = world.deployed.get(address)
+        if bundle is None:
+            continue
+        bits = map_.bits.get(address, 0)
+        blocks = bundle.cfg.blocks
+        for off in offsets:
+            bits |= 1 << off
+            if off in blocks:
+                entries.append((address, off))
+        map_.bits[address] = bits
+    map_.path_set.add(reference_path_hash(entries))
+    return sum(b.bit_count() for b in map_.bits.values()) - before
+
+
+CALLER_AT, CALLEE_AT = 0xC0DE, 0xCA11
+
+
+def _interleaved_result():
+    """A caller that CALLs a deployed callee twice: five segments,
+    caller and callee interleaved, plus a trailing segment for an
+    address with no code."""
+    call = "6000" * 4 + "6000" + "61ca11" + "6000" + "f1" + "50"
+    caller = ContractBundle("caller", bytes.fromhex(call * 2 + "00"), [])
+    callee = ContractBundle("callee", bytes.fromhex("600160005500"), [])
+    world = deploy(deploy(new_world([(ACCT_A, 10**18)]), caller, CALLER_AT),
+                   callee, CALLEE_AT)
+    after, res = execute_tx(world, Transaction(
+        function_call="raw", call_data=bytes(4), source=ACCT_A,
+        destination=CALLER_AT))
+    assert [a for a, _ in res.trace] == [CALLER_AT, CALLEE_AT, CALLER_AT,
+                                         CALLEE_AT, CALLER_AT]
+    return replace(res, trace=res.trace + ((0xDEAD, (0, 2, 4)),)), after
+
+
+@pytest.fixture(scope="module")
+def merge_cases(bundles):
+    """(result, world) pairs: every corpus entry of a short campaign on
+    each fixture, then the interleaved call."""
+    cases = []
+    for name in sorted(bundles):
+        world, _ = make_world(bundles[name])
+        target = seed_initial_target(bundles[name].resolved_abi)
+        _, corpus, _ = run_campaign(world, target, {"execs": 150}, 7)
+        for tc in corpus.entries:
+            after, results = execute_sequence(world, list(tc.txs))
+            cases += [(res, after) for res in results]
+    cases.append(_interleaved_result())
+    return cases
+
+
+def _fresh_seg_memo(monkeypatch, cap=None):
+    monkeypatch.setattr(covmap, "_SEG_MEMO", {})
+    monkeypatch.setattr(covmap, "_seg_memo_size", 0)
+    if cap is not None:
+        monkeypatch.setattr(covmap, "_SEG_MEMO_CAP", cap)
+
+
+def _check_merge(map_, ref, result, world):
+    assert merge_result(map_, result, world) == reference_merge_result(
+        ref, result, world
+    )
+    assert map_.bits == ref.bits
+    assert map_.path_set == ref.path_set
+
+
+def test_merge_result_matches_the_per_offset_walk(monkeypatch, merge_cases):
+    _fresh_seg_memo(monkeypatch)
+    map_, ref = CoverageMap(), CoverageMap()
+    for _ in range(2):  # the second pass folds every segment from the memo
+        for result, world in merge_cases:
+            _check_merge(map_, ref, result, world)
+    assert sum(len(r.trace) for r, _ in merge_cases) > len(covmap._SEG_MEMO)
+
+
+def test_segment_memo_keeps_entries_per_cfg(monkeypatch):
+    # the same offsets (0, 2, 4, 5, 6) under two CFGs: offset 5 is a
+    # JUMPDEST, so a block entry, in one and a PC in the other
+    _fresh_seg_memo(monkeypatch)
+    runs = []
+    for op in ("5b", "58"):
+        code = bytes.fromhex("6002600301" + op + "00")
+        world = deploy(new_world([(ACCT_A, 10**18)]),
+                       ContractBundle("b" + op, code, []), CALLER_AT)
+        runs.append(execute_tx(world, Transaction(
+            function_call="raw", call_data=bytes(4), source=ACCT_A,
+            destination=CALLER_AT)))
+    (_, r_dest), (_, r_pc) = runs
+    assert r_dest.trace == r_pc.trace == ((CALLER_AT, (0, 2, 4, 5, 6)),)
+    map_, ref = CoverageMap(), CoverageMap()
+    for after, res in (runs + runs):
+        _check_merge(map_, ref, res, after)
+    assert len(map_.path_set) == 2
+    # one key, replaced in place: its offsets are counted once
+    assert list(covmap._SEG_MEMO) == [r_pc.trace[0][1]]
+    assert covmap._seg_memo_size == 5
+
+
+def test_segment_memo_stays_within_its_bound(monkeypatch, merge_cases):
+    lengths = sorted(len(seg) for r, _ in merge_cases for _, seg in r.trace)
+    cap = lengths[len(lengths) // 2]  # some segments are longer than this
+    _fresh_seg_memo(monkeypatch, cap)
+    map_, ref = CoverageMap(), CoverageMap()
+    for _ in range(2):  # evicted segments are folded again
+        for result, world in merge_cases:
+            _check_merge(map_, ref, result, world)
+            held = sum(len(k) for k in covmap._SEG_MEMO)
+            assert held == covmap._seg_memo_size <= cap
+    assert covmap._SEG_MEMO
 
 
 def test_merge_sets_bits_and_one_path(cubic):

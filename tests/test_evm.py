@@ -699,3 +699,108 @@ def test_last_store_wins(vals):
     assert all(r.halt == "STOP" for r in results)
     expect = {0: vals[-1]} if vals[-1] else {}
     assert w2.storage[AT] == expect
+
+
+# -- worlds are values ----------------------------------------------------------
+
+
+PAYEE = 0x2002
+
+
+def _toy_bundle() -> ContractBundle:
+    """store(x) writes slot 0, load() returns it, send(to, amt) pays amt
+    out of the contract's balance, spin() writes slot 1 and loops until
+    it runs out of gas."""
+    a = Asm()
+    sigs = {
+        "store": FunctionSig("store", ("uint256",)),
+        "load": FunctionSig("load", ()),
+        "send": FunctionSig("send", ("address", "uint256")),
+        "spin": FunctionSig("spin", ()),
+    }
+    dispatcher(a, [(s.selector, name) for name, s in sigs.items()])
+    a.func("store").op("JUMPDEST")
+    a.push(4).op("CALLDATALOAD").push(0).op("SSTORE").op("STOP")
+    a.end_func("store")
+    a.func("load").op("JUMPDEST")
+    a.push(0).op("SLOAD").push(0).op("MSTORE")
+    a.push(32).push(0).op("RETURN")
+    a.end_func("load")
+    a.func("send").op("JUMPDEST")
+    # CALL(gas 0, to, amt, in 0/0, out 0/0), then drop the success flag
+    a.push(0).push(0).push(0).push(0)
+    a.push(36).op("CALLDATALOAD").push(4).op("CALLDATALOAD").push(0)
+    a.op("CALL").op("POP").op("STOP")
+    a.end_func("send")
+    a.func("spin").op("JUMPDEST")
+    a.push(1).push(1).op("SSTORE")
+    a.label("spin_loop").op("JUMPDEST").jump("spin_loop")
+    a.end_func("spin")
+    out = a.assemble()
+    abi = parse_abi({"functions": [
+        {"name": name, "params": [p.canonical() for p in s.params]}
+        for name, s in sigs.items()
+    ]})
+    return ContractBundle("toy", out.bytecode, abi)
+
+
+TOY = _toy_bundle()
+
+# (function, args, value, gas), delay, source
+TOY_TX = st.tuples(
+    st.one_of(
+        st.builds(lambda v, value: ("store", (v,), value, 10_000_000),
+                  st.integers(0, (1 << 256) - 1), st.sampled_from([0, 0, 3])),
+        st.just(("load", (), 0, 10_000_000)),
+        st.builds(lambda to, amt: ("send", (to, amt), 0, 10_000_000),
+                  st.sampled_from([PAYEE, ACCT, 0xDEAD]), st.integers(0, 400)),
+        st.just(("spin", (), 0, 3000)),  # OUT_OF_GAS: rolled back
+    ),
+    st.integers(0, 3),
+    st.sampled_from([ACCT, PAYEE]),
+)
+
+
+def _toy_tx(spec) -> Transaction:
+    (fn, args, value, gas), delay, source = spec
+    return Transaction(function_call=fn, args=args, value=value, gas=gas,
+                       delay=delay, source=source, destination=AT)
+
+
+def _toy_world():
+    return world_with(TOY, accounts=[(ACCT, 1000), (PAYEE, 50), (AT, 500)])
+
+
+def _world_state(w):
+    return (
+        w.storage_view(),
+        {a: acc.balance for a, acc in w.accounts.items()},
+        (w.block.timestamp, w.block.number),
+    )
+
+
+def _outcome(res):
+    return (res.halt, res.return_data, res.gas_used, res.trace,
+            res.external_calls)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(TOY_TX, min_size=1, max_size=6))
+def test_execute_tx_never_changes_the_world_it_ran_from(specs):
+    worlds = [_toy_world()]
+    states = [_world_state(worlds[0])]
+    for spec in specs:
+        tx = _toy_tx(spec)
+        before = _world_state(worlds[-1])
+        after, res = execute_tx(worlds[-1], tx)
+        again, res_again = execute_tx(worlds[-1], tx)
+        # the input world is as it was, and a second run from it agrees
+        assert _world_state(worlds[-1]) == before
+        assert _world_state(again) == _world_state(after)
+        assert _outcome(res_again) == _outcome(res)
+        if res.halt == "OUT_OF_GAS":
+            assert after.storage_view() == before[0]
+        worlds.append(after)
+        states.append(_world_state(after))
+    # running on from each result world left every earlier world alone
+    assert [_world_state(w) for w in worlds] == states

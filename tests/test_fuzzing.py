@@ -29,6 +29,7 @@ from sctest.fuzzing import (
     minimize_corpus,
     mutate,
     mutate_value,
+    mutation_plan,
     parse_target,
     render_target,
     replay,
@@ -302,10 +303,11 @@ def test_bool_address_bytes_array_mutations():
 def test_mutation_only_touches_mutable_params():
     abi = pool_abi()
     t = parse_target(POOL_TARGET, abi)
+    plan = mutation_plan(t, abi, (0x1001, 0x1002))
     rng = random.Random(3)
     cand = initial_candidate(t)
     for _ in range(10_000):
-        cand = mutate(cand, t, abi, rng, (0x1001, 0x1002))
+        cand = mutate(cand, plan, rng)
         assert cand.args[0][0] == 0x1001  # from: not mutable
         assert cand.args[0][1] == 1  # id: not mutable
         assert cand.order == (0,)
@@ -314,12 +316,13 @@ def test_mutation_only_touches_mutable_params():
 def test_mutation_is_deterministic():
     abi = pool_abi()
     t = parse_target(POOL_TARGET, abi)
+    plan = mutation_plan(t, abi, (0x1001,))
 
     def run(seed):
         rng = random.Random(seed)
         cand = initial_candidate(t)
         return [
-            (cand := mutate(cand, t, abi, rng, (0x1001,))).args
+            (cand := mutate(cand, plan, rng)).args
             for _ in range(200)
         ]
 
@@ -346,7 +349,7 @@ def test_splice_swaps_whole_call_rows():
     a = initial_candidate(t)
     b = a.__class__(((7,), (8,)), a.order)
     rng = random.Random(0)
-    child = mutate(a, t, abi, rng, (), other=b)
+    child = mutate(a, mutation_plan(t, abi), rng, other=b)
     assert child.args in (((1,), (8,)),)  # cut can only be 1
     assert child.order == a.order
 
@@ -359,11 +362,13 @@ def test_adjacent_swap_only_in_shuffle_mode():
     doc = "target t\nfuzz:\n    call f(1)\n    call h(2)\norder shuffle\n"
     t = parse_target(doc, abi)
     cand = initial_candidate(t)
-    swapped = mutate(cand, t, abi, random.Random(1), ())
+    swapped = mutate(cand, mutation_plan(t, abi), random.Random(1))
     assert swapped.order == (1, 0) and swapped.args == cand.args
 
     fixed = parse_target(doc.replace("shuffle", "fixed"), abi)
-    same = mutate(initial_candidate(fixed), fixed, abi, random.Random(1), ())
+    same = mutate(
+        initial_candidate(fixed), mutation_plan(fixed, abi), random.Random(1)
+    )
     assert same.order == (0, 1)  # nothing to do: no mutables, no shuffle
 
 
@@ -372,11 +377,12 @@ def test_list_valued_array_seed_mutates():
                     ("a", "b", "c", "d"))
     assert call.args == (7, True, b"\x01", (1, 2))
     t = FuzzTarget("t", {}, (), (call,), "fixed")
+    plan = mutation_plan(t, TOY_ABI)
     rng = random.Random(5)
     cand = initial_candidate(t)
     seen = {cand}
     for _ in range(50):
-        cand = mutate(cand, t, TOY_ABI, rng, ())
+        cand = mutate(cand, plan, rng)
         seen.add(cand)  # candidates must hash
         assert isinstance(cand.args[0][3], tuple)
     assert len(seen) > 1
