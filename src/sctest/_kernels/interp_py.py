@@ -105,6 +105,15 @@ def run_frame(
             return ("halt", "out_of_gas", b"", 0)
         trace.append(pc)
 
+        # Dispatch order is execution frequency.  Of the 1.33 M
+        # instructions the three benchmark workloads run at seeds 42 and
+        # 77 together, PUSH/DUP/SWAP are 601k (three range tests); then
+        # CALLDATALOAD 109k, JUMPI 97k, JUMPDEST 87k, ADD 66k, EQ 64k,
+        # MUL 46k, POP 43k, LT 38k, ISZERO 36k, SHR 29k, STOP 23k,
+        # SLOAD 20k, JUMP 15k, AND 14k, SSTORE 11k, TIMESTAMP 9k, MSTORE
+        # 8k, DIV 6k, SHA3 4k, SUB 4k, RETURN/REVERT 2k, INVALID 0.5k
+        # (the final else), CALLER 0.3k, and the rest never.  The tests
+        # are disjoint, so the order changes speed only.
         if 0x60 <= op <= 0x7F:  # PUSH1..32
             if len(stack) >= STACK_LIMIT:
                 return ("halt", "invalid", b"", gas)
@@ -130,27 +139,143 @@ def run_frame(
             pc = nxt[pc]
             continue
 
-        if op == 0x01:  # ADD
+        if op == 0x35:  # CALLDATALOAD
+            if not stack:
+                return ("halt", "invalid", b"", gas)
+            i = stack[-1]
+            if i >= len(calldata):
+                stack[-1] = 0
+            else:
+                chunk = calldata[i : i + 32]
+                stack[-1] = int.from_bytes(chunk.ljust(32, b"\x00"), "big")
+        elif op == 0x57:  # JUMPI
+            if len(stack) < 2:
+                return ("halt", "invalid", b"", gas)
+            dest = pop()
+            cond = pop()
+            if cond:
+                if dest >= code_len or not is_jumpdest[dest]:
+                    return ("halt", "invalid", b"", gas)
+                pc = dest
+                continue
+        elif op == 0x5B:  # JUMPDEST
+            pass
+        elif op == 0x01:  # ADD
             if len(stack) < 2:
                 return ("halt", "invalid", b"", gas)
             a = pop()
             stack[-1] = (a + stack[-1]) & MASK256
+        elif op == 0x14:  # EQ
+            if len(stack) < 2:
+                return ("halt", "invalid", b"", gas)
+            a = pop()
+            stack[-1] = 1 if a == stack[-1] else 0
         elif op == 0x02:  # MUL
             if len(stack) < 2:
                 return ("halt", "invalid", b"", gas)
             a = pop()
             stack[-1] = (a * stack[-1]) & MASK256
-        elif op == 0x03:  # SUB
+        elif op == 0x50:  # POP
+            if not stack:
+                return ("halt", "invalid", b"", gas)
+            pop()
+        elif op == 0x10:  # LT
             if len(stack) < 2:
                 return ("halt", "invalid", b"", gas)
             a = pop()
-            stack[-1] = (a - stack[-1]) & MASK256
+            stack[-1] = 1 if a < stack[-1] else 0
+        elif op == 0x15:  # ISZERO
+            if not stack:
+                return ("halt", "invalid", b"", gas)
+            stack[-1] = 1 if stack[-1] == 0 else 0
+        elif op == 0x1C:  # SHR
+            if len(stack) < 2:
+                return ("halt", "invalid", b"", gas)
+            sh = pop()
+            stack[-1] = stack[-1] >> sh if sh < 256 else 0
+        elif op == 0x00:  # STOP
+            return ("halt", "stop", b"", gas)
+        elif op == 0x54:  # SLOAD
+            if not stack:
+                return ("halt", "invalid", b"", gas)
+            stack[-1] = storage.get(stack[-1], 0)
+        elif op == 0x56:  # JUMP
+            if not stack:
+                return ("halt", "invalid", b"", gas)
+            dest = pop()
+            if dest >= code_len or not is_jumpdest[dest]:
+                return ("halt", "invalid", b"", gas)
+            pc = dest
+            continue
+        elif op == 0x16:  # AND
+            if len(stack) < 2:
+                return ("halt", "invalid", b"", gas)
+            a = pop()
+            stack[-1] = a & stack[-1]
+        elif op == 0x55:  # SSTORE
+            if static:
+                return ("halt", "invalid", b"", gas)
+            if len(stack) < 2:
+                return ("halt", "invalid", b"", gas)
+            slot = pop()
+            val = pop()
+            if val:
+                storage[slot] = val
+            else:
+                storage.pop(slot, None)  # zero means absent
+        elif op == 0x42:  # TIMESTAMP
+            if len(stack) >= STACK_LIMIT:
+                return ("halt", "invalid", b"", gas)
+            push(timestamp)
+        elif op == 0x52:  # MSTORE
+            if len(stack) < 2:
+                return ("halt", "invalid", b"", gas)
+            off = pop()
+            val = pop()
+            if not _ensure(memory, off + 32):
+                return ("halt", "out_of_gas", b"", gas)
+            memory[off : off + 32] = val.to_bytes(32, "big")
         elif op == 0x04:  # DIV
             if len(stack) < 2:
                 return ("halt", "invalid", b"", gas)
             a = pop()
             b = stack[-1]
             stack[-1] = a // b if b else 0
+        elif op == 0x20:  # SHA3
+            if len(stack) < 2:
+                return ("halt", "invalid", b"", gas)
+            off = pop()
+            size = pop()
+            if size:
+                if not _ensure(memory, off + size):
+                    return ("halt", "out_of_gas", b"", gas)
+                buf = bytes(memory[off : off + size])
+            else:
+                buf = b""
+            digest = keccak256(buf)
+            sha_seen.append((buf, digest))
+            push(int.from_bytes(digest, "big"))
+        elif op == 0x03:  # SUB
+            if len(stack) < 2:
+                return ("halt", "invalid", b"", gas)
+            a = pop()
+            stack[-1] = (a - stack[-1]) & MASK256
+        elif op == 0xF3 or op == 0xFD:  # RETURN / REVERT
+            if len(stack) < 2:
+                return ("halt", "invalid", b"", gas)
+            off = pop()
+            size = pop()
+            if size:
+                if not _ensure(memory, off + size):
+                    return ("halt", "out_of_gas", b"", gas)
+                data = bytes(memory[off : off + size])
+            else:
+                data = b""
+            return ("halt", "return" if op == 0xF3 else "revert", data, gas)
+        elif op == 0x33:  # CALLER
+            if len(stack) >= STACK_LIMIT:
+                return ("halt", "invalid", b"", gas)
+            push(caller)
         elif op == 0x06:  # MOD
             if len(stack) < 2:
                 return ("halt", "invalid", b"", gas)
@@ -162,30 +287,11 @@ def run_frame(
                 return ("halt", "invalid", b"", gas)
             a = pop()
             stack[-1] = pow(a, stack[-1], 1 << 256)
-        elif op == 0x10:  # LT
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = 1 if a < stack[-1] else 0
         elif op == 0x11:  # GT
             if len(stack) < 2:
                 return ("halt", "invalid", b"", gas)
             a = pop()
             stack[-1] = 1 if a > stack[-1] else 0
-        elif op == 0x14:  # EQ
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = 1 if a == stack[-1] else 0
-        elif op == 0x15:  # ISZERO
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            stack[-1] = 1 if stack[-1] == 0 else 0
-        elif op == 0x16:  # AND
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = a & stack[-1]
         elif op == 0x17:  # OR
             if len(stack) < 2:
                 return ("halt", "invalid", b"", gas)
@@ -205,25 +311,6 @@ def run_frame(
                 return ("halt", "invalid", b"", gas)
             sh = pop()
             stack[-1] = (stack[-1] << sh) & MASK256 if sh < 256 else 0
-        elif op == 0x1C:  # SHR
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            sh = pop()
-            stack[-1] = stack[-1] >> sh if sh < 256 else 0
-        elif op == 0x20:  # SHA3
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            off = pop()
-            size = pop()
-            if size:
-                if not _ensure(memory, off + size):
-                    return ("halt", "out_of_gas", b"", gas)
-                buf = bytes(memory[off : off + size])
-            else:
-                buf = b""
-            digest = keccak256(buf)
-            sha_seen.append((buf, digest))
-            push(int.from_bytes(digest, "big"))
         elif op == 0x30:  # ADDRESS
             if len(stack) >= STACK_LIMIT:
                 return ("halt", "invalid", b"", gas)
@@ -232,23 +319,10 @@ def run_frame(
             if not stack:
                 return ("halt", "invalid", b"", gas)
             stack[-1] = balances.get(stack[-1] & ADDR_MASK, 0)
-        elif op == 0x33:  # CALLER
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(caller)
         elif op == 0x34:  # CALLVALUE
             if len(stack) >= STACK_LIMIT:
                 return ("halt", "invalid", b"", gas)
             push(callvalue)
-        elif op == 0x35:  # CALLDATALOAD
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            i = stack[-1]
-            if i >= len(calldata):
-                stack[-1] = 0
-            else:
-                chunk = calldata[i : i + 32]
-                stack[-1] = int.from_bytes(chunk.ljust(32, b"\x00"), "big")
         elif op == 0x36:  # CALLDATASIZE
             if len(stack) >= STACK_LIMIT:
                 return ("halt", "invalid", b"", gas)
@@ -265,18 +339,10 @@ def run_frame(
                 chunk = calldata[src : src + size] if src < len(calldata) else b""
                 chunk = chunk.ljust(size, b"\x00")
                 memory[dst : dst + size] = chunk
-        elif op == 0x42:  # TIMESTAMP
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(timestamp)
         elif op == 0x43:  # NUMBER
             if len(stack) >= STACK_LIMIT:
                 return ("halt", "invalid", b"", gas)
             push(number)
-        elif op == 0x50:  # POP
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            pop()
         elif op == 0x51:  # MLOAD
             if not stack:
                 return ("halt", "invalid", b"", gas)
@@ -284,14 +350,6 @@ def run_frame(
             if not _ensure(memory, off + 32):
                 return ("halt", "out_of_gas", b"", gas)
             stack[-1] = int.from_bytes(memory[off : off + 32], "big")
-        elif op == 0x52:  # MSTORE
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            off = pop()
-            val = pop()
-            if not _ensure(memory, off + 32):
-                return ("halt", "out_of_gas", b"", gas)
-            memory[off : off + 32] = val.to_bytes(32, "big")
         elif op == 0x53:  # MSTORE8
             if len(stack) < 2:
                 return ("halt", "invalid", b"", gas)
@@ -300,39 +358,6 @@ def run_frame(
             if not _ensure(memory, off + 1):
                 return ("halt", "out_of_gas", b"", gas)
             memory[off] = val & 0xFF
-        elif op == 0x54:  # SLOAD
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            stack[-1] = storage.get(stack[-1], 0)
-        elif op == 0x55:  # SSTORE
-            if static:
-                return ("halt", "invalid", b"", gas)
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            slot = pop()
-            val = pop()
-            if val:
-                storage[slot] = val
-            else:
-                storage.pop(slot, None)  # zero means absent
-        elif op == 0x56:  # JUMP
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            dest = pop()
-            if dest >= code_len or not is_jumpdest[dest]:
-                return ("halt", "invalid", b"", gas)
-            pc = dest
-            continue
-        elif op == 0x57:  # JUMPI
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            dest = pop()
-            cond = pop()
-            if cond:
-                if dest >= code_len or not is_jumpdest[dest]:
-                    return ("halt", "invalid", b"", gas)
-                pc = dest
-                continue
         elif op == 0x58:  # PC
             if len(stack) >= STACK_LIMIT:
                 return ("halt", "invalid", b"", gas)
@@ -341,8 +366,6 @@ def run_frame(
             if len(stack) >= STACK_LIMIT:
                 return ("halt", "invalid", b"", gas)
             push(gas)
-        elif op == 0x5B:  # JUMPDEST
-            pass
         elif 0xA0 <= op <= 0xA4:  # LOG0..4
             if static:
                 return ("halt", "invalid", b"", gas)
@@ -439,20 +462,6 @@ def run_frame(
                 {"kind": "selfdestruct", "from": self_addr, "to": beneficiary}
             )
             return ("halt", "selfdestruct", b"", gas)
-        elif op == 0x00:  # STOP
-            return ("halt", "stop", b"", gas)
-        elif op == 0xF3 or op == 0xFD:  # RETURN / REVERT
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            off = pop()
-            size = pop()
-            if size:
-                if not _ensure(memory, off + size):
-                    return ("halt", "out_of_gas", b"", gas)
-                data = bytes(memory[off : off + size])
-            else:
-                data = b""
-            return ("halt", "return" if op == 0xF3 else "revert", data, gas)
         else:  # INVALID and any unknown byte
             return ("halt", "invalid", b"", gas)
 

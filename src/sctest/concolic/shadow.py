@@ -12,7 +12,7 @@ always re-validated through the engine before being kept.
 
 Symbolic values enter through call data only.  The argument layout maps
 ABI-encoded regions to Input atoms: static arguments are whole-word
-atoms, array elements are per-word atoms, bytes arguments are per-byte
+atoms, array elements are per-element atoms, bytes arguments are per-byte
 atoms, and each dynamic argument's length word is a "length" atom
 (head-word offsets stay concrete).  Reads that assemble several
 symbolic bytes into one word build shift-and-add trees that
@@ -107,7 +107,7 @@ class ArgLayout:
             return Input(r.param, 0, r.kind, r.bits)
         if r is not None and r.kind == "elems" and (p - r.start) % 32 == 0:
             if p + 32 <= r.start + r.size:
-                return Input(r.param, p - r.start, "word", r.bits)
+                return Input(r.param, p - r.start, "elem", r.bits)
         # byte assembly: concrete base plus shifted byte atoms
         atoms: list[tuple[int, Input]] = []
         base = 0

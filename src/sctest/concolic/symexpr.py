@@ -9,8 +9,8 @@ SUB(x, y) is x - y and SHL(x, y) shifts y left by x.  Binop semantics
 are sctest.bytecode.opcodes.BINOP, the table the shadow computes with.
 
 Input atoms name a position inside one decoded argument:
-  kind "word"    the 32-byte word of a static argument (offset 0) or of
-                 array element offset//32
+  kind "word"    the 32-byte word of a static argument (offset 0)
+  kind "elem"    element offset//32 of an array argument
   kind "byte"    data byte `offset` of a bytes argument
   kind "length"  the length word of a dynamic argument
 `bits` bounds the atom's value range as declared by the ABI (a byte atom
@@ -56,7 +56,7 @@ class Const:
 class Input:
     param: str
     offset: int = 0
-    kind: str = "word"  # word | byte | length
+    kind: str = "word"  # word | elem | byte | length
     bits: int = 256
 
 
@@ -462,7 +462,7 @@ def format_expr(expr: SymExpr) -> str:
             return f"{expr.param}.length"
         if expr.kind == "byte":
             return f"{expr.param}[{expr.offset}]"
-        if expr.offset:
+        if expr.kind == "elem":
             return f"{expr.param}[{expr.offset // 32}]"
         return expr.param
     if isinstance(expr, Env):

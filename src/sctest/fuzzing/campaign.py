@@ -22,6 +22,22 @@ The set of executed candidates starts empty at each run(), like the
 weights, so a caller that replaces or edits the coverage map between
 runs still gets repeats re-executed.
 
+A candidate that does run resumes from its longest stored prefix.  For
+every candidate inserted into the corpus the campaign keeps, after each
+of its transactions, the world, the ExecResult and the Transaction,
+keyed by the executed rows ((fuzz-call index, args), ...) so far; the
+call index fixes function, sender, value and delay, so within a
+campaign the rows fully determine the transactions.  A new candidate
+walks the stored rows as far as they match and runs only the rest,
+one transaction at a time (the world after each is what the store
+keeps).  Execution is a pure function of the world and the transaction,
+so the stored results are exactly what re-running the prefix would
+give; every result, stored or new, is still merged into the coverage
+map and detection runs on the whole sequence as before, so outputs stay
+byte-identical even when the caller replaces the coverage map between
+runs.  The store grows only with the corpus (at most entries x target
+length steps).
+
 Bug detection applies two rules to each executed candidate:
   * assert_failure     - a transaction halted on INVALID
   * property_violation - a zero-argument property function reverts or
@@ -193,6 +209,9 @@ class Campaign:
         self._cum_weights: list[int] | None = None  # None: rescore on next pick
         self._finding_keys: set[tuple[str, int, str]] = set()
         self._started = False
+        # trie of the inserted candidates' executed rows: each step maps
+        # a (fuzz-call index, args) row to (world after, result, tx, next)
+        self._prefixes: dict = {}
 
         self._setup_txs = [self._tx(c, c.args) for c in self.target.setup]
         self.snapshot, setup_results = execute_sequence(
@@ -223,10 +242,44 @@ class Campaign:
             value=call.value,
         )
 
-    def _fuzz_txs(self, cand: Candidate) -> list[Transaction]:
-        return [
-            self._tx(self.target.fuzz[i], cand.args[i]) for i in cand.order
-        ]
+    def _resume(self, rows: list[tuple]) -> tuple[list, list, list]:
+        """The worlds (the snapshot first, then one after each call),
+        results and transactions stored for the longest prefix of `rows`
+        an inserted candidate already ran."""
+        worlds, results, txs = [self.snapshot], [], []
+        node = self._prefixes
+        for row in rows:
+            step = node.get(row)
+            if step is None:
+                break
+            world, res, tx, node = step
+            worlds.append(world)
+            results.append(res)
+            txs.append(tx)
+        return worlds, results, txs
+
+    def _execute(self, cand: Candidate):
+        """Run `cand` from its longest stored prefix.  Returns its rows
+        and, as _resume does, the worlds, results and transactions of
+        all its calls."""
+        rows = [(i, cand.args[i]) for i in cand.order]
+        worlds, results, txs = self._resume(rows)
+        world = worlds[-1]
+        for i, args in rows[len(txs) :]:
+            tx = self._tx(self.target.fuzz[i], args)
+            world, (res,) = execute_sequence(world, [tx])
+            worlds.append(world)
+            results.append(res)
+            txs.append(tx)
+        return rows, worlds, results, txs
+
+    def _store(self, rows, worlds, results, txs) -> None:
+        node = self._prefixes
+        for k, row in enumerate(rows):
+            step = node.get(row)
+            if step is None:
+                step = node[row] = (worlds[k + 1], results[k], txs[k], {})
+            node = step[3]
 
     # -- scheduling ---------------------------------------------------------
 
@@ -289,9 +342,9 @@ class Campaign:
                 stats.repeats += 1
                 continue
             ran.add(cand)
-            txs = self._fuzz_txs(cand)
+            rows, worlds, results, txs = self._execute(cand)
+            world_after = worlds[-1]
             before_paths = len(self.coverage.path_set)
-            world_after, results = execute_sequence(self.snapshot, txs)
             gained = 0
             for res in results:
                 gained += merge_result(self.coverage, res, world_after)
@@ -317,6 +370,7 @@ class Campaign:
                 )
                 self._cands.append(cand)
                 self._blocks.append(self._trace_blocks(results))
+                self._store(rows, worlds, results, txs)
                 self._cum_weights = None
                 for kind, pc, fn, msg in fresh:
                     self._finding_keys.add((kind, pc, fn))

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import sctest.concolic
 import sctest.evm
 from sctest._kernels import run_frame
-from sctest.bytecode.opcodes import BINOP
+from sctest.bytecode.abi import FunctionSig, encode_call
+from sctest.bytecode.opcodes import BINOP, CALL_CLASS, OPCODES
 from sctest.concolic import (
     Binop,
     CallDataLoad,
@@ -34,8 +35,8 @@ from sctest.concolic import (
     solve,
     to_smt,
 )
-from sctest.concolic.symexpr import UNOPS
-from sctest.concolic.shadow import _shadow_frame
+from sctest.concolic.symexpr import UNOPS, atom_value
+from sctest.concolic.shadow import ArgLayout, _shadow_frame
 from sctest.coverage import CoverageMap
 from sctest.errors import SctestError
 from sctest.evm import CodeImage, Transaction, make_world
@@ -118,7 +119,7 @@ ANY_TREE = st.recursive(
     st.one_of(
         st.builds(Const, WORDS),
         st.sampled_from(SMALL_ATOMS),
-        st.builds(Input, st.just("arr"), st.sampled_from((0, 32, 64)), st.just("word")),
+        st.builds(Input, st.just("arr"), st.sampled_from((0, 32, 64)), st.just("elem")),
         st.builds(Input, st.just("data"), st.integers(0, 40), st.just("byte"), st.just(8)),
         st.builds(Input, st.just("data"), st.just(0), st.just("length")),
         st.sampled_from(
@@ -146,6 +147,19 @@ ANY_TREE = st.recursive(
 def test_format_expr_renders_every_tree(expr):
     text = format_expr(expr)
     assert isinstance(text, str) and text
+
+
+def test_array_elements_render_with_their_index(feeswap):
+    sig = feeswap.by_name["velocore_execute"]
+    args = ((123, 5),)
+    layout, calldata = ArgLayout(sig, args), encode_call(sig, args)
+    atoms = [layout.word_at(p, calldata) for p in (36, 68, 100)]
+    # element 0 once rendered as the bare name, like a static argument
+    assert [format_expr(a) for a in atoms] == ["tokens.length", "tokens[0]", "tokens[1]"]
+    assert [atom_value(a, {"tokens": args[0]}) for a in atoms] == [2, 123, 5]
+    fee = feeswap.by_name["set_fee1e9"]
+    static = ArgLayout(fee, (7,)).word_at(4, encode_call(fee, (7,)))
+    assert format_expr(static) == fee.param_names[0]
 
 
 def test_solve_answers_unknown_for_an_input_beside_a_replay_atom():
@@ -235,6 +249,153 @@ def test_shadow_and_kernel_agree_on_selfdestruct():
     assert run.return_data == data
     assert run.gas_used == 10_000 - gas_left
     assert list(run.trace) == trace
+
+
+# -- kernel/shadow differential ----------------------------------------------
+
+# every opcode that runs without pausing the frame (PUSH is its own item),
+# and those of them that compute, read or write without leaving the
+# program's straight line (no stack shuffles, jumps or halts)
+STEP_OPS = sorted(
+    code for code, o in OPCODES.items() if code not in CALL_CLASS and not o.immediate_len
+)
+APPLY_OPS = [
+    c for c in STEP_OPS
+    if OPCODES[c].kind not in ("halt", "ctrl") and not 0x80 <= c <= 0x9F
+]
+DIFF_SIG = FunctionSig("f", ("uint256", "uint8[]", "bytes"), param_names=("a", "xs", "data"))
+SELF, CALLER = 0xC0DE, 0x1001
+
+# small words, so operands collide and offsets land on the memory,
+# calldata (DIFF_SIG's head and tail words) and storage a program
+# touches; edge words; sometimes any word
+DIFF_WORDS = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from((4, 31, 32, 36, 68, 100, 132, 255, 256, 2**255, 2**256 - 1)),
+    st.integers(0, 2**256 - 1),
+)
+
+
+# item kinds, an apply four times as often as the others
+KINDS = st.sampled_from(("apply", "apply", "apply", "apply", "op", "push", "jump", "dest"))
+PICK = [None] + [st.integers(0, n - 1) for n in range(1, len(STEP_OPS) + 1)]  # index < n
+
+
+@st.composite
+def programs(draw):
+    """Program items over a few opcodes and operand words drawn per
+    program (swarm testing), so each opcode meets equal, zero and edge
+    operands.  Items: apply (one of those opcodes on operands it
+    pushes), op (any opcode on whatever the stack holds), push, jump
+    and dest (a JUMPDEST)."""
+    ops = draw(st.lists(st.sampled_from(APPLY_OPS), min_size=1, max_size=4, unique=True))
+    words = draw(st.lists(DIFF_WORDS, min_size=1, max_size=3))
+
+    def word():
+        return words[draw(PICK[len(words)])]
+
+    items = []
+    for _ in range(draw(st.integers(8, 24))):
+        kind = draw(KINDS)
+        if kind == "apply":
+            code = ops[draw(PICK[len(ops)])]
+            items.append((kind, code, [word() for _ in range(OPCODES[code].pops)]))
+        elif kind == "op":
+            items.append((kind, STEP_OPS[draw(PICK[len(STEP_OPS)])]))
+        elif kind == "push":
+            items.append((kind, word()))
+        elif kind == "jump":
+            items.append((kind, draw(PICK[8]), word()))
+        else:
+            items.append((kind,))
+    return items
+
+
+def _push(v: int) -> bytes:
+    n = max(1, (v.bit_length() + 7) // 8)
+    return bytes([0x5F + n]) + v.to_bytes(n, "big")
+
+
+def _encode(item, dests: list[int], slot: int) -> bytes:
+    kind = item[0]
+    if kind == "apply":  # the first operand ends on top
+        code = item[1]
+        out = b"".join(_push(v) for v in reversed(item[2])) + bytes([code])
+        if OPCODES[code].pushes == 1:  # record the result in storage
+            out += b"\x80" + _push(slot) + b"\x55"
+        return out
+    if kind == "op":  # runs on whatever the stack holds
+        return bytes([item[1]])
+    if kind == "push":
+        return _push(item[1])
+    if kind == "jump":  # JUMPI to a JUMPDEST, or to offset 6 or 7 (rarely one)
+        k = item[1]
+        dest = dests[k % len(dests)] if dests and k < 6 else k
+        return _push(item[2]) + b"\x61" + dest.to_bytes(2, "big") + b"\x57"
+    return b"\x5b"
+
+
+# stores the top four stack words in slots 0x100.. at the end
+SINK = b"".join(_push(0x100 + i) + b"\x55" for i in range(4))
+
+
+def _assemble(items) -> bytes:
+    """Bytecode for program items.  An apply item stores the word it
+    computes in a slot of its own (0x200 + its index), and the program
+    ends by storing its top stack words, so a word the two interpreters
+    disagree on shows in the storage they are compared on."""
+    # an item's size does not depend on its jump target
+    dests, at = [], 0
+    for i, item in enumerate(items):
+        if item[0] == "dest":
+            dests.append(at)
+        at += len(_encode(item, [0], 0x200 + i))
+    return b"".join(_encode(item, dests, 0x200 + i) for i, item in enumerate(items)) + SINK
+
+
+CALLS = st.one_of(
+    st.tuples(
+        st.integers(0, 80).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+        st.none(),
+    ),
+    st.tuples(
+        st.integers(0, 2**256 - 1),
+        st.lists(st.integers(0, 255), max_size=3).map(tuple),
+        st.binary(max_size=40),
+    ).map(lambda args: (encode_call(DIFF_SIG, args), ArgLayout(DIFF_SIG, args))),
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    programs(),
+    CALLS,
+    st.dictionaries(st.integers(0, 8), st.integers(1, 2**256 - 1), max_size=3),
+    st.one_of(st.integers(2000, 20000), st.integers(0, 12)),
+    st.integers(0, 5),
+)
+def test_shadow_and_kernel_agree_on_generated_programs(items, call, storage, gas, value):
+    image = CodeImage.from_bytecode(_assemble(items))
+    calldata, layout = call
+    balances = {SELF: 7, CALLER: 1000}
+    run = _shadow_frame(
+        image, calldata, layout, dict(storage), dict(balances),
+        SELF, CALLER, value, 1, 1, gas,
+    )
+    kernel_storage, trace, sha = dict(storage), [], []
+    kernel = run_frame(
+        image.code, image.imm, image.nxt, image.is_jumpdest, len(image.code),
+        calldata, kernel_storage, dict(balances), SELF, CALLER, value, 1, 1,
+        gas, False, trace, [], [], sha,
+    )
+    assert kernel[0] == "halt"  # no pausing opcode was generated
+    _, kind, data, gas_left = kernel
+    assert run.halt == kind
+    assert run.return_data == data
+    assert run.gas_used == gas - gas_left
+    assert list(run.trace) == trace
+    assert run.storage == kernel_storage
+    assert list(run.sha_preimages) == sha
 
 
 # -- error handling in drive -------------------------------------------------

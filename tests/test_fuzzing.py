@@ -40,7 +40,7 @@ from sctest.fuzzing import TestCase as FuzzCase
 from sctest.fuzzing import campaign as campaign_mod
 from sctest.fuzzing.target import FuzzCall
 
-from conftest import FIXTURES
+from conftest import BUNDLE_NAMES, FIXTURES
 
 POOL_TARGET = """\
 # exercise the deposit path
@@ -530,7 +530,7 @@ def test_replaced_or_edited_coverage_refreshes_weights(monkeypatch):
 
 
 def _count_sequences(monkeypatch) -> list:
-    """Record every sequence the campaign module executes."""
+    """Record the length of every sequence the campaign module executes."""
     calls = []
     execute = campaign_mod.execute_sequence
 
@@ -542,22 +542,77 @@ def _count_sequences(monkeypatch) -> list:
     return calls
 
 
+def _record_mutated(monkeypatch, camps: list) -> list:
+    """Record (candidate, execution index, inserted entries so far) for
+    every candidate mutate hands the newest campaign in `camps`."""
+    seen = []
+    real = campaign_mod.mutate
+
+    def recording(cand, plan, rng, other=None):
+        out = real(cand, plan, rng, other)
+        camp = camps[-1]
+        seen.append((out, camp.executions, len(camp._cands)))
+        return out
+
+    monkeypatch.setattr(campaign_mod, "mutate", recording)
+    return seen
+
+
+def _rows(cand) -> list:
+    return [(i, cand.args[i]) for i in cand.order]
+
+
+def _stored_prefix(cand, inserted) -> int:
+    """Calls of `cand` an inserted candidate already ran, in order."""
+    rows, best = _rows(cand), 0
+    for other in inserted:
+        k = 0
+        for a, b in zip(rows, _rows(other)):
+            if a != b:
+                break
+            k += 1
+        best = max(best, k)
+    return best
+
+
+def _expected_work(camp, seen, chunk: int) -> tuple[int, int]:
+    """(calls run, repeats skipped) for a campaign whose run() calls each
+    took `chunk` executions: a repeat within one run() runs nothing, and
+    any other candidate runs only the calls past its longest prefix an
+    inserted candidate already ran (the first candidate meets an empty
+    store)."""
+    first = initial_candidate(camp.target)
+    ran = {0: {first}}
+    calls, repeats = len(first.order), 0
+    for cand, index, inserted in seen:
+        chunk_ran = ran.setdefault(index // chunk, set())
+        if cand in chunk_ran:
+            repeats += 1
+            continue
+        chunk_ran.add(cand)
+        calls += len(cand.order) - _stored_prefix(cand, camp._cands[:inserted])
+    return calls, repeats
+
+
 @pytest.mark.parametrize("name", ["bytekey", "cubic"])
 def test_skipped_repeats_leave_outputs_unchanged(name, monkeypatch):
     bundle = load_bundle(FIXTURES / name)
     world, _ = make_world(bundle)
     t = seed_initial_target(bundle.resolved_abi)
     calls = _count_sequences(monkeypatch)
+    camps: list = []
+    seen = _record_mutated(monkeypatch, camps)
     runs = []
     for chunk in (1000, 1):  # a one-exec chunk never skips: the reference
         camp = Campaign(world, t, rng_seed=42)
-        del calls[:]
+        camps.append(camp)
+        del calls[:], seen[:]
         stats = [camp.run(chunk) for _ in range(2000 // chunk)]
         executions = sum(s.executions for s in stats)
         repeats = sum(s.repeats for s in stats)
         assert executions == camp.executions == 2000
-        # a repeat runs no sequence; the setup ran before counting began
-        assert len(calls) == executions - repeats
+        # the setup ran before counting began
+        assert (sum(calls), repeats) == _expected_work(camp, seen, chunk)
         runs.append(
             (
                 camp.coverage.to_json(),
@@ -569,6 +624,51 @@ def test_skipped_repeats_leave_outputs_unchanged(name, monkeypatch):
     (*chunked, skipped), (*single, none_skipped) = runs
     assert skipped > 0 and none_skipped == 0
     assert chunked == single
+
+
+class FullRerunCampaign(Campaign):
+    """The campaign before prefixes were stored: the lookup always
+    misses, so every candidate runs all its calls from the snapshot."""
+
+    def _resume(self, rows):
+        return [self.snapshot], [], []
+
+
+@pytest.mark.parametrize("seed", [42, 77])
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_resumed_prefixes_leave_outputs_unchanged(name, seed, monkeypatch):
+    bundle = load_bundle(FIXTURES / name)
+    world, _ = make_world(bundle)
+    t = seed_initial_target(bundle.resolved_abi)
+    calls = _count_sequences(monkeypatch)
+    camps: list = []
+    seen = _record_mutated(monkeypatch, camps)
+    outputs, txs_run = [], []
+    for cls in (Campaign, FullRerunCampaign):
+        camp = cls(world, t, rng_seed=seed)
+        camps.append(camp)
+        del calls[:], seen[:]
+        out = []
+        for _ in range(2):
+            camp.run(150)
+            out.append(
+                (
+                    camp.coverage.to_json(),
+                    [e.id for e in camp.corpus.entries],
+                    camp.report.to_json(),
+                )
+            )
+            # a fresh map must still see the stored prefixes' coverage
+            camp.coverage = CoverageMap()
+        outputs.append(out)
+        txs_run.append(sum(calls))
+        if cls is Campaign:
+            assert sum(calls) == _expected_work(camp, seen, 150)[0]
+    assert outputs[0] == outputs[1]
+    resumed, full = txs_run
+    assert resumed <= full
+    if name in ("feeswap", "pool"):  # multi-call targets with state
+        assert resumed < full
 
 
 def test_replaced_coverage_reruns_repeats():
