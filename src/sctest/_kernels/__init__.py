@@ -1,20 +1,23 @@
 """Hot-loop kernels: the Keccak-256 sponge and the bytecode frame interpreter.
 
-Both are pure Python.  keccak_py memoises digests of inputs shorter than
-one 136-byte absorb block (at most 4096 entries, oldest dropped first)
-and writes each keccak-f[1600] round out over local lane variables;
-tests/test_keccak.py checks the round against a loop-form reference and
-the memo against the uncached sponge.  interp_py runs one call frame and
-inlines the two-operand arithmetic that sctest.bytecode.opcodes.BINOP
-defines; tests/test_evm.py holds the two to each other.  perfbench/run.py
-reports BACKEND with every benchmark run and times each kernel per
-caller.
+Keccak is compiled: keccak.c is one CPython C-API function,
+keccak256(buffer) -> bytes, which the keccak module builds with the local
+C compiler on the first import of this package and loads from then on
+(its docstring gives the rules).  There is no pure-Python sponge.
+tests/test_keccak.py holds the compiled one to a loop-form Python
+reference and to the published vectors.
+
+interp_py runs one call frame in pure Python and inlines the two-operand
+arithmetic that sctest.bytecode.opcodes.BINOP defines; tests/test_evm.py
+holds the two to each other.  BACKEND names the frame interpreter.
+perfbench/run.py reports BACKEND with every benchmark run and times each
+kernel per caller.
 """
 
-from . import interp_py, keccak_py
+from . import interp_py
+from .keccak import keccak256
 
 BACKEND = "python"
-keccak256 = keccak_py.keccak256
 run_frame = interp_py.run_frame
 
 __all__ = ["BACKEND", "keccak256", "run_frame"]

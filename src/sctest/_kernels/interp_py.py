@@ -4,8 +4,8 @@ Executes one call frame over preprocessed code arrays until it halts or
 reaches a CALL-class instruction, at which point it pauses and returns
 control to the driver (sctest.evm.engine), which resolves the callee and
 resumes the frame, so the kernel never touches the world.  SHA3 calls
-keccak_py.keccak256 directly and so shares its single-block memo with
-every other caller.
+the compiled keccak256 (sctest._kernels.keccak) through this module's
+own binding.
 
 Conventions:
 - all arithmetic is modulo 2^256; DIV/MOD by zero yield 0
@@ -24,7 +24,7 @@ To resume after a pause, pass the opaque `state` back together with
 callret=(success_word, return_data).
 """
 
-from .keccak_py import keccak256
+from .keccak import keccak256
 
 MASK256 = (1 << 256) - 1
 ADDR_MASK = (1 << 160) - 1

@@ -71,6 +71,7 @@ def _route(bundle: ContractBundle, calldata: bytes) -> int:
 def _run_call(
     ctx: _TxCtx,
     image,
+    code_addr: int,
     exec_addr: int,
     caller: int,
     callvalue: int,
@@ -79,6 +80,10 @@ def _run_call(
     depth: int,
     start_pc: int = 0,
 ) -> tuple[str, bytes]:
+    """Run `image` (the code deployed at code_addr) as exec_addr, whose
+    storage, balance and logs it uses, until the frame halts.  Trace
+    segments are filed under code_addr, so a DELEGATECALL's offsets land
+    on the callee's code; the two addresses differ only there."""
     world = ctx.world
     storage = ctx.overlay(exec_addr)
     seg: list[int] = []
@@ -98,13 +103,13 @@ def _run_call(
             _, kind, data, gas_left = r
             ctx.gas = gas_left
             if seg:
-                ctx.segments.append((exec_addr, tuple(seg)))
+                ctx.segments.append((code_addr, tuple(seg)))
             return kind, data
         # paused at a call instruction
         _, kind, to, value, arg, gas_left, st = r
         ctx.gas = gas_left
         if seg:
-            ctx.segments.append((exec_addr, tuple(seg)))
+            ctx.segments.append((code_addr, tuple(seg)))
         seg = []
         success, ret = _resolve_call(
             ctx, kind, exec_addr, caller, callvalue, to, value, arg, static, depth
@@ -147,12 +152,12 @@ def _resolve_call(
             ctx.balances[to] = ctx.balances.get(to, 0) + value
         exec_addr, caller, callvalue, st = to, from_addr, value, static
     elif kind == "delegatecall":
-        # callee code, caller's storage/address/caller/value
+        # callee code (and trace), caller's storage/address/caller/value
         exec_addr, caller, callvalue, st = from_addr, outer_caller, outer_value, static
     else:  # staticcall
         exec_addr, caller, callvalue, st = to, from_addr, 0, True
     halt, data = _run_call(
-        ctx, bundle.image, exec_addr, caller, callvalue, arg, st,
+        ctx, bundle.image, to, exec_addr, caller, callvalue, arg, st,
         depth + 1, _route(bundle, arg),
     )
     success = 1 if halt in ("stop", "return", "selfdestruct") else 0
@@ -202,8 +207,8 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
         ctx.balances[tx.destination] = ctx.balances.get(tx.destination, 0) + tx.value
 
     kind, data = _run_call(
-        ctx, bundle.image, tx.destination, tx.source, tx.value, calldata,
-        False, 0, _route(bundle, calldata),
+        ctx, bundle.image, tx.destination, tx.destination, tx.source,
+        tx.value, calldata, False, 0, _route(bundle, calldata),
     )
     halt = _HALT_NAME[kind]
 

@@ -1,5 +1,6 @@
-"""Concolic engine: symbolic expressions, SMT export, the shadow
-interpreter and error handling in drive."""
+"""Concolic engine: symbolic expressions, the solver against brute force,
+SMT export, the shadow interpreter, error handling in drive and the
+fixture asserts drive reaches."""
 
 import importlib
 
@@ -23,9 +24,11 @@ from sctest.concolic import (
     Keccak,
     LoopVar,
     Opaque,
+    Sat,
     Sload,
     SnapshotCache,
     Unknown,
+    Unsat,
     Unop,
     drive,
     evaluate,
@@ -40,7 +43,13 @@ from sctest.concolic.shadow import ArgLayout, _shadow_frame
 from sctest.coverage import CoverageMap
 from sctest.errors import SctestError
 from sctest.evm import CodeImage, Transaction, make_world
-from sctest.fuzzing import Corpus, seed_initial_target
+from sctest.fuzzing import (
+    ASSERT_FAILURE,
+    Corpus,
+    replay,
+    run_campaign,
+    seed_initial_target,
+)
 
 X = Input("x")
 X8 = Input("x", bits=8)
@@ -167,6 +176,84 @@ def test_solve_answers_unknown_for_an_input_beside_a_replay_atom():
     # the predicate before evaluate_atoms meets it
     pred = Binop("EQ", Input("x", bits=8), Env("msg.sender"))
     assert isinstance(solve([pred]), Unknown)
+
+
+# -- solve against brute force over the atom's whole domain -----------------
+
+
+def _check_against_brute_force(preds, atom):
+    """Wherever solve answers, it is right: a Sat model holds under
+    evaluate, and Unsat comes only when no value of the atom's domain
+    satisfies every predicate.  Unknown is always allowed."""
+    domain = range(1 << atom.bits)
+
+    def holds(v):
+        return all(evaluate(p, {atom.param: v}) for p in preds)
+
+    verdict = solve(preds)
+    if isinstance(verdict, Sat):
+        if atom in verdict.model:
+            v = verdict.model[atom]
+            assert v in domain and holds(v), (v, [format_expr(p) for p in preds])
+        else:  # every predicate simplified to a nonzero constant
+            assert all(holds(v) for v in domain)
+    elif isinstance(verdict, Unsat):
+        witness = next((v for v in domain if holds(v)), None)
+        assert witness is None, (witness, [format_expr(p) for p in preds])
+    else:
+        assert isinstance(verdict, Unknown)
+    return verdict
+
+
+def _conjunctions_over(atom):
+    tree = st.recursive(
+        st.one_of(st.just(atom), st.builds(Const, st.integers(0, 300))),
+        lambda kids: st.builds(Binop, st.sampled_from(sorted(BINOP)), kids, kids),
+        max_leaves=4,
+    )
+    compare = st.builds(Binop, st.sampled_from(("LT", "GT", "EQ")), tree, tree)
+    pred = st.one_of(tree, compare, st.builds(Unop, st.just("ISZERO"), compare))
+    return st.tuples(st.just(atom), st.lists(pred, min_size=1, max_size=3))
+
+
+NARROW_CONJUNCTIONS = st.one_of(
+    [_conjunctions_over(Input("x", bits=bits)) for bits in range(1, 9)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(NARROW_CONJUNCTIONS)
+def test_solve_agrees_with_brute_force_on_narrow_atoms(case):
+    atom, preds = case
+    _check_against_brute_force(preds, atom)
+
+
+X16 = Input("x", bits=16)
+
+
+@pytest.mark.parametrize(
+    "preds,want",
+    [
+        ([Binop("EQ", Binop("ADD", X16, Const(7)), Const(0x1234))], Sat),
+        ([Binop("GT", X16, Const(1000)), Binop("LT", X16, Const(1002))], Sat),
+        # the only in-range value is the domain's top
+        ([Unop("ISZERO", Binop("LT", X16, Const(0xFFFF)))], Sat),
+        (
+            [
+                Binop("EQ", Binop("AND", X16, Const(0xFF00)), Const(0x1200)),
+                Binop("EQ", Binop("MOD", X16, Const(7)), Const(3)),
+            ],
+            Sat,
+        ),
+        # an equality's solution on an interval's edge: x < 1002, x >= 1000
+        ([Binop("EQ", X16, Const(1001)), Binop("LT", X16, Const(1002))], Sat),
+        ([Binop("EQ", X16, Const(1000)), Unop("ISZERO", Binop("LT", X16, Const(1000)))], Sat),
+        # x * x == 2^32 needs x = 65536, one past the 16-bit domain
+        ([Binop("EQ", Binop("MUL", X16, X16), Const(1 << 32))], Unsat),
+    ],
+)
+def test_solve_agrees_with_brute_force_on_16_bit_atoms(preds, want):
+    assert isinstance(_check_against_brute_force(preds, X16), want)
 
 
 def test_smt_logic_is_qf_bv_without_functions():
@@ -422,3 +509,26 @@ def test_drive_skips_a_shadow_run_that_raises_a_package_error(monkeypatch, pool)
 def test_drive_propagates_an_engine_bug(monkeypatch, pool):
     with pytest.raises(RuntimeError):
         _drive_with_shadow_raising(monkeypatch, pool, RuntimeError("bug"))
+
+
+# -- fixture gate: drive reaches the asserts a short campaign misses ---------
+
+
+@pytest.mark.parametrize("seed", [42, 77])
+@pytest.mark.parametrize(
+    "name,function", [("ballot", "castVote"), ("feeswap", "velocore_execute")]
+)
+def test_drive_reaches_the_assert_a_campaign_misses(bundles, name, function, seed):
+    # ballot's assert sits behind a Keccak equality, so this also runs the
+    # compiled sponge end to end through the shadow's preimages
+    bundle = bundles[name]
+    world, _ = make_world(bundle)
+    target = seed_initial_target(bundle.resolved_abi)
+    coverage, corpus, report = run_campaign(world, target, {"execs": 500}, rng_seed=seed)
+    want = (ASSERT_FAILURE, function)
+    assert want not in {(f.kind, f.function) for f in report.findings}
+    emitted = drive(
+        bundle, corpus, coverage.copy(), DriveBudget(iterations=20), cache=SnapshotCache()
+    )
+    _, replayed = replay(world, Corpus(emitted, [{} for _ in emitted]))
+    assert want in {(f.kind, f.function) for f in replayed.findings}

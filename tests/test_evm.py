@@ -8,6 +8,7 @@ from sctest._kernels import keccak256, run_frame
 from sctest.bytecode.abi import FunctionSig, parse_abi
 from sctest.bytecode.asm import Asm, dispatcher
 from sctest.bytecode.opcodes import BINOP, by_name
+from sctest.coverage import CoverageMap, merge_result
 from sctest.errors import (
     AddressInUse,
     DuplicateAddress,
@@ -596,6 +597,29 @@ def test_delegatecall_keeps_storage_caller_value():
     # callee code wrote into the CALLER's storage, and saw the original sender
     assert w.storage[AT] == {1: ACCT}
     assert w.storage.get(CALLEE_AT, {}) == {}
+
+
+def test_delegatecall_trace_and_coverage_go_to_the_callee_code():
+    # A: PUSH1 0 x4, PUSH2 0x0b0b, PUSH1 0, DELEGATECALL, POP, STOP
+    a = bundle_from_hex("6000" * 4 + "610b0b" + "6000" + "f4" + "50" + "00", "A")
+    # B: eight JUMPDESTs, then SSTORE(0, 1) and STOP (offsets 0-13)
+    b = bundle_from_hex("5b" * 8 + "6001" + "6000" + "55" + "00", "B")
+    a_at, b_at = 0xA0A, 0xB0B
+    w = deploy(deploy(new_world([(ACCT, 10**18)]), a, a_at), b, b_at)
+    w2, res = execute_tx(w, Transaction(function_call="raw", call_data=RAW4,
+                                        source=ACCT, destination=a_at))
+    assert res.halt == "STOP"
+    assert [addr for addr, _ in res.trace] == [a_at, b_at, a_at]
+    b_starts = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13]
+    assert res.offsets(b_at) == b_starts
+    # the callee's write and everything else stays with the caller
+    assert w2.storage[a_at] == {0: 1} and w2.storage.get(b_at, {}) == {}
+    cov = CoverageMap()
+    merge_result(cov, res, w2)
+    a_starts = {0, 2, 4, 6, 8, 11, 13, 14, 15}
+    assert {o for o in range(16) if cov.covered(a_at, o)} == a_starts
+    assert {o for o in range(14) if cov.covered(b_at, o)} == set(b_starts)
+    assert cov.count(b_at) == len(b_starts)
 
 
 def test_staticcall_forbids_writes():
