@@ -1,7 +1,14 @@
 """Coverage accounting: bitmaps, reports, gaps, and branch bottlenecks."""
 
 from .bottleneck import BranchConstraintInfo, branch_condition, extract_bottlenecks
-from .covmap import CoverageMap, fnv1a64, merge, merge_result
+from .covmap import (
+    CoverageMap,
+    absorb,
+    coverage_record,
+    fnv1a64,
+    merge,
+    merge_result,
+)
 from .report import CoverageReport, disassembly_lines, render_report
 from .uncovered import (
     FULLY_UNCOVERED,
@@ -19,7 +26,9 @@ __all__ = [
     "MissingBodyRange",
     "PARTIALLY_COVERED",
     "UncoveredFunction",
+    "absorb",
     "branch_condition",
+    "coverage_record",
     "disassembly_lines",
     "extract_bottlenecks",
     "extract_uncovered_functions",

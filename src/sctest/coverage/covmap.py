@@ -11,8 +11,12 @@ The memo is bounded by the block entries its keys hold together
 (`_PATH_MEMO_CAP`, about 1.6 MB at most; a single key holds up to
 PATH_BLOCK_LIMIT entries) and drops the oldest key first.
 
-merge_result folds a transaction's trace segment by segment, and the
-same few segments recur just as often.  `_SEG_MEMO` maps a segment's
+coverage_record folds a transaction's trace segment by segment into
+(address, instruction mask) pairs plus a path hash, and absorb ORs such
+a record into a map; merge_result is the two in a row, so there is one
+fold.  A campaign keeps the records of what it ran and absorbs them
+again instead of folding the same trace twice.  The same few segments
+recur as often as the paths do.  `_SEG_MEMO` maps a segment's
 instruction-offset tuple to the CFG it was folded under, its
 instruction bitmask and its block entries in order; a hit under the
 same CFG object replaces the walk over every offset by a dict lookup,
@@ -149,25 +153,42 @@ def _segment(offsets: tuple[int, ...], cfg: Cfg) -> tuple[int, tuple[int, ...]]:
     return mask, starts
 
 
-def merge_result(map_: CoverageMap, result: ExecResult, world) -> int:
-    """Fold a transaction's (possibly interleaved) trace into the map and
-    return how many instructions it covered for the first time.
+def coverage_record(result: ExecResult, world) -> tuple:
+    """What a transaction's (possibly interleaved) trace adds to a map:
+    ((address, instruction bitmask) per trace segment, ...) and its path
+    hash.
 
     Block entries from every deployed contract the trace touched land in
     one path hash, so call interleavings count as distinct paths.
     Segments of addresses with no deployed code are skipped.
     """
-    new = 0
+    masks = []
     entries: list[tuple[int, int]] = []
-    bits_of = map_.bits
     for address, offsets in result.trace:
         bundle = world.deployed.get(address)
         if bundle is None:
             continue
         mask, starts = _segment(tuple(offsets), bundle.cfg)
+        masks.append((address, mask))
+        entries += [(address, start) for start in starts]
+    return tuple(masks), _path_hash(entries)
+
+
+def absorb(map_: CoverageMap, record: tuple) -> int:
+    """OR a coverage_record into the map; returns how many instructions
+    it covered for the first time."""
+    masks, path = record
+    new = 0
+    bits_of = map_.bits
+    for address, mask in masks:
         bits = bits_of.get(address, 0)
         new += (mask & ~bits).bit_count()
         bits_of[address] = bits | mask
-        entries += [(address, start) for start in starts]
-    map_.path_set.add(_path_hash(entries))
+    map_.path_set.add(path)
     return new
+
+
+def merge_result(map_: CoverageMap, result: ExecResult, world) -> int:
+    """Fold a transaction's trace into the map and return how many
+    instructions it covered for the first time (see coverage_record)."""
+    return absorb(map_, coverage_record(result, world))

@@ -30,7 +30,26 @@ class BlockCtx:
 
 
 def normalize_args(args) -> tuple:
-    """Make an argument list hashable and canonical (lists -> tuples)."""
+    """Make an argument list hashable and canonical (lists -> tuples).
+
+    A tuple that is canonical already (no list or bytearray, arrays as
+    tuples of plain ints) comes back as the same object."""
+    if type(args) is tuple:
+        for a in args:
+            t = type(a)
+            if t is int:
+                continue
+            if t is tuple:
+                for x in a:
+                    if type(x) is not int:
+                        break
+                else:
+                    continue
+                break
+            if isinstance(a, (list, tuple, bytearray)):
+                break
+        else:
+            return args
     out = []
     for a in args:
         if isinstance(a, (list, tuple)):
@@ -62,7 +81,9 @@ class Transaction:
 
     def __post_init__(self):
         if self.args is not None:
-            object.__setattr__(self, "args", normalize_args(self.args))
+            args = normalize_args(self.args)
+            if args is not self.args:
+                object.__setattr__(self, "args", args)
 
 
 @dataclass(frozen=True)

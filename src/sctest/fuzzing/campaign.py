@@ -11,28 +11,35 @@ them always adds an entry; so they are kept between picks and rescored
 after each added entry, and at the start of each run() in case the
 caller replaced or edited the coverage map.
 
-Mutation often hands back a candidate already executed in the same
-run() call.  Such a repeat is counted as an execution (and in
-ChunkStats.repeats) but not run again: execution is a pure function of
-the snapshot and the transactions, merging coverage is idempotent, the
-first run already recorded every finding key it raised, a repeat never
-adds a corpus entry (so the weights stay put), and executing draws
-nothing from the RNG.  Skipping it leaves every output byte-identical.
-The set of executed candidates starts empty at each run(), like the
-weights, so a caller that replaces or edits the coverage map between
-runs still gets repeats re-executed.
+Every executed candidate keeps a coverage signature for the whole
+campaign: the coverage_record (instruction masks and path hash) of each
+of its calls, in order.  Mutation often hands back a candidate that
+already ran, and the one rule is: a candidate already in the signature
+table is not run again if its signature adds no instruction bit to the
+coverage map.  Its path hashes are added to the map, it counts as an
+execution, in ChunkStats.new_paths and in ChunkStats.repeats, and
+nothing else happens.  If the signature would add bits, which happens
+only when the caller replaced or edited the map, the candidate runs as
+before.  Skipping leaves every output byte-identical: execution is a
+pure function of the snapshot and the transactions, so the signature
+is what a run would absorb; after a candidate's first run every finding
+key it raises is already recorded, so a repeat never has fresh
+findings; with no new bits and no fresh findings a run would add no
+corpus entry (so the weights stay put); and executing draws nothing
+from the RNG.  Equal signatures share one tuple.
 
 A candidate that does run resumes from its longest stored prefix.  For
 every candidate inserted into the corpus the campaign keeps, after each
-of its transactions, the world, the ExecResult and the Transaction,
-keyed by the executed rows ((fuzz-call index, args), ...) so far; the
-call index fixes function, sender, value and delay, so within a
-campaign the rows fully determine the transactions.  A new candidate
-walks the stored rows as far as they match and runs only the rest,
-one transaction at a time (the world after each is what the store
+of its transactions, the world, the ExecResult, the Transaction and its
+coverage_record, keyed by the executed rows ((fuzz-call index, args),
+...) so far; the call index fixes function, sender, value and delay, so
+within a campaign the rows fully determine the transactions.  A new
+candidate walks the stored rows as far as they match and runs only the
+rest, one transaction at a time (the world after each is what the store
 keeps).  Execution is a pure function of the world and the transaction,
-so the stored results are exactly what re-running the prefix would
-give; every result, stored or new, is still merged into the coverage
+so the stored results and records are exactly what re-running the
+prefix would give (no transaction changes which contracts are
+deployed); every record, stored or new, is absorbed into the coverage
 map and detection runs on the whole sequence as before, so outputs stay
 byte-identical even when the caller replaces the coverage map between
 runs.  The store grows only with the corpus (at most entries x target
@@ -51,10 +58,10 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from ..bytecode.abi import FunctionSig
-from ..coverage.covmap import CoverageMap, merge_result
+from ..coverage.covmap import CoverageMap, absorb, coverage_record, merge_result
 from ..errors import SctestError
 from ..evm.engine import execute_sequence, execute_tx
-from ..evm.types import ExecResult, Transaction
+from ..evm.types import DEFAULT_GAS, ExecResult, Transaction
 from .corpus import BugReport, Corpus, Finding, TestCase
 from .mutate import Candidate, initial_candidate, mutate, mutation_plan
 from .target import ConcreteCall, FuzzTarget
@@ -72,6 +79,16 @@ def _enclosing(abi: list[FunctionSig], offset: int) -> str | None:
         if sig.body_range and sig.body_range[0] <= offset < sig.body_range[1]:
             return sig.name
     return None
+
+
+def _adds_bits(bits: dict[int, int], sig: tuple) -> bool:
+    """Whether any coverage record in `sig` holds an instruction bit
+    missing from `bits`."""
+    for masks, _ in sig:
+        for address, mask in masks:
+            if mask & ~bits.get(address, 0):
+                return True
+    return False
 
 
 def _detect_asserts(
@@ -169,7 +186,9 @@ class ChunkStats:
     new_instructions: int = 0
     new_paths: int = 0
     new_findings: int = 0
-    repeats: int = 0  # executions skipped: the candidate already ran
+    # executions not run: the candidate ran earlier in the campaign and
+    # its coverage signature adds no instruction bit to the map
+    repeats: int = 0
 
 
 @dataclass
@@ -210,10 +229,17 @@ class Campaign:
         self._finding_keys: set[tuple[str, int, str]] = set()
         self._started = False
         # trie of the inserted candidates' executed rows: each step maps
-        # a (fuzz-call index, args) row to (world after, result, tx, next)
+        # a (fuzz-call index, args) row to (world after, result, tx,
+        # coverage record, next)
         self._prefixes: dict = {}
+        # executed candidate -> the coverage records of its calls
+        self._sigs: dict[Candidate, tuple] = {}
+        self._interned: dict[tuple, tuple] = {}  # one tuple per signature
+        self._fixed = [self._fixed_fields(c) for c in self.target.fuzz]
 
-        self._setup_txs = [self._tx(c, c.args) for c in self.target.setup]
+        self._setup_txs = [
+            self._tx(self._fixed_fields(c), c.args) for c in self.target.setup
+        ]
         self.snapshot, setup_results = execute_sequence(
             self.world, self._setup_txs
         )
@@ -232,54 +258,53 @@ class Campaign:
             return self.default_sender
         return self.target.address_aliases[alias]
 
-    def _tx(self, call: ConcreteCall, args: tuple) -> Transaction:
+    def _fixed_fields(self, call: ConcreteCall) -> tuple:
+        """(function, delay, sender, value): the Transaction fields `call`
+        fixes for the whole campaign."""
+        return call.function, call.delay, self._resolve_sender(call.sender), call.value
+
+    def _tx(self, fixed: tuple, args: tuple) -> Transaction:
+        function, delay, source, value = fixed
+        # positional, in field order (no call_data, default gas): the
+        # cheapest way to build one, and the campaign builds one per call
         return Transaction(
-            function_call=call.function,
-            args=args,
-            delay=call.delay,
-            source=self._resolve_sender(call.sender),
-            destination=self.destination,
-            value=call.value,
+            function, args, None, delay, DEFAULT_GAS, source, self.destination, value
         )
 
-    def _resume(self, rows: list[tuple]) -> tuple[list, list, list]:
-        """The worlds (the snapshot first, then one after each call),
-        results and transactions stored for the longest prefix of `rows`
-        an inserted candidate already ran."""
-        worlds, results, txs = [self.snapshot], [], []
+    def _resume(self, rows: list[tuple]) -> list[tuple]:
+        """The steps (world after, result, tx, coverage record, next)
+        stored for the longest prefix of `rows` an inserted candidate
+        already ran."""
+        steps = []
         node = self._prefixes
         for row in rows:
             step = node.get(row)
             if step is None:
                 break
-            world, res, tx, node = step
-            worlds.append(world)
-            results.append(res)
-            txs.append(tx)
-        return worlds, results, txs
+            steps.append(step)
+            node = step[4]
+        return steps
 
-    def _execute(self, cand: Candidate):
+    def _execute(self, cand: Candidate) -> tuple[list, list]:
         """Run `cand` from its longest stored prefix.  Returns its rows
-        and, as _resume does, the worlds, results and transactions of
-        all its calls."""
+        and one step per call, shaped as _resume's (next is None for a
+        call that ran now)."""
         rows = [(i, cand.args[i]) for i in cand.order]
-        worlds, results, txs = self._resume(rows)
-        world = worlds[-1]
-        for i, args in rows[len(txs) :]:
-            tx = self._tx(self.target.fuzz[i], args)
+        steps = self._resume(rows)
+        world = steps[-1][0] if steps else self.snapshot
+        for i, args in rows[len(steps) :]:
+            tx = self._tx(self._fixed[i], args)
             world, (res,) = execute_sequence(world, [tx])
-            worlds.append(world)
-            results.append(res)
-            txs.append(tx)
-        return rows, worlds, results, txs
+            steps.append((world, res, tx, coverage_record(res, world), None))
+        return rows, steps
 
-    def _store(self, rows, worlds, results, txs) -> None:
+    def _store(self, rows, steps) -> None:
         node = self._prefixes
-        for k, row in enumerate(rows):
-            step = node.get(row)
-            if step is None:
-                step = node[row] = (worlds[k + 1], results[k], txs[k], {})
-            node = step[3]
+        for row, step in zip(rows, steps):
+            stored = node.get(row)
+            if stored is None:
+                stored = node[row] = (*step[:4], {})
+            node = stored[4]
 
     # -- scheduling ---------------------------------------------------------
 
@@ -322,7 +347,6 @@ class Campaign:
         """Execute up to `execs` candidates; returns what the chunk gained."""
         stats = ChunkStats()
         self._cum_weights = None
-        ran: set[Candidate] = set()  # candidates executed in this call
         for _ in range(execs):
             if not self._started:
                 cand = initial_candidate(self.target)
@@ -338,17 +362,26 @@ class Campaign:
 
             self.executions += 1
             stats.executions += 1
-            if cand in ran:
+            paths = self.coverage.path_set
+            before_paths = len(paths)
+            sig = self._sigs.get(cand)
+            if sig is not None and not _adds_bits(self.coverage.bits, sig):
+                for _, path in sig:
+                    paths.add(path)
+                stats.new_paths += len(paths) - before_paths
                 stats.repeats += 1
                 continue
-            ran.add(cand)
-            rows, worlds, results, txs = self._execute(cand)
-            world_after = worlds[-1]
-            before_paths = len(self.coverage.path_set)
+            rows, steps = self._execute(cand)
+            if steps:
+                worlds, results, txs, sig, _ = zip(*steps)
+                world_after = worlds[-1]
+            else:  # a target without fuzz calls
+                world_after, results, txs, sig = self.snapshot, (), (), ()
+            self._sigs[cand] = self._interned.setdefault(sig, sig)
             gained = 0
-            for res in results:
-                gained += merge_result(self.coverage, res, world_after)
-            new_paths = len(self.coverage.path_set) - before_paths
+            for record in sig:
+                gained += absorb(self.coverage, record)
+            new_paths = len(paths) - before_paths
             stats.new_instructions += gained
             stats.new_paths += new_paths
 
@@ -364,13 +397,13 @@ class Campaign:
             ]
 
             if gained > 0 or fresh or force_insert:
-                tc = TestCase(tuple(self._setup_txs) + tuple(txs))
+                tc = TestCase(tuple(self._setup_txs) + txs)
                 self.corpus.add(
                     tc, {"new_instructions": gained, "new_paths": new_paths}
                 )
                 self._cands.append(cand)
                 self._blocks.append(self._trace_blocks(results))
-                self._store(rows, worlds, results, txs)
+                self._store(rows, steps)
                 self._cum_weights = None
                 for kind, pc, fn, msg in fresh:
                     self._finding_keys.add((kind, pc, fn))

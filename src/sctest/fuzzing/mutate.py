@@ -18,7 +18,7 @@ from ..bytecode.abi import AbiType, FunctionSig
 from .target import FuzzTarget
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     args: tuple[tuple, ...]  # one tuple per fuzz call, declaration order
     order: tuple[int, ...]  # execution order over fuzz-call indices

@@ -12,7 +12,7 @@ import sctest.concolic
 import sctest.evm
 from sctest._kernels import run_frame
 from sctest.bytecode.abi import FunctionSig, encode_call
-from sctest.bytecode.opcodes import BINOP, CALL_CLASS, OPCODES
+from sctest.bytecode.opcodes import BINOP, CALL_CLASS, OPCODES, by_name
 from sctest.concolic import (
     Binop,
     CallDataLoad,
@@ -38,7 +38,7 @@ from sctest.concolic import (
     solve,
     to_smt,
 )
-from sctest.concolic.symexpr import UNOPS, atom_value
+from sctest.concolic.symexpr import UNOPS, _shr_over_disjoint, atom_value
 from sctest.concolic.shadow import ArgLayout, _shadow_frame
 from sctest.coverage import CoverageMap
 from sctest.errors import SctestError
@@ -78,6 +78,16 @@ def test_shr_still_folds_disjoint_terms():
     hi = Binop("SHL", Const(8), X8)
     assert simplify(Binop("SHR", Const(8), Binop("OR", hi, Input("y", bits=8)))) == X8
     assert simplify(Binop("SHR", Const(8), X8)) == Const(0)
+
+
+def test_shr_does_not_fold_terms_that_share_one_bit():
+    # x's bit 7 and b's bit 0 land on the same bit, so a carry out of it
+    # reaches bit 8: 0x80 + (1 << 7) >> 8 is 1, not (0x80 >> 8) + (1 >> 1)
+    inner = Binop("ADD", X8, Binop("SHL", Const(7), Input("b", bits=4)))
+    assert _shr_over_disjoint(8, inner) is None
+    expr = Binop("SHR", Const(8), inner)
+    env = {"x": 0x80, "b": 1}
+    assert evaluate(simplify(expr), env) == evaluate(expr, env) == 1
 
 
 # -- properties of simplify and format_expr ----------------------------------
@@ -453,15 +463,7 @@ CALLS = st.one_of(
 )
 
 
-@settings(max_examples=250, deadline=None)
-@given(
-    programs(),
-    CALLS,
-    st.dictionaries(st.integers(0, 8), st.integers(1, 2**256 - 1), max_size=3),
-    st.one_of(st.integers(2000, 20000), st.integers(0, 12)),
-    st.integers(0, 5),
-)
-def test_shadow_and_kernel_agree_on_generated_programs(items, call, storage, gas, value):
+def _check_agree(items, call, storage, gas, value):
     image = CodeImage.from_bytecode(_assemble(items))
     calldata, layout = call
     balances = {SELF: 7, CALLER: 1000}
@@ -483,6 +485,39 @@ def test_shadow_and_kernel_agree_on_generated_programs(items, call, storage, gas
     assert list(run.trace) == trace
     assert run.storage == kernel_storage
     assert list(run.sha_preimages) == sha
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    programs(),
+    CALLS,
+    st.dictionaries(st.integers(0, 8), st.integers(1, 2**256 - 1), max_size=3),
+    st.one_of(st.integers(2000, 20000), st.integers(0, 12)),
+    st.integers(0, 5),
+)
+def test_shadow_and_kernel_agree_on_generated_programs(items, call, storage, gas, value):
+    _check_agree(items, call, storage, gas, value)
+
+
+ISZERO, POP, CALLDATALOAD = (by_name(n).code for n in ("ISZERO", "POP", "CALLDATALOAD"))
+ABI_ARGS = (7, (1, 2), b"xyz")
+ABI_CALL = (encode_call(DIFF_SIG, ABI_ARGS), ArgLayout(DIFF_SIG, ABI_ARGS))
+
+
+@pytest.mark.parametrize(
+    "items,call",
+    [
+        ([("op", ISZERO)], (b"", None)),
+        ([("push", 0), ("op", ISZERO), ("op", POP), ("op", ISZERO)], (b"", None)),
+        # the last word of the calldata is shorter than 32 bytes
+        ([("apply", CALLDATALOAD, [0]), ("apply", CALLDATALOAD, [3])],
+         (bytes(range(1, 6)), None)),
+        ([("apply", CALLDATALOAD, [len(ABI_CALL[0]) - 31])], ABI_CALL),
+    ],
+    ids=["iszero-empty", "iszero-emptied", "calldataload-short", "calldataload-short-abi"],
+)
+def test_shadow_and_kernel_agree_on_edge_programs(items, call):
+    _check_agree(items, call, {}, 20000, 0)
 
 
 # -- error handling in drive -------------------------------------------------

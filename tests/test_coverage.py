@@ -18,6 +18,8 @@ from sctest.coverage import (
     PARTIALLY_COVERED,
     CoverageMap,
     MissingBodyRange,
+    absorb,
+    coverage_record,
     extract_bottlenecks,
     extract_uncovered_functions,
     fnv1a64,
@@ -222,6 +224,16 @@ def test_merge_result_matches_the_per_offset_walk(monkeypatch, merge_cases):
         for result, world in merge_cases:
             _check_merge(map_, ref, result, world)
     assert sum(len(r.trace) for r, _ in merge_cases) > len(covmap._SEG_MEMO)
+
+
+def test_merge_result_is_absorb_of_its_coverage_record(merge_cases):
+    merged, absorbed = CoverageMap(), CoverageMap()
+    for _ in range(2):  # the second pass covers nothing new
+        for result, world in merge_cases:
+            record = coverage_record(result, world)
+            assert coverage_record(result, world) == record
+            assert merge_result(merged, result, world) == absorb(absorbed, record)
+            assert merged == absorbed
 
 
 def test_segment_memo_keeps_entries_per_cfg(monkeypatch):

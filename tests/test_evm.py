@@ -26,6 +26,7 @@ from sctest.evm import (
     execute_tx,
     new_world,
 )
+from sctest.evm.types import normalize_args
 
 ACCT = 0x1001
 AT = 0xC0DE
@@ -828,3 +829,47 @@ def test_execute_tx_never_changes_the_world_it_ran_from(specs):
         states.append(_world_state(after))
     # running on from each result world left every earlier world alone
     assert [_world_state(w) for w in worlds] == states
+
+
+# -- argument normalisation ----------------------------------------------------
+
+
+def reference_normalize_args(args) -> tuple:
+    """normalize_args as it always builds a new tuple."""
+    out = []
+    for a in args:
+        if isinstance(a, (list, tuple)):
+            out.append(tuple(int(x) for x in a))
+        elif isinstance(a, bytearray):
+            out.append(bytes(a))
+        else:
+            out.append(a)
+    return tuple(out)
+
+
+def _shape(v):
+    """A value with the type of every part, so 1 and True differ."""
+    if isinstance(v, (list, tuple)):
+        return type(v), tuple(_shape(x) for x in v)
+    return type(v), v
+
+
+_scalars = st.integers(0, 2**256 - 1) | st.booleans() | st.binary(max_size=4)
+_arrays = st.lists(st.integers(0, 2**256 - 1) | st.booleans(), max_size=3)
+_args = st.lists(
+    _scalars | st.binary(max_size=4).map(bytearray) | _arrays | _arrays.map(tuple),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_args, st.booleans())
+def test_normalize_args_matches_reference_and_keeps_canonical_tuples(args, as_tuple):
+    if as_tuple:
+        args = tuple(args)
+    out = normalize_args(args)
+    ref = reference_normalize_args(args)
+    assert _shape(out) == _shape(ref)
+    if _shape(args) == _shape(ref):  # canonical already: the same object
+        assert out is args
+    assert normalize_args(out) is out

@@ -1,6 +1,7 @@
 """Fuzz-target DSL, mutation, campaign, corpus, and replay tests."""
 
 import random
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -11,8 +12,10 @@ from sctest.coverage import (
     PARTIALLY_COVERED,
     CoverageMap,
     extract_uncovered_functions,
+    merge_result,
 )
 from sctest.evm.bundle import ContractBundle, load_bundle
+from sctest.evm.engine import execute_sequence as engine_execute_sequence
 from sctest.evm.types import Transaction
 from sctest.evm.world import make_world
 from sctest.fuzzing import (
@@ -575,23 +578,75 @@ def _stored_prefix(cand, inserted) -> int:
     return best
 
 
-def _expected_work(camp, seen, chunk: int) -> tuple[int, int]:
-    """(calls run, repeats skipped) for a campaign whose run() calls each
-    took `chunk` executions: a repeat within one run() runs nothing, and
-    any other candidate runs only the calls past its longest prefix an
-    inserted candidate already ran (the first candidate meets an empty
-    store)."""
+def _bits_of(camp, cand) -> dict:
+    """The instruction bits `cand` covers, found by running all its calls
+    from the campaign's snapshot through the engine directly."""
+    txs = []
+    for i in cand.order:
+        call = camp.target.fuzz[i]
+        sender = camp.default_sender
+        if call.sender:
+            sender = camp.target.address_aliases[call.sender]
+        txs.append(
+            Transaction(
+                call.function,
+                args=cand.args[i],
+                delay=call.delay,
+                source=sender,
+                destination=camp.destination,
+                value=call.value,
+            )
+        )
+    world, results = engine_execute_sequence(camp.snapshot, txs)
+    cov = CoverageMap()
+    for res in results:
+        merge_result(cov, res, world)
+    return cov.bits
+
+
+def _expected_work(camp, seen, start_bits, resets=()) -> tuple[int, int]:
+    """(calls run, repeats skipped) for campaign `camp`, whose map held
+    `start_bits` before its first execution and was replaced by an empty
+    map before each execution index in `resets`.  A candidate that ran
+    anywhere earlier in the campaign runs nothing if the map already
+    holds all its instruction bits; any other candidate runs only the
+    calls past its longest prefix an inserted candidate already ran (the
+    first candidate meets an empty store)."""
     first = initial_candidate(camp.target)
-    ran = {0: {first}}
-    calls, repeats = len(first.order), 0
-    for cand, index, inserted in seen:
-        chunk_ran = ran.setdefault(index // chunk, set())
-        if cand in chunk_ran:
+    bits_of: dict = {}
+    ran: set = set()
+    covered = dict(start_bits)
+    calls = repeats = 0
+    for cand, index, inserted in [(first, 0, 0), *seen]:
+        if index in resets:
+            covered = {}
+        if cand not in bits_of:
+            bits_of[cand] = _bits_of(camp, cand)
+        bits = bits_of[cand]
+        if cand in ran and all(b & ~covered.get(a, 0) == 0 for a, b in bits.items()):
             repeats += 1
             continue
-        chunk_ran.add(cand)
+        ran.add(cand)
+        for a, b in bits.items():
+            covered[a] = covered.get(a, 0) | b
         calls += len(cand.order) - _stored_prefix(cand, camp._cands[:inserted])
     return calls, repeats
+
+
+class _Forgetful(dict):
+    """A signature table whose lookup always misses."""
+
+    def get(self, key, default=None):
+        return default
+
+
+class NoMemoCampaign(Campaign):
+    """The campaign without its signature table: every candidate mutate
+    hands back runs, also one that already ran."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._sigs = _Forgetful()
 
 
 @pytest.mark.parametrize("name", ["bytekey", "cubic"])
@@ -603,16 +658,19 @@ def test_skipped_repeats_leave_outputs_unchanged(name, monkeypatch):
     camps: list = []
     seen = _record_mutated(monkeypatch, camps)
     runs = []
-    for chunk in (1000, 1):  # a one-exec chunk never skips: the reference
-        camp = Campaign(world, t, rng_seed=42)
+    # repeats are campaign-wide, so the chunk size does not change them
+    for cls, chunk in ((Campaign, 1000), (Campaign, 1), (NoMemoCampaign, 1000)):
+        camp = cls(world, t, rng_seed=42)
         camps.append(camp)
+        start_bits = dict(camp.coverage.bits)
         del calls[:], seen[:]
         stats = [camp.run(chunk) for _ in range(2000 // chunk)]
         executions = sum(s.executions for s in stats)
         repeats = sum(s.repeats for s in stats)
         assert executions == camp.executions == 2000
-        # the setup ran before counting began
-        assert (sum(calls), repeats) == _expected_work(camp, seen, chunk)
+        if cls is Campaign:
+            # the setup ran before counting began
+            assert (sum(calls), repeats) == _expected_work(camp, seen, start_bits)
         runs.append(
             (
                 camp.coverage.to_json(),
@@ -621,9 +679,9 @@ def test_skipped_repeats_leave_outputs_unchanged(name, monkeypatch):
                 repeats,
             )
         )
-    (*chunked, skipped), (*single, none_skipped) = runs
-    assert skipped > 0 and none_skipped == 0
-    assert chunked == single
+    (*chunked, skipped), (*single, single_skipped), (*ref, none_skipped) = runs
+    assert skipped == single_skipped > 0 and none_skipped == 0
+    assert chunked == single == ref
 
 
 class FullRerunCampaign(Campaign):
@@ -631,7 +689,7 @@ class FullRerunCampaign(Campaign):
     misses, so every candidate runs all its calls from the snapshot."""
 
     def _resume(self, rows):
-        return [self.snapshot], [], []
+        return []
 
 
 @pytest.mark.parametrize("seed", [42, 77])
@@ -647,6 +705,7 @@ def test_resumed_prefixes_leave_outputs_unchanged(name, seed, monkeypatch):
     for cls in (Campaign, FullRerunCampaign):
         camp = cls(world, t, rng_seed=seed)
         camps.append(camp)
+        start_bits = dict(camp.coverage.bits)
         del calls[:], seen[:]
         out = []
         for _ in range(2):
@@ -663,7 +722,8 @@ def test_resumed_prefixes_leave_outputs_unchanged(name, seed, monkeypatch):
         outputs.append(out)
         txs_run.append(sum(calls))
         if cls is Campaign:
-            assert sum(calls) == _expected_work(camp, seen, 150)[0]
+            expected = _expected_work(camp, seen, start_bits, resets={150})
+            assert sum(calls) == expected[0]
     assert outputs[0] == outputs[1]
     resumed, full = txs_run
     assert resumed <= full
@@ -671,20 +731,129 @@ def test_resumed_prefixes_leave_outputs_unchanged(name, seed, monkeypatch):
         assert resumed < full
 
 
-def test_replaced_coverage_reruns_repeats():
+def _clear_some(coverage: CoverageMap) -> None:
+    """Edit a map in place: drop the lower half of every address's bits
+    and every path."""
+    for addr, bits in coverage.bits.items():
+        coverage.bits[addr] = bits & ~((1 << (bits.bit_length() // 2)) - 1)
+    coverage.path_set.clear()
+
+
+@pytest.mark.parametrize("seed", [42, 77])
+@pytest.mark.parametrize("name", BUNDLE_NAMES)
+def test_repeats_skipped_across_runs_leave_outputs_unchanged(name, seed):
+    bundle = load_bundle(FIXTURES / name)
+    world, _ = make_world(bundle)
+    t = seed_initial_target(bundle.resolved_abi)
+    outputs, repeats = [], []
+    for cls in (Campaign, NoMemoCampaign):
+        camp = cls(world, t, rng_seed=seed)
+        out, skipped = [], 0
+        for k in range(4):
+            stats = camp.run(300)
+            skipped += stats.repeats
+            out.append(
+                (
+                    camp.coverage.to_json(),
+                    [e.id for e in camp.corpus.entries],
+                    camp.report.to_json(),
+                    replace(stats, repeats=0),
+                )
+            )
+            if k == 1:
+                camp.coverage = CoverageMap()
+            elif k == 2:
+                _clear_some(camp.coverage)
+        outputs.append(out)
+        repeats.append(skipped)
+    assert outputs[0] == outputs[1]
+    # both edits made the next run cover instructions again
+    assert all(o[3].new_instructions > 0 for o in outputs[0][2:])
+    assert repeats[0] > 0 == repeats[1]
+
+
+def test_cross_run_repeats_run_nothing(monkeypatch):
+    # pool: a multi-call target whose property is probed after every run
+    bundle = load_bundle(FIXTURES / "pool")
+    world, _ = make_world(bundle)
+    camp = Campaign(world, seed_initial_target(bundle.resolved_abi), rng_seed=42)
+    camp.run(300)
+    ran = list(camp._sigs)
+    assert len(ran) > len(camp._cands)  # some that ran were not inserted
+    pick = random.Random(1)
+    monkeypatch.setattr(
+        campaign_mod, "mutate", lambda cand, plan, rng, other=None: pick.choice(ran)
+    )
+    calls = _count_sequences(monkeypatch)
+    probes = []
+    execute_tx = campaign_mod.execute_tx
+
+    def probing(world, tx):
+        probes.append(tx)
+        return execute_tx(world, tx)
+
+    monkeypatch.setattr(campaign_mod, "execute_tx", probing)
+    covered = camp.coverage.to_json()
+    stats = camp.run(200)
+    assert (stats.executions, stats.repeats, stats.new_paths) == (200, 200, 0)
+    assert calls == [] and probes == []
+    assert camp.coverage.to_json() == covered
+
+
+def test_repeat_runs_when_a_later_call_adds_bits(monkeypatch):
+    bundle = load_bundle(FIXTURES / "feeswap")
+    world, at = make_world(bundle)
+    camp = Campaign(world, seed_initial_target(bundle.resolved_abi), rng_seed=42)
+    camp.run(300)
+    covered = camp.coverage.to_json()
+    # a candidate whose last call covers bits its earlier calls do not
+    for cand, sig in camp._sigs.items():
+        masks = [dict(m) for m, _ in sig]
+        earlier = 0
+        for m in masks[:-1]:
+            earlier |= m.get(at, 0)
+        only_last = masks[-1].get(at, 0) & ~earlier
+        if only_last:
+            break
+    else:
+        raise AssertionError("no candidate with a last call of its own")
+    camp.coverage.bits[at] &= ~only_last
+    monkeypatch.setattr(
+        campaign_mod, "mutate", lambda c, plan, rng, other=None: cand
+    )
+    stats = camp.run(2)
+    assert (stats.repeats, stats.new_instructions) == (1, only_last.bit_count())
+    assert camp.coverage.to_json() == covered
+
+
+def test_replaced_coverage_reruns_repeats(monkeypatch):
     bundle = gate_bundle()
     world, at = make_world(bundle)
     doc = "target gate\nfuzz:\n    call poke(5)\norder fixed\n"
     camp = Campaign(world, parse_target(doc, bundle.resolved_abi), rng_seed=1)
+    calls = _count_sequences(monkeypatch)
     first = camp.run(10)  # nothing is mutable: one candidate, nine repeats
     assert (first.executions, first.repeats) == (10, 9)
     covered = camp.coverage.to_json()
+    assert camp.run(5).repeats == 5  # across runs too
+    assert calls == [1]
 
     camp.coverage = CoverageMap()
     again = camp.run(10)
     assert (again.executions, again.repeats) == (10, 9)
     assert again.new_instructions == first.new_instructions > 0
     assert camp.coverage.to_json() == covered
+    assert calls == [1]  # the rerun resumes its whole stored sequence
+
+
+def test_setup_only_target_runs_one_empty_candidate():
+    bundle = gate_bundle()
+    world, at = make_world(bundle)
+    doc = "target gate\nsetup:\n    call poke(5)\norder fixed\n"
+    camp = Campaign(world, parse_target(doc, bundle.resolved_abi), rng_seed=1)
+    stats = camp.run(5)
+    assert (stats.executions, stats.repeats) == (5, 4)
+    assert [tc.txs for tc in camp.corpus.entries] == [tuple(camp._setup_txs)]
 
 
 def test_campaign_seeds_differ():
