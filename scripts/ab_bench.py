@@ -2,18 +2,19 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
 Usage: python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload W
-           --seed S --pairs N [--seconds T]
+           --seed S --pairs N
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T` once
-in each checkout (T defaults to 0: the benchmark's minimum of rounds),
-the parent first in odd pairs and the change first in even ones, so a
-host that speeds up or slows down during the comparison weighs on both
-sides alike.  For every pair it prints both sides' execs_per_s and
-peak_rss_mb; at the end the wins of the change on execs_per_s, the
-medians and their ratio, the parent's interquartile range, the medians
-of wall_s and setup_s, and whether every run gave the same output
-digest and exact outcomes.  It exits 1 if any run failed or the outputs
-differ.  Standard library only.
+in each checkout, T being the benchmark's `run_seconds` from the
+BENCHMARK.json of this script's repository.  The parent runs first in
+odd pairs and the change first in even ones, so a host that speeds up
+or slows down during the comparison weighs on both sides alike.  For
+every pair it prints both sides' execs_per_s and peak_rss_mb; at the
+end the wins of the change on execs_per_s, the medians and their ratio,
+the parent's interquartile range, the medians of wall_s and setup_s,
+and whether every run gave the same output digest and exact outcomes.
+It exits 1 if any run failed or the outputs differ.  Standard library
+only.
 """
 
 import argparse
@@ -22,6 +23,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+RUN_SECONDS = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
+)["run_seconds"]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -58,7 +63,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=0)
     args = parser.parse_args()
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -66,7 +70,7 @@ def main() -> int:
         order = ("parent", "change") if k % 2 else ("change", "parent")
         for side in order:
             checkout = args.parent if side == "parent" else args.change
-            runs[side].append(run_once(checkout, args.workload, args.seed, args.seconds))
+            runs[side].append(run_once(checkout, args.workload, args.seed, RUN_SECONDS))
         p, c = runs["parent"][-1]["metrics"], runs["change"][-1]["metrics"]
         print(
             f"pair {k:2d} ({order[0]} first): execs_per_s {p['execs_per_s']:9.1f} ->"

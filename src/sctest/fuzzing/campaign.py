@@ -11,22 +11,22 @@ them always adds an entry; so they are kept between picks and rescored
 after each added entry, and at the start of each run() in case the
 caller replaced or edited the coverage map.
 
-Every executed candidate keeps a coverage signature for the whole
-campaign: the coverage_record (instruction masks and path hash) of each
-of its calls, in order.  Mutation often hands back a candidate that
-already ran, and the one rule is: a candidate already in the signature
-table is not run again if its signature adds no instruction bit to the
-coverage map.  Its path hashes are added to the map, it counts as an
-execution, in ChunkStats.new_paths and in ChunkStats.repeats, and
-nothing else happens.  If the signature would add bits, which happens
-only when the caller replaced or edited the map, the candidate runs as
-before.  Skipping leaves every output byte-identical: execution is a
-pure function of the snapshot and the transactions, so the signature
-is what a run would absorb; after a candidate's first run every finding
-key it raises is already recorded, so a repeat never has fresh
-findings; with no new bits and no fresh findings a run would add no
-corpus entry (so the weights stay put); and executing draws nothing
-from the RNG.  Equal signatures share one tuple.
+Mutation often hands back a candidate that already ran, and the one
+rule is: a candidate the campaign already ran is not run again.  It
+counts as an execution and in ChunkStats.repeats, and nothing else
+happens.  The table of executed candidates lasts for the whole campaign
+and holds at most _RAN_CAP of them; when it is full the older half is
+dropped (a dropped candidate simply runs again).  Skipping leaves every
+output byte-identical: execution is a pure function of the snapshot and
+the transactions, so the candidate's first run already put its
+instruction bits and path hashes into the map; after that run every
+finding key it raises is already recorded, so a repeat never has fresh
+findings; with no new bits, paths or findings a run would add no corpus
+entry (so the weights stay put); and executing draws nothing from the
+RNG.  That holds while the map keeps everything it held, so each run()
+starts by checking that the map, replaced or not, still holds every bit
+and path it held when the last run() ended, and empties the table if it
+does not.
 
 A candidate that does run resumes from its longest stored prefix.  For
 every candidate inserted into the corpus the campaign keeps, after each
@@ -55,7 +55,7 @@ import random
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 
 from ..bytecode.abi import FunctionSig
 from ..coverage.covmap import CoverageMap, absorb, coverage_record, merge_result
@@ -67,6 +67,7 @@ from .mutate import Candidate, initial_candidate, mutate, mutation_plan
 from .target import ConcreteCall, FuzzTarget
 
 CHUNK = 1000  # executions per scheduling iteration
+_RAN_CAP = 1 << 12  # executed candidates the repeat table holds (~1.4 MB)
 
 ASSERT_FAILURE = "assert_failure"
 PROPERTY_VIOLATION = "property_violation"
@@ -79,16 +80,6 @@ def _enclosing(abi: list[FunctionSig], offset: int) -> str | None:
         if sig.body_range and sig.body_range[0] <= offset < sig.body_range[1]:
             return sig.name
     return None
-
-
-def _adds_bits(bits: dict[int, int], sig: tuple) -> bool:
-    """Whether any coverage record in `sig` holds an instruction bit
-    missing from `bits`."""
-    for masks, _ in sig:
-        for address, mask in masks:
-            if mask & ~bits.get(address, 0):
-                return True
-    return False
 
 
 def _detect_asserts(
@@ -186,8 +177,8 @@ class ChunkStats:
     new_instructions: int = 0
     new_paths: int = 0
     new_findings: int = 0
-    # executions not run: the candidate ran earlier in the campaign and
-    # its coverage signature adds no instruction bit to the map
+    # executions not run: the candidate already ran in this campaign
+    # and the map has lost none of its bits or paths since
     repeats: int = 0
 
 
@@ -232,9 +223,9 @@ class Campaign:
         # a (fuzz-call index, args) row to (world after, result, tx,
         # coverage record, next)
         self._prefixes: dict = {}
-        # executed candidate -> the coverage records of its calls
-        self._sigs: dict[Candidate, tuple] = {}
-        self._interned: dict[tuple, tuple] = {}  # one tuple per signature
+        self._ran: dict[Candidate, None] = {}  # executed, oldest first
+        # the map's bits and paths when the last run() ended
+        self._held: tuple[dict[int, int], set[int]] = ({}, set())
         self._fixed = [self._fixed_fields(c) for c in self.target.fuzz]
 
         self._setup_txs = [
@@ -343,10 +334,22 @@ class Campaign:
                 out.update((addr, off) for off in offsets if off in blocks)
         return out
 
+    def _lost_coverage(self) -> bool:
+        """Whether the map lacks a bit or path it held when the last
+        run() ended (the caller replaced or edited it)."""
+        bits, paths = self._held
+        held = self.coverage.bits
+        return not paths <= self.coverage.path_set or any(
+            b & ~held.get(a, 0) for a, b in bits.items()
+        )
+
     def run(self, execs: int = CHUNK) -> ChunkStats:
         """Execute up to `execs` candidates; returns what the chunk gained."""
         stats = ChunkStats()
         self._cum_weights = None
+        ran = self._ran
+        if self._lost_coverage():
+            ran.clear()
         for _ in range(execs):
             if not self._started:
                 cand = initial_candidate(self.target)
@@ -362,26 +365,28 @@ class Campaign:
 
             self.executions += 1
             stats.executions += 1
-            paths = self.coverage.path_set
-            before_paths = len(paths)
-            sig = self._sigs.get(cand)
-            if sig is not None and not _adds_bits(self.coverage.bits, sig):
-                for _, path in sig:
-                    paths.add(path)
-                stats.new_paths += len(paths) - before_paths
+            if cand in ran:
                 stats.repeats += 1
                 continue
             rows, steps = self._execute(cand)
             if steps:
-                worlds, results, txs, sig, _ = zip(*steps)
+                worlds, results, txs, records, _ = zip(*steps)
                 world_after = worlds[-1]
             else:  # a target without fuzz calls
-                world_after, results, txs, sig = self.snapshot, (), (), ()
-            self._sigs[cand] = self._interned.setdefault(sig, sig)
+                world_after, results, txs, records = self.snapshot, (), (), ()
+            paths = self.coverage.path_set
+            before_paths = len(paths)
             gained = 0
-            for record in sig:
+            for record in records:
                 gained += absorb(self.coverage, record)
             new_paths = len(paths) - before_paths
+            if len(ran) >= _RAN_CAP:
+                # keep the newer half: one pass per _RAN_CAP // 2
+                # insertions, where dropping the oldest key each time
+                # would rescan the dict's freed front slots every time
+                for old in list(islice(ran, len(ran) - _RAN_CAP // 2)):
+                    del ran[old]
+            ran[cand] = None
             stats.new_instructions += gained
             stats.new_paths += new_paths
 
@@ -411,6 +416,7 @@ class Campaign:
                         Finding(kind, pc, fn, tc.id, msg)
                     )
                 stats.new_findings += len(fresh)
+        self._held = dict(self.coverage.bits), set(self.coverage.path_set)
         return stats
 
     def finalize(self) -> None:

@@ -604,49 +604,45 @@ def _bits_of(camp, cand) -> dict:
     return cov.bits
 
 
-def _expected_work(camp, seen, start_bits, resets=()) -> tuple[int, int]:
-    """(calls run, repeats skipped) for campaign `camp`, whose map held
-    `start_bits` before its first execution and was replaced by an empty
-    map before each execution index in `resets`.  A candidate that ran
-    anywhere earlier in the campaign runs nothing if the map already
-    holds all its instruction bits; any other candidate runs only the
-    calls past its longest prefix an inserted candidate already ran (the
-    first candidate meets an empty store)."""
+def _expected_work(camp, seen, resets=()) -> tuple[int, int]:
+    """(calls run, repeats skipped) for campaign `camp`, whose map was
+    replaced by an empty map before each execution index in `resets`.
+    A candidate in the model's repeat table runs nothing; the table
+    empties at each reset and drops its older half when it holds the
+    module's cap.  Any other candidate runs only the calls past its
+    longest prefix an inserted candidate already ran (the first
+    candidate meets an empty store)."""
+    cap = campaign_mod._RAN_CAP
     first = initial_candidate(camp.target)
-    bits_of: dict = {}
-    ran: set = set()
-    covered = dict(start_bits)
+    ran: dict = {}
     calls = repeats = 0
     for cand, index, inserted in [(first, 0, 0), *seen]:
         if index in resets:
-            covered = {}
-        if cand not in bits_of:
-            bits_of[cand] = _bits_of(camp, cand)
-        bits = bits_of[cand]
-        if cand in ran and all(b & ~covered.get(a, 0) == 0 for a, b in bits.items()):
+            ran.clear()
+        if cand in ran:
             repeats += 1
             continue
-        ran.add(cand)
-        for a, b in bits.items():
-            covered[a] = covered.get(a, 0) | b
+        if len(ran) >= cap:
+            ran = dict.fromkeys(list(ran)[len(ran) - cap // 2 :])
+        ran[cand] = None
         calls += len(cand.order) - _stored_prefix(cand, camp._cands[:inserted])
     return calls, repeats
 
 
 class _Forgetful(dict):
-    """A signature table whose lookup always misses."""
+    """A repeat table whose lookup always misses."""
 
-    def get(self, key, default=None):
-        return default
+    def __contains__(self, key):
+        return False
 
 
 class NoMemoCampaign(Campaign):
-    """The campaign without its signature table: every candidate mutate
+    """The campaign without its repeat table: every candidate mutate
     hands back runs, also one that already ran."""
 
     def __post_init__(self):
         super().__post_init__()
-        self._sigs = _Forgetful()
+        self._ran = _Forgetful()
 
 
 @pytest.mark.parametrize("name", ["bytekey", "cubic"])
@@ -662,7 +658,6 @@ def test_skipped_repeats_leave_outputs_unchanged(name, monkeypatch):
     for cls, chunk in ((Campaign, 1000), (Campaign, 1), (NoMemoCampaign, 1000)):
         camp = cls(world, t, rng_seed=42)
         camps.append(camp)
-        start_bits = dict(camp.coverage.bits)
         del calls[:], seen[:]
         stats = [camp.run(chunk) for _ in range(2000 // chunk)]
         executions = sum(s.executions for s in stats)
@@ -670,7 +665,7 @@ def test_skipped_repeats_leave_outputs_unchanged(name, monkeypatch):
         assert executions == camp.executions == 2000
         if cls is Campaign:
             # the setup ran before counting began
-            assert (sum(calls), repeats) == _expected_work(camp, seen, start_bits)
+            assert (sum(calls), repeats) == _expected_work(camp, seen)
         runs.append(
             (
                 camp.coverage.to_json(),
@@ -705,7 +700,6 @@ def test_resumed_prefixes_leave_outputs_unchanged(name, seed, monkeypatch):
     for cls in (Campaign, FullRerunCampaign):
         camp = cls(world, t, rng_seed=seed)
         camps.append(camp)
-        start_bits = dict(camp.coverage.bits)
         del calls[:], seen[:]
         out = []
         for _ in range(2):
@@ -722,7 +716,7 @@ def test_resumed_prefixes_leave_outputs_unchanged(name, seed, monkeypatch):
         outputs.append(out)
         txs_run.append(sum(calls))
         if cls is Campaign:
-            expected = _expected_work(camp, seen, start_bits, resets={150})
+            expected = _expected_work(camp, seen, resets={150})
             assert sum(calls) == expected[0]
     assert outputs[0] == outputs[1]
     resumed, full = txs_run
@@ -778,7 +772,7 @@ def test_cross_run_repeats_run_nothing(monkeypatch):
     world, _ = make_world(bundle)
     camp = Campaign(world, seed_initial_target(bundle.resolved_abi), rng_seed=42)
     camp.run(300)
-    ran = list(camp._sigs)
+    ran = list(camp._ran)
     assert len(ran) > len(camp._cands)  # some that ran were not inserted
     pick = random.Random(1)
     monkeypatch.setattr(
@@ -800,30 +794,65 @@ def test_cross_run_repeats_run_nothing(monkeypatch):
     assert camp.coverage.to_json() == covered
 
 
-def test_repeat_runs_when_a_later_call_adds_bits(monkeypatch):
+def test_only_lost_coverage_reruns_repeats(monkeypatch):
     bundle = load_bundle(FIXTURES / "feeswap")
     world, at = make_world(bundle)
     camp = Campaign(world, seed_initial_target(bundle.resolved_abi), rng_seed=42)
     camp.run(300)
-    covered = camp.coverage.to_json()
-    # a candidate whose last call covers bits its earlier calls do not
-    for cand, sig in camp._sigs.items():
-        masks = [dict(m) for m, _ in sig]
-        earlier = 0
-        for m in masks[:-1]:
-            earlier |= m.get(at, 0)
-        only_last = masks[-1].get(at, 0) & ~earlier
-        if only_last:
-            break
-    else:
-        raise AssertionError("no candidate with a last call of its own")
-    camp.coverage.bits[at] &= ~only_last
+    cand = next(iter(camp._ran))
     monkeypatch.setattr(
         campaign_mod, "mutate", lambda c, plan, rng, other=None: cand
     )
+    # a map that grew, in place or as a replacing copy, keeps the table
+    camp.coverage.path_set.add(12345)
+    camp.coverage = camp.coverage.copy()
+    assert camp.run(2).repeats == 2
+    covered = camp.coverage.to_json()
+    # dropping bits in place empties it, so the candidate runs once more
+    bits = _bits_of(camp, cand)[at]
+    camp.coverage.bits[at] &= ~bits
     stats = camp.run(2)
-    assert (stats.repeats, stats.new_instructions) == (1, only_last.bit_count())
+    assert (stats.repeats, stats.new_instructions) == (1, bits.bit_count())
     assert camp.coverage.to_json() == covered
+    # and so does dropping a path
+    camp.coverage.path_set.discard(12345)
+    assert camp.run(2).repeats == 1
+
+
+@pytest.mark.parametrize("name", ["bytekey", "pool"])
+def test_capped_repeat_table_leaves_outputs_unchanged(name, monkeypatch):
+    bundle = load_bundle(FIXTURES / name)
+    world, _ = make_world(bundle)
+    t = seed_initial_target(bundle.resolved_abi)
+    calls = _count_sequences(monkeypatch)
+    camps: list = []
+    seen = _record_mutated(monkeypatch, camps)
+    outputs, repeats = [], []
+    for cls, cap in ((Campaign, None), (Campaign, 8), (NoMemoCampaign, 8)):
+        if cap is not None:
+            monkeypatch.setattr(campaign_mod, "_RAN_CAP", cap)
+        camp = cls(world, t, rng_seed=42)
+        camps.append(camp)
+        del calls[:], seen[:]
+        stats = [camp.run(500) for _ in range(2)]
+        if cls is Campaign:
+            assert (sum(calls), sum(s.repeats for s in stats)) == _expected_work(
+                camp, seen
+            )
+            if cap is not None:
+                assert cap // 2 <= len(camp._ran) <= cap
+        outputs.append(
+            (
+                camp.coverage.to_json(),
+                [e.id for e in camp.corpus.entries],
+                camp.report.to_json(),
+                [replace(s, repeats=0) for s in stats],
+            )
+        )
+        repeats.append(sum(s.repeats for s in stats))
+    assert outputs[0] == outputs[1] == outputs[2]
+    uncapped, capped, none_skipped = repeats
+    assert uncapped > capped > 0 == none_skipped
 
 
 def test_replaced_coverage_reruns_repeats(monkeypatch):
