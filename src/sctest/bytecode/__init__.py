@@ -1,6 +1,6 @@
 from .abi import AbiType, FunctionSig, encode_args, parse_abi
 from .cfg import Cfg, build_cfg
-from .decode import Instr, decode, disassemble, encode
+from .decode import Instr, decode, encode
 from .hashing import keccak256, selector
 from .opcodes import OPCODES, Opcode, by_name
 
@@ -13,7 +13,6 @@ __all__ = [
     "build_cfg",
     "Instr",
     "decode",
-    "disassemble",
     "encode",
     "keccak256",
     "selector",

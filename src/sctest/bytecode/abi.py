@@ -4,7 +4,7 @@ Supported types: uintN (N in {8,16,32,64,128,256}), address, bool, bytes,
 and one-dimensional uintN arrays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import ArityMismatch, SchemaError, TypeMismatch, ValueOutOfRange

@@ -56,12 +56,3 @@ def encode(instrs: list[Instr]) -> bytes:
             out.extend(ins.imm.to_bytes(ins.imm_len, "big"))
     return bytes(out)
 
-
-def format_instr(ins: Instr) -> str:
-    if ins.imm_len:
-        return f"{ins.offset:04x}: {ins.name} 0x{ins.imm:0{2 * ins.imm_len}x}"
-    return f"{ins.offset:04x}: {ins.name}"
-
-
-def disassemble(bytecode: bytes) -> list[str]:
-    return [format_instr(ins) for ins in decode(bytecode)]

@@ -35,7 +35,7 @@ from .concretize import (
     substitute_all_but,
 )
 from .shadow import ShadowRun, concretize_loop, shadow_run
-from .solve import Sat, Unknown, Unsat, export_smt, solve
+from .solve import Sat, Unsat, solve
 from .symexpr import (
     UNINTERPRETED,
     Binop,
@@ -109,7 +109,6 @@ def drive(
     budget: DriveBudget | None = None,
     *,
     cache: SnapshotCache | None = None,
-    smt_dir=None,
 ) -> list[TestCase]:
     """Flip uncovered branches reachable from the seed corpus.
 
@@ -308,8 +307,6 @@ def drive(
             else:
                 cands = candidate_rewrites(p, env)
                 if not cands:
-                    if smt_dir is not None:
-                        export_smt(conj, smt_dir)
                     return "unknown"
                 lists.append(cands)
 
@@ -328,8 +325,6 @@ def drive(
             )
             if done == "sat":
                 return "sat"
-        if smt_dir is not None:
-            export_smt(conj, smt_dir)
         return "unknown"
 
     def _finish(state, sig, prefix, run_tx, constraints, j, env, model):

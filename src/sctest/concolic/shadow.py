@@ -554,33 +554,6 @@ def shadow_run(
     )
 
 
-def sym_execute(
-    world: EvmWorld,
-    prefix,
-    tx_symbolic: Transaction,
-    cache: SnapshotCache | None = None,
-) -> tuple[tuple[int, ...], list[PathConstraint]]:
-    """Public entry: (instruction trace, recorded path constraints)."""
-    run = shadow_run(world, prefix, tx_symbolic, cache)
-    return run.trace, list(run.constraints)
-
-
-def repin_args(sig, args, pins: dict) -> tuple:
-    """Pad or trim dynamic arguments to the pinned lengths."""
-    out = list(args)
-    for i, (t, name) in enumerate(zip(sig.params, sig.param_names)):
-        if not t.is_dynamic or name not in pins:
-            continue
-        n = pins[name]
-        if t.kind == "bytes":
-            buf = bytes(out[i])[:n]
-            out[i] = buf + b"\x00" * (n - len(buf))
-        else:
-            lst = list(out[i])[:n]
-            out[i] = tuple(lst + [0] * (n - len(lst)))
-    return tuple(out)
-
-
 def concretize_loop(
     tx_symbolic: Transaction, concrete_env: dict, pins: dict | None = None
 ) -> Transaction:

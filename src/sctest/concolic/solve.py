@@ -10,15 +10,13 @@ exhaustive search when the atom's declared width is 16 bits or less,
 integer-root extraction for pure-power equalities, otherwise Unknown.
 Every Sat model is re-verified by substitution before it is returned; a
 verification failure raises, because it can only mean a solver bug.
-
-Conjunctions the solver cannot decide can be exported as SMT-LIB 2
-problems over 256-bit bitvectors for offline solving.
 """
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
+# not called here: perfbench/layers.py counts Keccak calls per binding
+# site and wraps this module's keccak256 in every traced round
 from .._kernels import keccak256
 from ..errors import SctestError
 from .symexpr import (
@@ -26,8 +24,6 @@ from .symexpr import (
     Binop,
     Const,
     Input,
-    Keccak,
-    Sload,
     SymExpr,
     Unop,
     evaluate_atoms,
@@ -301,10 +297,6 @@ def _solve_atom(atom: Input, rels: list[_Rel]):
         for v in candidates:
             if v < dom and check(v):
                 return v
-        if r is None and c < (1 << 128):
-            # small constants have no further roots to try modulo 2^256
-            # only when the power cannot wrap; stay conservative
-            pass
         exact = False
 
     # 4. interval scan
@@ -356,122 +348,3 @@ def solve(conjunction) -> SolverResult:
             )
     return Sat(model)
 
-
-# --- SMT-LIB 2 export for conjunctions the built-in solver cannot decide ---
-
-_SMT_OPS = {
-    "ADD": "bvadd", "SUB": "bvsub", "MUL": "bvmul",
-    "AND": "bvand", "OR": "bvor", "XOR": "bvxor",
-}
-
-_ZERO = "#x" + "0" * 64
-_ONE = "(_ bv1 256)"
-
-
-def _smt_name(atom: Input) -> str:
-    clean = "".join(ch if ch.isalnum() else "_" for ch in atom.param)
-    return f"in_{clean}_{atom.kind}_{atom.offset}"
-
-
-class _SmtEmitter:
-    def __init__(self):
-        self.funs: dict[str, str] = {}
-
-    def _bool(self, cond: str) -> str:
-        return f"(ite {cond} {_ONE} {_ZERO})"
-
-    def emit(self, e: SymExpr) -> str:
-        if isinstance(e, Const):
-            return f"#x{e.value:064x}"
-        if isinstance(e, Input):
-            return _smt_name(e)
-        if isinstance(e, Unop):
-            x = self.emit(e.x)
-            if e.op == "NOT":
-                return f"(bvnot {x})"
-            if e.op == "NEG":
-                return f"(bvneg {x})"
-            return self._bool(f"(= {x} {_ZERO})")
-        if isinstance(e, Binop):
-            x = self.emit(e.x)
-            y = self.emit(e.y)
-            op = e.op
-            if op in _SMT_OPS:
-                return f"({_SMT_OPS[op]} {x} {y})"
-            if op == "DIV":
-                return f"(ite (= {y} {_ZERO}) {_ZERO} (bvudiv {x} {y}))"
-            if op == "MOD":
-                return f"(ite (= {y} {_ZERO}) {_ZERO} (bvurem {x} {y}))"
-            if op == "LT":
-                return self._bool(f"(bvult {x} {y})")
-            if op == "GT":
-                return self._bool(f"(bvugt {x} {y})")
-            if op == "EQ":
-                return self._bool(f"(= {x} {y})")
-            if op == "SHL":
-                return f"(bvshl {y} {x})"
-            if op == "SHR":
-                return f"(bvlshr {y} {x})"
-            if op == "EXP":
-                self.funs["exp256"] = (
-                    "(declare-fun exp256 ((_ BitVec 256) (_ BitVec 256))"
-                    " (_ BitVec 256))"
-                )
-                return f"(exp256 {x} {y})"
-        if isinstance(e, Keccak):
-            n = len(e.parts)
-            name = f"keccak{n}"
-            args = " ".join("(_ BitVec 256)" for _ in range(n))
-            self.funs[name] = f"(declare-fun {name} ({args}) (_ BitVec 256))"
-            parts = " ".join(self.emit(p) for p in e.parts)
-            return f"({name} {parts})"
-        if isinstance(e, Sload):
-            self.funs["sload"] = (
-                "(declare-fun sload ((_ BitVec 256)) (_ BitVec 256))"
-            )
-            return f"(sload {self.emit(e.slot)})"
-        raise TypeError(f"not a SymExpr: {e!r}")
-
-
-def to_smt(conjunction) -> str:
-    """Render the conjunction as an SMT-LIB 2 problem.
-
-    The logic is QF_UFBV when the problem declares uninterpreted functions
-    (keccakN, sload, exp256) and QF_BV otherwise.
-    """
-    em = _SmtEmitter()
-    atoms: list[Input] = []
-    seen = set()
-    asserts = []
-    for p in conjunction:
-        for a in inputs_of(p):
-            if a not in seen:
-                seen.add(a)
-                atoms.append(a)
-        asserts.append(f"(assert (distinct {em.emit(p)} {_ZERO}))")
-    lines = ["(set-logic QF_UFBV)" if em.funs else "(set-logic QF_BV)"]
-    lines += sorted(em.funs.values())
-    for a in atoms:
-        lines.append(f"(declare-const {_smt_name(a)} (_ BitVec 256))")
-        if a.bits < 256:
-            lines.append(
-                f"(assert (bvult {_smt_name(a)} #x{1 << a.bits:064x}))"
-            )
-    lines += asserts
-    lines.append("(check-sat)")
-    lines.append("(get-model)")
-    return "\n".join(lines) + "\n"
-
-
-def conjunction_digest(conjunction) -> str:
-    text = "\n".join(repr(p) for p in conjunction)
-    return keccak256(text.encode()).hex()[:16]
-
-
-def export_smt(conjunction, directory) -> Path:
-    """Write one .smt2 file per conjunction, named by its digest."""
-    d = Path(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / f"{conjunction_digest(conjunction)}.smt2"
-    path.write_text(to_smt(conjunction))
-    return path

@@ -1,14 +1,7 @@
 """Coverage accounting: bitmaps, reports, gaps, and branch bottlenecks."""
 
-from .bottleneck import BranchConstraintInfo, branch_condition, extract_bottlenecks
-from .covmap import (
-    CoverageMap,
-    absorb,
-    coverage_record,
-    fnv1a64,
-    merge,
-    merge_result,
-)
+from .bottleneck import BranchConstraintInfo, extract_bottlenecks
+from .covmap import CoverageMap, absorb, coverage_record, merge_result
 from .report import CoverageReport, disassembly_lines, render_report
 from .uncovered import (
     FULLY_UNCOVERED,
@@ -27,13 +20,10 @@ __all__ = [
     "PARTIALLY_COVERED",
     "UncoveredFunction",
     "absorb",
-    "branch_condition",
     "coverage_record",
     "disassembly_lines",
     "extract_bottlenecks",
     "extract_uncovered_functions",
-    "fnv1a64",
-    "merge",
     "merge_result",
     "render_report",
 ]

@@ -23,7 +23,6 @@ recognizable parts.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..bytecode.abi import FunctionSig
 from ..bytecode.cfg import Cfg
@@ -324,14 +323,6 @@ def _guard_chain(
     return chain, joins
 
 
-def branch_condition(bundle: ContractBundle, block_start: int) -> SymExpr | None:
-    """Taken-branch predicate of the JUMPI ending the given block, or None.
-    Calldata reads are tied to the parameters of the enclosing function."""
-    blk = bundle.cfg.blocks.get(block_start)
-    sig = blk and _enclosing_sig(bundle, blk.instrs[-1].offset)
-    return _condition(bundle.cfg, _sccs(bundle.cfg), block_start, sig)
-
-
 def _condition(
     cfg: Cfg, comp: dict[int, int], block_start: int, sig: FunctionSig | None
 ) -> SymExpr | None:
@@ -421,13 +412,6 @@ def _inputs_involved(cond: SymExpr, sig: FunctionSig | None) -> tuple[str, ...]:
 # extraction
 # ---------------------------------------------------------------------------
 
-def _enclosing_sig(bundle: ContractBundle, offset: int) -> Optional[FunctionSig]:
-    for sig in bundle.resolved_abi:
-        if sig.body_range and sig.body_range[0] <= offset < sig.body_range[1]:
-            return sig
-    return None
-
-
 def extract_bottlenecks(
     bundle: ContractBundle, map_: CoverageMap, address: int | None = None
 ) -> list[BranchConstraintInfo]:
@@ -454,7 +438,7 @@ def extract_bottlenecks(
         if cov_t == cov_f:
             continue
 
-        sig = _enclosing_sig(bundle, branch_offset)
+        sig = bundle.function_at(branch_offset)
         cond = _condition(cfg, comp, start, sig)
         if cond is None:
             continue

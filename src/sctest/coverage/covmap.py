@@ -11,10 +11,10 @@ The memo is bounded by the block entries its keys hold together
 (`_PATH_MEMO_CAP`, about 1.6 MB at most; a single key holds up to
 PATH_BLOCK_LIMIT entries) and drops the oldest key first.
 
-coverage_record folds a transaction's trace segment by segment into
-(address, instruction mask) pairs plus a path hash, and absorb ORs such
-a record into a map; merge_result is the two in a row, so there is one
-fold.  A campaign keeps the records of what it ran and absorbs them
+There is one fold.  coverage_record turns a transaction's trace,
+segment by segment, into (address, instruction mask) pairs plus a path
+hash; absorb ORs such a record into a map; merge_result is the two in a
+row.  A campaign keeps the records of what it ran and absorbs them
 again instead of folding the same trace twice.  The same few segments
 recur as often as the paths do.  `_SEG_MEMO` maps a segment's
 instruction-offset tuple to the CFG it was folded under, its
@@ -47,13 +47,6 @@ _SEG_MEMO_CAP = 1 << 16  # instruction offsets over all keys
 _seg_memo_size = 0  # offsets the keys of _SEG_MEMO hold now
 
 
-def fnv1a64(data: bytes) -> int:
-    h = FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & _MASK64
-    return h
-
-
 @dataclass
 class CoverageMap:
     bits: dict[int, int] = field(default_factory=dict)  # address -> offset bitset
@@ -67,13 +60,6 @@ class CoverageMap:
 
     def copy(self) -> "CoverageMap":
         return CoverageMap(dict(self.bits), set(self.path_set))
-
-    def union(self, other: "CoverageMap") -> "CoverageMap":
-        out = self.copy()
-        for addr, bits in other.bits.items():
-            out.bits[addr] = out.bits.get(addr, 0) | bits
-        out.path_set |= other.path_set
-        return out
 
     def to_json(self) -> str:
         doc = {
@@ -111,24 +97,6 @@ def _path_hash(entries: list[tuple[int, int]]) -> int:
             del _PATH_MEMO[oldest]
             _path_memo_size -= len(oldest)
     return h
-
-
-def merge(
-    map_: CoverageMap, trace: list[int], blocks: Cfg, address: int = 0
-) -> CoverageMap:
-    """Fold one instruction trace for a single contract into the map."""
-    bits = map_.bits.get(address, 0)
-    entries = []
-    block_of = blocks.block_of
-    for off in trace:
-        bits |= 1 << off
-        if off in blocks.blocks:
-            entries.append((address, off))
-        elif off not in block_of:
-            raise ValueError(f"offset {off} is not a known instruction")
-    map_.bits[address] = bits
-    map_.path_set.add(_path_hash(entries))
-    return map_
 
 
 def _segment(offsets: tuple[int, ...], cfg: Cfg) -> tuple[int, tuple[int, ...]]:

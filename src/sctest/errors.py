@@ -89,14 +89,6 @@ class EmptyAbi(SctestError):
     pass
 
 
-class TargetInvalid(SctestError):
-    """A FuzzTarget failed validation; carries the CompileError list."""
-
-    def __init__(self, errors):
-        super().__init__("; ".join(str(e) for e in errors) or "invalid target")
-        self.errors = list(errors)
-
-
 # -- concolic ---------------------------------------------------------------
 
 class NoSymbolicInput(SctestError):

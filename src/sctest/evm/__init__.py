@@ -3,7 +3,7 @@
 from .bundle import ContractBundle, genesis_config, load_bundle
 from .engine import execute_sequence, execute_tx
 from .image import CodeImage
-from .snapshots import Snapshot, SnapshotCache, capture, prefix_key, restore, snapshot_of
+from .snapshots import Snapshot, SnapshotCache, capture, prefix_key, restore
 from .types import (
     DEFAULT_GAS,
     DEFAULT_TIMESTAMP,
@@ -11,7 +11,6 @@ from .types import (
     BlockCtx,
     ExecResult,
     Transaction,
-    addr_hex,
     parse_addr,
 )
 from .world import EvmWorld, deploy, make_world, new_world
@@ -28,7 +27,6 @@ __all__ = [
     "Snapshot",
     "SnapshotCache",
     "Transaction",
-    "addr_hex",
     "capture",
     "deploy",
     "execute_sequence",
@@ -40,5 +38,4 @@ __all__ = [
     "parse_addr",
     "prefix_key",
     "restore",
-    "snapshot_of",
 ]

@@ -2,7 +2,7 @@
 linemap, and genesis config."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -47,6 +47,13 @@ class ContractBundle:
     def fallback_entry(self) -> int | None:
         sig = self.by_name.get("fallback")
         return sig.entry_offset if sig else None
+
+    def function_at(self, offset: int) -> FunctionSig | None:
+        """The function whose body range holds offset, or None."""
+        for sig in self.resolved_abi:
+            if sig.body_range and sig.body_range[0] <= offset < sig.body_range[1]:
+                return sig
+        return None
 
 
 def load_bundle(path: str | Path) -> ContractBundle:

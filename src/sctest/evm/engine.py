@@ -176,10 +176,7 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
     EvmWorld.copy() gives a deep copy to edit.
     """
     block = BlockCtx(world.block.timestamp + tx.delay, world.block.number)
-    w = EvmWorld(
-        dict(world.accounts), world.deployed, dict(world.storage), block,
-        list(world.tx_queue),
-    )
+    w = EvmWorld(dict(world.accounts), world.deployed, dict(world.storage), block)
 
     bundle = w.deployed.get(tx.destination)
     if bundle is None:
@@ -235,14 +232,11 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
 
 
 def execute_sequence(
-    world: EvmWorld, txs: list[Transaction] | None = None
+    world: EvmWorld, txs: list[Transaction]
 ) -> tuple[EvmWorld, list[ExecResult]]:
-    """Fold execute_tx left to right; with txs=None, drain world.tx_queue.
-    Errors propagate and stop the fold at the offending transaction."""
-    if txs is None:
-        txs = list(world.tx_queue)
-        world = world.copy()
-        world.tx_queue.clear()
+    """Fold execute_tx over txs left to right, from world (which, as
+    with execute_tx, is left as it was).  Errors propagate and stop the
+    fold at the offending transaction."""
     results: list[ExecResult] = []
     for tx in txs:
         world, res = execute_tx(world, tx)

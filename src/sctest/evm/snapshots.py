@@ -68,16 +68,6 @@ def capture(world: EvmWorld, key: bytes) -> Snapshot:
     )
 
 
-def snapshot_of(world: EvmWorld, prefix) -> Snapshot:
-    """Execute prefix against a copy of world and capture the result."""
-    return _build(world, prefix, prefix_key(prefix))
-
-
-def _build(world: EvmWorld, prefix, key: bytes) -> Snapshot:
-    after, _ = execute_sequence(world, list(prefix))
-    return capture(after, key)
-
-
 def restore(base: EvmWorld, snap: Snapshot) -> EvmWorld:
     """Rebuild a world from snap, taking code bindings from base."""
     return EvmWorld(
@@ -85,7 +75,6 @@ def restore(base: EvmWorld, snap: Snapshot) -> EvmWorld:
         deployed=dict(base.deployed),
         storage={a: dict(slots) for a, slots in snap.storage},
         block=BlockCtx(timestamp=snap.block[0], number=snap.block[1]),
-        tx_queue=[],
     )
 
 
@@ -125,9 +114,12 @@ class SnapshotCache:
                 self._bytes -= evicted.approx_bytes()
 
     def get_or_build(self, world: EvmWorld, prefix) -> Snapshot:
+        """The snapshot after prefix; on a miss, prefix runs against
+        world (which it leaves as it was) and the result is cached."""
         key = prefix_key(prefix)
         snap = self.get(key)
         if snap is None:
-            snap = _build(world, prefix, key)
+            after, _ = execute_sequence(world, list(prefix))
+            snap = capture(after, key)
             self.put(snap)
         return snap

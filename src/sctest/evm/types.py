@@ -1,14 +1,10 @@
 """Core value types for the execution environment."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_TIMESTAMP = 1_000_000
 DEFAULT_GAS = 10_000_000
 ADDR_MASK = (1 << 160) - 1
-
-
-def addr_hex(address: int) -> str:
-    return f"0x{address & ADDR_MASK:040x}"
 
 
 def parse_addr(text: str | int) -> int:

@@ -1,5 +1,5 @@
-"""The modeled execution context: accounts, deployed contracts, storage,
-block metadata, and the transaction queue.
+"""The modeled execution context: accounts, deployed contracts, storage
+and block metadata.
 
 Worlds are values.  execute_tx and deploy return a new world and leave
 their input as it was, and execute_tx shares with its input every
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from ..errors import AddressInUse, DuplicateAddress
 from .bundle import ContractBundle, genesis_config
-from .types import DEFAULT_TIMESTAMP, Account, BlockCtx, Transaction
+from .types import DEFAULT_TIMESTAMP, Account, BlockCtx
 
 
 @dataclass
@@ -21,7 +21,6 @@ class EvmWorld:
     deployed: dict[int, ContractBundle] = field(default_factory=dict)
     storage: dict[int, dict[int, int]] = field(default_factory=dict)
     block: BlockCtx = field(default_factory=BlockCtx)
-    tx_queue: list[Transaction] = field(default_factory=list)
 
     def copy(self) -> "EvmWorld":
         return EvmWorld(
@@ -29,7 +28,6 @@ class EvmWorld:
             deployed=dict(self.deployed),  # bundles are immutable, share refs
             storage={a: dict(slots) for a, slots in self.storage.items()},
             block=BlockCtx(self.block.timestamp, self.block.number),
-            tx_queue=list(self.tx_queue),
         )
 
     def balance(self, address: int) -> int:

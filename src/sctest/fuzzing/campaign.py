@@ -75,13 +75,6 @@ PROPERTY_VIOLATION = "property_violation"
 _ZERO_WORD = b"\x00" * 32
 
 
-def _enclosing(abi: list[FunctionSig], offset: int) -> str | None:
-    for sig in abi:
-        if sig.body_range and sig.body_range[0] <= offset < sig.body_range[1]:
-            return sig.name
-    return None
-
-
 def _detect_asserts(
     txs: list[Transaction | None],
     results: list[ExecResult],
@@ -94,9 +87,8 @@ def _detect_asserts(
             continue
         addr, off = res.last_offset
         bundle = world.deployed.get(addr)
-        fn = None
-        if bundle is not None:
-            fn = _enclosing(bundle.resolved_abi, off)
+        sig = bundle.function_at(off) if bundle is not None else None
+        fn = sig.name if sig is not None else None
         if fn is None and tx is not None and tx.function_call:
             fn = tx.function_call
         fn = fn or "fallback"

@@ -36,7 +36,6 @@ from sctest.concolic import (
     shadow_run,
     simplify,
     solve,
-    to_smt,
 )
 from sctest.concolic.symexpr import UNOPS, _shr_over_disjoint, atom_value
 from sctest.concolic.shadow import ArgLayout, _shadow_frame
@@ -264,27 +263,6 @@ X16 = Input("x", bits=16)
 )
 def test_solve_agrees_with_brute_force_on_16_bit_atoms(preds, want):
     assert isinstance(_check_against_brute_force(preds, X16), want)
-
-
-def test_smt_logic_is_qf_bv_without_functions():
-    text = to_smt([Binop("EQ", Binop("ADD", X, Const(1)), Const(5))])
-    assert text.splitlines()[0] == "(set-logic QF_BV)"
-    assert "declare-fun" not in text
-
-
-@pytest.mark.parametrize(
-    "pred",
-    [
-        Binop("EQ", Keccak((X,), 32), Const(5)),
-        Binop("EQ", Sload(X), Const(5)),
-        Binop("EQ", Binop("EXP", X, Const(2)), Const(9)),
-    ],
-    ids=["keccak", "sload", "exp"],
-)
-def test_smt_logic_is_qf_ufbv_with_functions(pred):
-    text = to_smt([pred])
-    assert text.splitlines()[0] == "(set-logic QF_UFBV)"
-    assert "(declare-fun " in text
 
 
 # -- shadow interpreter ------------------------------------------------------

@@ -22,8 +22,6 @@ from sctest.coverage import (
     coverage_record,
     extract_bottlenecks,
     extract_uncovered_functions,
-    fnv1a64,
-    merge,
     merge_result,
     render_report,
 )
@@ -70,12 +68,6 @@ def body_bits(bundle, map_, sig):
 # ---------------------------------------------------------------------------
 # the map itself
 # ---------------------------------------------------------------------------
-
-
-def test_fnv1a64_reference_vectors():
-    assert fnv1a64(b"") == 0xCBF29CE484222325
-    assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-    assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
 
 def reference_path_hash(entries) -> int:
@@ -302,28 +294,11 @@ def test_merge_is_commutative_and_monotone(cubic):
     assert smaller.path_set <= a.path_set
 
 
-def test_merge_rejects_offsets_outside_code(cubic):
-    map_ = CoverageMap()
-    with pytest.raises(ValueError):
-        merge(map_, (0, 99999), cubic.cfg)
-
-
 def test_map_json_roundtrip(cubic):
     map_ = run_cover(cubic, [("example", (1, 2, 4)), ("example", (1, 3, 10))])
     again = CoverageMap.from_json(map_.to_json())
     assert again.bits == map_.bits
     assert again.path_set == map_.path_set
-
-
-def test_union_merges_both_sides(cubic):
-    a = run_cover(cubic, [("example", (1, 3, 10))])
-    b = run_cover(cubic, [("example", (1, 2, 4))])
-    u = a.union(b)
-    address = genesis_config(cubic)["deploy_at"]
-    assert u.bits[address] == a.bits[address] | b.bits[address]
-    assert u.path_set == a.path_set | b.path_set
-    # the operands are untouched
-    assert a.path_set != u.path_set
 
 
 # ---------------------------------------------------------------------------

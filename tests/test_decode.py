@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sctest.bytecode import decode, encode
-from sctest.bytecode.decode import disassemble
+from sctest.coverage import disassembly_lines
 from sctest.errors import TruncatedImmediate
+from sctest.evm import ContractBundle
 
 
 def test_push_add_sequence():
@@ -53,7 +54,10 @@ def test_totality_and_roundtrip(data):
 
 
 def test_disassembly_format():
-    lines = disassemble(bytes.fromhex("600a565b00"))
-    assert lines[0] == "0000: PUSH1 0x0a"
-    assert lines[1] == "0002: JUMP"
-    assert lines[2] == "0003: JUMPDEST"
+    bundle = ContractBundle("bare", bytes.fromhex("600a565b00"), [])
+    assert disassembly_lines(bundle) == [
+        (0, "0x0000 PUSH1 0xa"),
+        (2, "0x0002 JUMP"),
+        (3, "0x0003 JUMPDEST"),
+        (4, "0x0004 STOP"),
+    ]

@@ -673,18 +673,16 @@ def test_selfdestruct_records_and_stops():
 # -- sequences and determinism -------------------------------------------------
 
 
-def test_execute_sequence_folds_and_queue_drains():
-    b = _box_bundle()
-    w = world_with(b)
-    w.tx_queue.extend([
+def test_execute_sequence_folds_an_explicit_list():
+    w = world_with(_box_bundle())
+    txs = [
         Transaction(function_call="store", args=(3,), source=ACCT, destination=AT),
         Transaction(function_call="store", args=(8,), source=ACCT, destination=AT),
-    ])
-    w2, results = execute_sequence(w)
+    ]
+    w2, results = execute_sequence(w, txs)
     assert len(results) == 2
     assert w2.storage[AT] == {0: 8}
-    assert w2.tx_queue == []
-    assert len(w.tx_queue) == 2  # input world untouched
+    assert w.storage[AT] == {}  # input world untouched
 
 
 def test_sequence_error_propagates():

@@ -16,7 +16,7 @@ from sctest.coverage import (
 )
 from sctest.evm.bundle import ContractBundle, load_bundle
 from sctest.evm.engine import execute_sequence as engine_execute_sequence
-from sctest.evm.types import Transaction
+from sctest.evm.types import DEFAULT_GAS, Transaction
 from sctest.evm.world import make_world
 from sctest.fuzzing import (
     ASSERT_FAILURE,
@@ -404,6 +404,31 @@ def test_testcase_id_is_canonical():
     assert len(tc.id) == 32 and int(tc.id, 16) >= 0
     other = FuzzCase(tuple(camp._setup_txs[:1]))
     assert other.id != tc.id
+
+
+def test_campaign_transactions_match_keyword_built_ones():
+    # Campaign._tx builds Transactions positionally; delay and gas are
+    # adjacent ints, so a field reorder would swap them without an error
+    bundle = load_bundle(FIXTURES / "pool")
+    world, at = make_world(bundle)
+    doc = """\
+target pinned
+alias B = 0x0000000000000000000000000000000000001002
+fuzz:
+    call mintDyad(?id:uint256=1, ?amount:uint256=5) from B value 3 delay 7
+"""
+    camp = Campaign(world, parse_target(doc, bundle.resolved_abi), rng_seed=0)
+    camp.run(1)
+    (tx,) = camp.corpus.entries[0].txs
+    assert tx == Transaction(
+        function_call="mintDyad",
+        args=(1, 5),
+        delay=7,
+        source=0x1002,
+        destination=at,
+        value=3,
+    )
+    assert tx.gas == DEFAULT_GAS
 
 
 def test_testcase_id_is_cached_and_stable():

@@ -1,4 +1,5 @@
-"""Each subpackage imports cleanly when it is the first one loaded.
+"""Import hygiene: subpackages load in any order, every module-level
+import is read, and every console script resolves.
 
 coverage.bottleneck imports concolic.symexpr, and the concolic package
 imports drive, which imports coverage.covmap.  That works only while
@@ -7,6 +8,8 @@ fresh interpreter per subpackage keeps a cycle from hiding behind the
 import order of the test session.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -14,7 +17,16 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# (module, name) -> why a module-level import the module never reads stays
+UNREAD_ALLOWED = {
+    ("sctest.concolic.solve", "keccak256"): (
+        "perfbench/layers.py counts Keccak calls per binding site and"
+        " wraps this binding in every traced round"
+    ),
+}
 
 
 @pytest.mark.parametrize(
@@ -29,3 +41,70 @@ def test_subpackage_imports_first_in_a_fresh_interpreter(module):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _module_level_imports(body):
+    """Names bound by the imports in body, outside functions and classes."""
+    for node in body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for field in ("body", "orelse", "handlers", "finalbody"):
+                yield from _module_level_imports(getattr(node, field, ()))
+
+
+def _exported(tree) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_module_level_import_is_read():
+    unread = set()
+    for path in sorted((SRC / "sctest").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        tree = ast.parse(path.read_text(), str(path))
+        read = _exported(tree) | {
+            n.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread |= {
+            (module, name)
+            for name in _module_level_imports(tree.body)
+            if name not in read
+        }
+    assert unread - UNREAD_ALLOWED.keys() == set()
+    # an entry whose name is read now, or no longer imported, must go
+    assert UNREAD_ALLOWED.keys() <= unread
+
+
+def _project_scripts() -> dict[str, str]:
+    """name -> "module:attr" for each [project.scripts] entry of
+    pyproject.toml (read by hand: tomllib is new in Python 3.11)."""
+    scripts, section = {}, None
+    for line in (ROOT / "pyproject.toml").read_text().splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and "=" in line:
+            name, _, ref = line.partition("=")
+            scripts[name.strip().strip("\"'")] = ref.strip().strip("\"'")
+    return scripts
+
+
+def test_every_console_script_imports_to_a_callable():
+    for name, ref in _project_scripts().items():
+        module, _, attr = ref.partition(":")
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{name} = {ref} is not callable"

@@ -12,12 +12,12 @@ from sctest.evm import (
     ContractBundle,
     SnapshotCache,
     Transaction,
+    capture,
     deploy,
     execute_sequence,
     new_world,
     prefix_key,
     restore,
-    snapshot_of,
 )
 
 ACCT = 0x1001
@@ -45,6 +45,11 @@ def _world():
 def _bump(v: int, delay: int = 0) -> Transaction:
     return Transaction(function_call="bump", args=(v,), delay=delay,
                        source=ACCT, destination=AT)
+
+
+def _snapshot(world, prefix):
+    """The snapshot after prefix, built without the cache."""
+    return capture(execute_sequence(world, prefix)[0], prefix_key(prefix))
 
 
 def _state(world):
@@ -76,7 +81,7 @@ def test_restore_then_suffix_equals_direct_execution():
     seq = [_bump(3), _bump(5, delay=2), _bump(7)]
     direct, _ = execute_sequence(w, seq)
     for cut in range(len(seq) + 1):
-        snap = snapshot_of(w, seq[:cut])
+        snap = _snapshot(w, seq[:cut])
         resumed, _ = execute_sequence(restore(w, snap), seq[cut:])
         assert _state(resumed) == _state(direct), f"cut={cut}"
 
@@ -91,14 +96,14 @@ def test_snapshot_transparency_random_splits(vals, data):
     seq = [_bump(v, delay=v % 3) for v in vals]
     cut = data.draw(st.integers(0, len(seq)))
     direct, _ = execute_sequence(w, seq)
-    snap = snapshot_of(w, seq[:cut])
+    snap = _snapshot(w, seq[:cut])
     resumed, _ = execute_sequence(restore(w, snap), seq[cut:])
     assert _state(resumed) == _state(direct)
 
 
 def test_restored_world_is_independent_of_snapshot():
     w = _world()
-    snap = snapshot_of(w, [_bump(9)])
+    snap = _snapshot(w, [_bump(9)])
     r1 = restore(w, snap)
     r1.storage[AT][0] = 12345
     r2 = restore(w, snap)
@@ -114,10 +119,10 @@ def test_cache_hit_returns_same_snapshot():
     assert cache.hits == 1 and cache.misses == 1
 
 
-def test_cache_miss_builds_what_snapshot_of_builds_and_hashes_once(monkeypatch):
+def test_cache_miss_captures_the_prefix_run_and_hashes_once(monkeypatch):
     w = _world()
     prefix = [_bump(5), _bump(7, delay=2)]
-    want = snapshot_of(w, prefix)
+    want = _snapshot(w, prefix)
     keyed = []
 
     def counting_key(p):
@@ -132,7 +137,7 @@ def test_cache_miss_builds_what_snapshot_of_builds_and_hashes_once(monkeypatch):
 
 def test_cache_evicts_least_recently_used():
     w = _world()
-    one = snapshot_of(w, [_bump(1)])
+    one = _snapshot(w, [_bump(1)])
     budget = 3 * one.approx_bytes() + one.approx_bytes() // 2
     cache = SnapshotCache(memory_budget=budget)
     s1 = cache.get_or_build(w, [_bump(1)])
@@ -153,9 +158,9 @@ def test_cache_keeps_at_least_one_entry():
     assert cache.get(snap.key) is snap
 
 
-def test_snapshot_of_leaves_base_world_untouched():
+def test_cache_build_leaves_base_world_untouched():
     w = _world()
     before = _state(w)
     random.seed(0)
-    snapshot_of(w, [_bump(6), _bump(8)])
+    SnapshotCache().get_or_build(w, [_bump(6), _bump(8)])
     assert _state(w) == before
