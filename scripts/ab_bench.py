@@ -11,8 +11,12 @@ odd pairs and the change first in even ones, so a host that speeds up
 or slows down during the comparison weighs on both sides alike.  For
 every pair it prints both sides' execs_per_s and peak_rss_mb; at the
 end the wins of the change on execs_per_s, the medians and their ratio,
-the parent's interquartile range, the medians of wall_s and setup_s,
+the parent's interquartile range, the median and interquartile range of
+the per-pair change/parent ratios, the medians of wall_s and setup_s,
 and whether every run gave the same output digest and exact outcomes.
+The per-pair ratios compare runs made a minute apart, so a host that
+swings between fast and slow states for minutes at a time moves both
+sides of a ratio together.
 It exits 1 if any run failed or the outputs differ.  Standard library
 only.
 """
@@ -85,12 +89,18 @@ def main() -> int:
     par, chg = values("parent", "execs_per_s"), values("change", "execs_per_s")
     wins = sum(c > p for p, c in zip(par, chg))
     q1, q3 = quartiles(par)
+    ratios = [c / p for p, c in zip(par, chg)]
+    r1, r3 = quartiles(ratios)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
     print(f"execs_per_s: change won {wins}/{args.pairs}")
     print(
         f"execs_per_s median {statistics.median(par):.1f} (parent IQR {q1:.1f}-{q3:.1f})"
         f" -> {statistics.median(chg):.1f}, ratio"
         f" {statistics.median(chg) / statistics.median(par):.3f}"
+    )
+    print(
+        f"execs_per_s per-pair ratio median {statistics.median(ratios):.3f}"
+        f" (IQR {r1:.3f}-{r3:.3f})"
     )
     for name in ("wall_s", "setup_s", "peak_rss_mb"):
         print(

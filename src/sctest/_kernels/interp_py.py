@@ -1,19 +1,35 @@
 """Pure-Python bytecode frame interpreter.
 
-Executes one call frame over preprocessed code arrays until it halts or
-reaches a CALL-class instruction, at which point it pauses and returns
-control to the driver (sctest.evm.engine), which resolves the callee and
-resumes the frame, so the kernel never touches the world.  SHA3 calls
-the compiled keccak256 (sctest._kernels.keccak) through this module's
-own binding.
+Executes one call frame over a CodeImage (sctest.evm.image) until it
+halts or reaches a CALL-class instruction, at which point it pauses and
+returns control to the driver (sctest.evm.engine), which resolves the
+callee and resumes the frame, so the kernel never touches the world.
+SHA3 calls the compiled keccak256 (sctest._kernels.keccak) through this
+module's own binding.
+
+The frame runs a straight-line run at a time.  The image's run table
+gives, for each instruction offset, the run from there to the next
+jump, halt, pause, SHA3 or GAS, with its summed static gas and the stack
+depth it needs and rises by (folded from the pops and pushes in
+sctest.bytecode.opcodes.OPCODES).  When the gas left covers the run and
+the stack depth is within its bounds, the kernel charges the run's gas
+and records its offsets in the trace once, and the handlers run with no
+gas, trace or stack code of their own.  Otherwise it steps the one
+instruction at pc: it charges that instruction's gas, records it and
+checks the stack against the table, and tries the next run from the
+next offset.  So the gas used, the trace and the halt are those of a
+one-instruction-at-a-time interpreter: a halt in the middle of a run
+(a static-context write or the memory cap) gives back the gas charged
+for the rest of the run and cuts the rest from the trace.
 
 Conventions:
 - all arithmetic is modulo 2^256; DIV/MOD by zero yield 0
 - gas is a flat per-instruction table (see _GAS); SHA3 adds 6 per word
 - memory is a flat bytearray capped at 1 MiB; exceeding the cap is
   treated as resource exhaustion (out_of_gas halt)
-- stack underflow, bad jump targets, unknown opcodes, and writes under a
-  static context all halt with kind "invalid"
+- stack underflow, stack overflow past 1024 words, bad jump targets,
+  unknown opcodes, and writes under a static context all halt with
+  kind "invalid"
 
 Return value is a tagged tuple:
   ("halt", kind, data, gas_left)           kind: stop return revert invalid
@@ -51,12 +67,18 @@ def _ensure(memory: bytearray, end: int) -> bool:
     return True
 
 
+def _unspent(image, pc: int, offs: tuple, trace: list) -> int:
+    """The gas the current run `offs` charged for its instructions after
+    pc, which a halt at pc never tries; they are cut from the trace."""
+    if pc == offs[-1]:
+        return 0
+    rest = image.runs[image.nxt[pc]]  # the same run, from the next instruction on
+    del trace[-len(rest[0]) :]
+    return rest[1]
+
+
 def run_frame(
-    ops: bytes,
-    imm: list,
-    nxt: list,
-    is_jumpdest: bytes,
-    code_len: int,
+    image,
     calldata: bytes,
     storage: dict,
     balances: dict,
@@ -74,6 +96,12 @@ def run_frame(
     state=None,
     callret=None,
 ):
+    ops = image.code
+    imm = image.imm
+    nxt = image.nxt
+    is_jumpdest = image.is_jumpdest
+    runs = image.runs
+    code_len = len(ops)
     if state is None:
         stack: list = []
         memory = bytearray()
@@ -92,377 +120,285 @@ def run_frame(
 
     push = stack.append
     pop = stack.pop
+    record = trace.extend
 
     while True:
         if pc >= code_len:
             return ("halt", "stop", b"", gas)  # implicit stop off the end
-        op = ops[pc]
-        cost = _GAS[op]
-        if op == 0x20 and len(stack) >= 2:
-            cost += 6 * ((stack[-2] + 31) // 32)
-        gas -= cost
-        if gas < 0:
-            return ("halt", "out_of_gas", b"", 0)
-        trace.append(pc)
+        offs, cost, need, rise = runs[pc]
+        depth = len(stack)
+        if gas >= cost and need <= depth <= STACK_LIMIT - rise:
+            gas -= cost
+            record(offs)
+        else:  # step the one instruction at pc, checked exactly
+            cost, need, rise = image.steps[ops[pc]]
+            offs = (pc,)
+            gas -= cost
+            if gas < 0:
+                return ("halt", "out_of_gas", b"", 0)
+            trace.append(pc)
+            if not need <= depth <= STACK_LIMIT - rise:
+                return ("halt", "invalid", b"", gas)
 
-        # Dispatch order is execution frequency.  Of the 1.33 M
-        # instructions the three benchmark workloads run at seeds 42 and
-        # 77 together, PUSH/DUP/SWAP are 601k (three range tests); then
-        # CALLDATALOAD 109k, JUMPI 97k, JUMPDEST 87k, ADD 66k, EQ 64k,
-        # MUL 46k, POP 43k, LT 38k, ISZERO 36k, SHR 29k, STOP 23k,
-        # SLOAD 20k, JUMP 15k, AND 14k, SSTORE 11k, TIMESTAMP 9k, MSTORE
-        # 8k, DIV 6k, SHA3 4k, SUB 4k, RETURN/REVERT 2k, INVALID 0.5k
-        # (the final else), CALLER 0.3k, and the rest never.  The tests
-        # are disjoint, so the order changes speed only.
-        if 0x60 <= op <= 0x7F:  # PUSH1..32
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(imm[pc])
-            pc = nxt[pc]
-            continue
+        # Dispatch order is execution frequency on the benchmark
+        # workloads, PUSH/DUP/SWAP first (three range tests).  The tests
+        # are disjoint, so the order changes speed only.  A taken jump
+        # breaks out with dest set; otherwise the run falls through to
+        # the offset after its last instruction.
+        for pc in offs:
+            op = ops[pc]
+            if 0x60 <= op <= 0x7F:  # PUSH1..32
+                push(imm[pc])
+                continue
+            if 0x80 <= op <= 0x8F:  # DUP1..16
+                push(stack[0x7F - op])
+                continue
+            if 0x90 <= op <= 0x9F:  # SWAP1..16
+                n = op - 0x8F
+                stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
+                continue
 
-        if 0x80 <= op <= 0x8F:  # DUP1..16
-            n = op - 0x7F
-            if len(stack) < n:
-                return ("halt", "invalid", b"", gas)
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(stack[-n])
-            pc = nxt[pc]
-            continue
-
-        if 0x90 <= op <= 0x9F:  # SWAP1..16
-            n = op - 0x8F
-            if len(stack) < n + 1:
-                return ("halt", "invalid", b"", gas)
-            stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
-            pc = nxt[pc]
-            continue
-
-        if op == 0x35:  # CALLDATALOAD
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            i = stack[-1]
-            if i >= len(calldata):
-                stack[-1] = 0
-            else:
-                chunk = calldata[i : i + 32]
-                stack[-1] = int.from_bytes(chunk.ljust(32, b"\x00"), "big")
-        elif op == 0x57:  # JUMPI
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            dest = pop()
-            cond = pop()
-            if cond:
+            if op == 0x35:  # CALLDATALOAD
+                i = stack[-1]
+                if i >= len(calldata):
+                    stack[-1] = 0
+                else:
+                    chunk = calldata[i : i + 32]
+                    stack[-1] = int.from_bytes(chunk.ljust(32, b"\x00"), "big")
+            elif op == 0x57:  # JUMPI
+                dest = pop()
+                cond = pop()
+                if cond:
+                    if dest >= code_len or not is_jumpdest[dest]:
+                        return ("halt", "invalid", b"", gas)
+                    break
+            elif op == 0x5B:  # JUMPDEST
+                pass
+            elif op == 0x01:  # ADD
+                a = pop()
+                stack[-1] = (a + stack[-1]) & MASK256
+            elif op == 0x14:  # EQ
+                a = pop()
+                stack[-1] = 1 if a == stack[-1] else 0
+            elif op == 0x02:  # MUL
+                a = pop()
+                stack[-1] = (a * stack[-1]) & MASK256
+            elif op == 0x50:  # POP
+                pop()
+            elif op == 0x10:  # LT
+                a = pop()
+                stack[-1] = 1 if a < stack[-1] else 0
+            elif op == 0x15:  # ISZERO
+                stack[-1] = 1 if stack[-1] == 0 else 0
+            elif op == 0x1C:  # SHR
+                sh = pop()
+                stack[-1] = stack[-1] >> sh if sh < 256 else 0
+            elif op == 0x00:  # STOP
+                return ("halt", "stop", b"", gas)
+            elif op == 0x54:  # SLOAD
+                stack[-1] = storage.get(stack[-1], 0)
+            elif op == 0x56:  # JUMP
+                dest = pop()
                 if dest >= code_len or not is_jumpdest[dest]:
                     return ("halt", "invalid", b"", gas)
-                pc = dest
-                continue
-        elif op == 0x5B:  # JUMPDEST
-            pass
-        elif op == 0x01:  # ADD
-            if len(stack) < 2:
+                break
+            elif op == 0x16:  # AND
+                a = pop()
+                stack[-1] = a & stack[-1]
+            elif op == 0x55:  # SSTORE
+                if static:
+                    return ("halt", "invalid", b"", gas + _unspent(image, pc, offs, trace))
+                slot = pop()
+                val = pop()
+                if val:
+                    storage[slot] = val
+                else:
+                    storage.pop(slot, None)  # zero means absent
+            elif op == 0x42:  # TIMESTAMP
+                push(timestamp)
+            elif op == 0x52:  # MSTORE
+                off = pop()
+                val = pop()
+                if not _ensure(memory, off + 32):
+                    return ("halt", "out_of_gas", b"", gas + _unspent(image, pc, offs, trace))
+                memory[off : off + 32] = val.to_bytes(32, "big")
+            elif op == 0x04:  # DIV
+                a = pop()
+                b = stack[-1]
+                stack[-1] = a // b if b else 0
+            elif op == 0x20:  # SHA3, last in its run: charge the words here
+                off = pop()
+                size = pop()
+                gas -= 6 * ((size + 31) // 32)
+                if gas < 0:
+                    trace.pop()  # out of gas before it ran: not traced
+                    return ("halt", "out_of_gas", b"", 0)
+                if size:
+                    if not _ensure(memory, off + size):
+                        return ("halt", "out_of_gas", b"", gas)
+                    buf = bytes(memory[off : off + size])
+                else:
+                    buf = b""
+                digest = keccak256(buf)
+                sha_seen.append((buf, digest))
+                push(int.from_bytes(digest, "big"))
+            elif op == 0x03:  # SUB
+                a = pop()
+                stack[-1] = (a - stack[-1]) & MASK256
+            elif op == 0xF3 or op == 0xFD:  # RETURN / REVERT
+                off = pop()
+                size = pop()
+                if size:
+                    if not _ensure(memory, off + size):
+                        return ("halt", "out_of_gas", b"", gas)
+                    data = bytes(memory[off : off + size])
+                else:
+                    data = b""
+                return ("halt", "return" if op == 0xF3 else "revert", data, gas)
+            elif op == 0x33:  # CALLER
+                push(caller)
+            elif op == 0x06:  # MOD
+                a = pop()
+                b = stack[-1]
+                stack[-1] = a % b if b else 0
+            elif op == 0x0A:  # EXP
+                a = pop()
+                stack[-1] = pow(a, stack[-1], 1 << 256)
+            elif op == 0x11:  # GT
+                a = pop()
+                stack[-1] = 1 if a > stack[-1] else 0
+            elif op == 0x17:  # OR
+                a = pop()
+                stack[-1] = a | stack[-1]
+            elif op == 0x18:  # XOR
+                a = pop()
+                stack[-1] = a ^ stack[-1]
+            elif op == 0x19:  # NOT
+                stack[-1] = stack[-1] ^ MASK256
+            elif op == 0x1B:  # SHL: top is shift, next is value
+                sh = pop()
+                stack[-1] = (stack[-1] << sh) & MASK256 if sh < 256 else 0
+            elif op == 0x30:  # ADDRESS
+                push(self_addr)
+            elif op == 0x31:  # BALANCE
+                stack[-1] = balances.get(stack[-1] & ADDR_MASK, 0)
+            elif op == 0x34:  # CALLVALUE
+                push(callvalue)
+            elif op == 0x36:  # CALLDATASIZE
+                push(len(calldata))
+            elif op == 0x37:  # CALLDATACOPY
+                dst = pop()
+                src = pop()
+                size = pop()
+                if size:
+                    if not _ensure(memory, dst + size):
+                        return ("halt", "out_of_gas", b"", gas + _unspent(image, pc, offs, trace))
+                    chunk = calldata[src : src + size] if src < len(calldata) else b""
+                    chunk = chunk.ljust(size, b"\x00")
+                    memory[dst : dst + size] = chunk
+            elif op == 0x43:  # NUMBER
+                push(number)
+            elif op == 0x51:  # MLOAD
+                off = stack[-1]
+                if not _ensure(memory, off + 32):
+                    return ("halt", "out_of_gas", b"", gas + _unspent(image, pc, offs, trace))
+                stack[-1] = int.from_bytes(memory[off : off + 32], "big")
+            elif op == 0x53:  # MSTORE8
+                off = pop()
+                val = pop()
+                if not _ensure(memory, off + 1):
+                    return ("halt", "out_of_gas", b"", gas + _unspent(image, pc, offs, trace))
+                memory[off] = val & 0xFF
+            elif op == 0x58:  # PC
+                push(pc)
+            elif op == 0x5A:  # GAS (remaining after this instruction's cost)
+                push(gas)
+            elif 0xA0 <= op <= 0xA4:  # LOG0..4
+                if static:
+                    return ("halt", "invalid", b"", gas + _unspent(image, pc, offs, trace))
+                n = op - 0xA0
+                off = pop()
+                size = pop()
+                topics = tuple(pop() for _ in range(n))
+                if size:
+                    if not _ensure(memory, off + size):
+                        return ("halt", "out_of_gas", b"", gas + _unspent(image, pc, offs, trace))
+                    data = bytes(memory[off : off + size])
+                else:
+                    data = b""
+                logs.append((pc, topics, data))
+            elif op == 0xF0 or op == 0xF5:  # CREATE / CREATE2
+                if static:
+                    return ("halt", "invalid", b"", gas + _unspent(image, pc, offs, trace))
+                value = pop()
+                off = pop()
+                size = pop()
+                salt = pop() if op == 0xF5 else None
+                if size:
+                    if not _ensure(memory, off + size):
+                        return ("halt", "out_of_gas", b"", gas + _unspent(image, pc, offs, trace))
+                    init = bytes(memory[off : off + size])
+                else:
+                    init = b""
+                rec = {
+                    "kind": "create2" if op == 0xF5 else "create",
+                    "from": self_addr,
+                    "value": value,
+                    "init": init,
+                }
+                if salt is not None:
+                    rec["salt"] = salt
+                ext.append(rec)
+                push(0)  # no real deployment: zero address
+            elif op == 0xF1:  # CALL
+                pop()  # gas argument ignored: single shared meter
+                to = pop() & ADDR_MASK
+                value = pop()
+                in_off = pop()
+                in_size = pop()
+                out_off = pop()
+                out_size = pop()
+                if static and value:
+                    return ("halt", "invalid", b"", gas)
+                if in_size:
+                    if not _ensure(memory, in_off + in_size):
+                        return ("halt", "out_of_gas", b"", gas)
+                    arg = bytes(memory[in_off : in_off + in_size])
+                else:
+                    arg = b""
+                return (
+                    "call", "call", to, value, arg, gas,
+                    (stack, memory, nxt[pc], out_off, out_size),
+                )
+            elif op == 0xF4 or op == 0xFA:  # DELEGATECALL / STATICCALL
+                pop()  # gas argument ignored
+                to = pop() & ADDR_MASK
+                in_off = pop()
+                in_size = pop()
+                out_off = pop()
+                out_size = pop()
+                if in_size:
+                    if not _ensure(memory, in_off + in_size):
+                        return ("halt", "out_of_gas", b"", gas)
+                    arg = bytes(memory[in_off : in_off + in_size])
+                else:
+                    arg = b""
+                kind = "delegatecall" if op == 0xF4 else "staticcall"
+                return (
+                    "call", kind, to, callvalue if op == 0xF4 else 0, arg, gas,
+                    (stack, memory, nxt[pc], out_off, out_size),
+                )
+            elif op == 0xFF:  # SELFDESTRUCT
+                if static:
+                    return ("halt", "invalid", b"", gas)
+                beneficiary = pop() & ADDR_MASK
+                ext.append(
+                    {"kind": "selfdestruct", "from": self_addr, "to": beneficiary}
+                )
+                return ("halt", "selfdestruct", b"", gas)
+            else:  # INVALID and any unknown byte
                 return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = (a + stack[-1]) & MASK256
-        elif op == 0x14:  # EQ
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = 1 if a == stack[-1] else 0
-        elif op == 0x02:  # MUL
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = (a * stack[-1]) & MASK256
-        elif op == 0x50:  # POP
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            pop()
-        elif op == 0x10:  # LT
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = 1 if a < stack[-1] else 0
-        elif op == 0x15:  # ISZERO
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            stack[-1] = 1 if stack[-1] == 0 else 0
-        elif op == 0x1C:  # SHR
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            sh = pop()
-            stack[-1] = stack[-1] >> sh if sh < 256 else 0
-        elif op == 0x00:  # STOP
-            return ("halt", "stop", b"", gas)
-        elif op == 0x54:  # SLOAD
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            stack[-1] = storage.get(stack[-1], 0)
-        elif op == 0x56:  # JUMP
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            dest = pop()
-            if dest >= code_len or not is_jumpdest[dest]:
-                return ("halt", "invalid", b"", gas)
-            pc = dest
+        else:
+            pc = nxt[pc]
             continue
-        elif op == 0x16:  # AND
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = a & stack[-1]
-        elif op == 0x55:  # SSTORE
-            if static:
-                return ("halt", "invalid", b"", gas)
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            slot = pop()
-            val = pop()
-            if val:
-                storage[slot] = val
-            else:
-                storage.pop(slot, None)  # zero means absent
-        elif op == 0x42:  # TIMESTAMP
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(timestamp)
-        elif op == 0x52:  # MSTORE
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            off = pop()
-            val = pop()
-            if not _ensure(memory, off + 32):
-                return ("halt", "out_of_gas", b"", gas)
-            memory[off : off + 32] = val.to_bytes(32, "big")
-        elif op == 0x04:  # DIV
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            b = stack[-1]
-            stack[-1] = a // b if b else 0
-        elif op == 0x20:  # SHA3
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            off = pop()
-            size = pop()
-            if size:
-                if not _ensure(memory, off + size):
-                    return ("halt", "out_of_gas", b"", gas)
-                buf = bytes(memory[off : off + size])
-            else:
-                buf = b""
-            digest = keccak256(buf)
-            sha_seen.append((buf, digest))
-            push(int.from_bytes(digest, "big"))
-        elif op == 0x03:  # SUB
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = (a - stack[-1]) & MASK256
-        elif op == 0xF3 or op == 0xFD:  # RETURN / REVERT
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            off = pop()
-            size = pop()
-            if size:
-                if not _ensure(memory, off + size):
-                    return ("halt", "out_of_gas", b"", gas)
-                data = bytes(memory[off : off + size])
-            else:
-                data = b""
-            return ("halt", "return" if op == 0xF3 else "revert", data, gas)
-        elif op == 0x33:  # CALLER
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(caller)
-        elif op == 0x06:  # MOD
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            b = stack[-1]
-            stack[-1] = a % b if b else 0
-        elif op == 0x0A:  # EXP
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = pow(a, stack[-1], 1 << 256)
-        elif op == 0x11:  # GT
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = 1 if a > stack[-1] else 0
-        elif op == 0x17:  # OR
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = a | stack[-1]
-        elif op == 0x18:  # XOR
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            a = pop()
-            stack[-1] = a ^ stack[-1]
-        elif op == 0x19:  # NOT
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            stack[-1] = stack[-1] ^ MASK256
-        elif op == 0x1B:  # SHL: top is shift, next is value
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            sh = pop()
-            stack[-1] = (stack[-1] << sh) & MASK256 if sh < 256 else 0
-        elif op == 0x30:  # ADDRESS
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(self_addr)
-        elif op == 0x31:  # BALANCE
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            stack[-1] = balances.get(stack[-1] & ADDR_MASK, 0)
-        elif op == 0x34:  # CALLVALUE
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(callvalue)
-        elif op == 0x36:  # CALLDATASIZE
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(len(calldata))
-        elif op == 0x37:  # CALLDATACOPY
-            if len(stack) < 3:
-                return ("halt", "invalid", b"", gas)
-            dst = pop()
-            src = pop()
-            size = pop()
-            if size:
-                if not _ensure(memory, dst + size):
-                    return ("halt", "out_of_gas", b"", gas)
-                chunk = calldata[src : src + size] if src < len(calldata) else b""
-                chunk = chunk.ljust(size, b"\x00")
-                memory[dst : dst + size] = chunk
-        elif op == 0x43:  # NUMBER
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(number)
-        elif op == 0x51:  # MLOAD
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            off = stack[-1]
-            if not _ensure(memory, off + 32):
-                return ("halt", "out_of_gas", b"", gas)
-            stack[-1] = int.from_bytes(memory[off : off + 32], "big")
-        elif op == 0x53:  # MSTORE8
-            if len(stack) < 2:
-                return ("halt", "invalid", b"", gas)
-            off = pop()
-            val = pop()
-            if not _ensure(memory, off + 1):
-                return ("halt", "out_of_gas", b"", gas)
-            memory[off] = val & 0xFF
-        elif op == 0x58:  # PC
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(pc)
-        elif op == 0x5A:  # GAS (remaining after this instruction's cost)
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(gas)
-        elif 0xA0 <= op <= 0xA4:  # LOG0..4
-            if static:
-                return ("halt", "invalid", b"", gas)
-            n = op - 0xA0
-            if len(stack) < 2 + n:
-                return ("halt", "invalid", b"", gas)
-            off = pop()
-            size = pop()
-            topics = tuple(pop() for _ in range(n))
-            if size:
-                if not _ensure(memory, off + size):
-                    return ("halt", "out_of_gas", b"", gas)
-                data = bytes(memory[off : off + size])
-            else:
-                data = b""
-            logs.append((pc, topics, data))
-        elif op == 0xF0 or op == 0xF5:  # CREATE / CREATE2
-            if static:
-                return ("halt", "invalid", b"", gas)
-            need = 3 if op == 0xF0 else 4
-            if len(stack) < need:
-                return ("halt", "invalid", b"", gas)
-            value = pop()
-            off = pop()
-            size = pop()
-            salt = pop() if op == 0xF5 else None
-            if size:
-                if not _ensure(memory, off + size):
-                    return ("halt", "out_of_gas", b"", gas)
-                init = bytes(memory[off : off + size])
-            else:
-                init = b""
-            rec = {
-                "kind": "create2" if op == 0xF5 else "create",
-                "from": self_addr,
-                "value": value,
-                "init": init,
-            }
-            if salt is not None:
-                rec["salt"] = salt
-            ext.append(rec)
-            if len(stack) >= STACK_LIMIT:
-                return ("halt", "invalid", b"", gas)
-            push(0)  # no real deployment: zero address
-        elif op == 0xF1:  # CALL
-            if len(stack) < 7:
-                return ("halt", "invalid", b"", gas)
-            pop()  # gas argument ignored: single shared meter
-            to = pop() & ADDR_MASK
-            value = pop()
-            in_off = pop()
-            in_size = pop()
-            out_off = pop()
-            out_size = pop()
-            if static and value:
-                return ("halt", "invalid", b"", gas)
-            if in_size:
-                if not _ensure(memory, in_off + in_size):
-                    return ("halt", "out_of_gas", b"", gas)
-                arg = bytes(memory[in_off : in_off + in_size])
-            else:
-                arg = b""
-            return (
-                "call", "call", to, value, arg, gas,
-                (stack, memory, nxt[pc], out_off, out_size),
-            )
-        elif op == 0xF4 or op == 0xFA:  # DELEGATECALL / STATICCALL
-            if len(stack) < 6:
-                return ("halt", "invalid", b"", gas)
-            pop()  # gas argument ignored
-            to = pop() & ADDR_MASK
-            in_off = pop()
-            in_size = pop()
-            out_off = pop()
-            out_size = pop()
-            if in_size:
-                if not _ensure(memory, in_off + in_size):
-                    return ("halt", "out_of_gas", b"", gas)
-                arg = bytes(memory[in_off : in_off + in_size])
-            else:
-                arg = b""
-            kind = "delegatecall" if op == 0xF4 else "staticcall"
-            return (
-                "call", kind, to, callvalue if op == 0xF4 else 0, arg, gas,
-                (stack, memory, nxt[pc], out_off, out_size),
-            )
-        elif op == 0xFF:  # SELFDESTRUCT
-            if static:
-                return ("halt", "invalid", b"", gas)
-            if not stack:
-                return ("halt", "invalid", b"", gas)
-            beneficiary = pop() & ADDR_MASK
-            ext.append(
-                {"kind": "selfdestruct", "from": self_addr, "to": beneficiary}
-            )
-            return ("halt", "selfdestruct", b"", gas)
-        else:  # INVALID and any unknown byte
-            return ("halt", "invalid", b"", gas)
-
-        pc = nxt[pc]
+        pc = dest

@@ -21,8 +21,6 @@ _JUMPDEST = 0x5B
 _PUSH4 = 0x63
 _EQ = 0x14
 
-DISPATCHER = FunctionSig("__dispatch__", ())
-
 
 @dataclass(frozen=True)
 class BasicBlock:
@@ -47,8 +45,6 @@ class Cfg:
     order: list[int]  # block starts, ascending
     preds: dict[int, tuple[int, ...]]
     block_of: dict[int, int]  # instruction offset -> block start
-    branch_edges: list[tuple[int, int]]
-    call_edges: list[tuple[FunctionSig, FunctionSig]]
     dispatch: dict[bytes, int]  # selector bytes -> entry offset
     instrs: list[Instr] = field(default_factory=list)
 
@@ -125,10 +121,10 @@ def _const_stack_walk(instrs: tuple[Instr, ...]) -> dict[int, int | None]:
     return targets
 
 
-def build_cfg(bytecode: bytes, abi: list[FunctionSig] | None = None) -> Cfg:
+def build_cfg(bytecode: bytes) -> Cfg:
     instrs = decode(bytecode)
     if not instrs:
-        return Cfg({}, [], {}, {}, [], [], {}, [])
+        return Cfg({}, [], {}, {}, {}, [])
 
     leaders: set[int] = {instrs[0].offset}
     for i, ins in enumerate(instrs):
@@ -193,10 +189,8 @@ def build_cfg(bytecode: bytes, abi: list[FunctionSig] | None = None) -> Cfg:
         preds[b].append(a)
     preds_t = {b: tuple(ps) for b, ps in preds.items()}
 
-    cfg = Cfg(blocks, order, preds_t, block_of, edges, [], {}, instrs)
+    cfg = Cfg(blocks, order, preds_t, block_of, {}, instrs)
     cfg.dispatch = _recover_dispatch(cfg)
-    if abi:
-        cfg.call_edges = _call_edges(cfg, abi)
     return cfg
 
 
@@ -208,7 +202,6 @@ def _recover_dispatch(cfg: Cfg) -> dict[bytes, int]:
         last = blk.instrs[-1]
         if last.code != _JUMPI:
             continue
-        taken = [s for s in blk.succs]
         t = _const_stack_walk(blk.instrs).get(last.offset)
         if t is None or t not in cfg.block_of:
             continue
@@ -222,39 +215,6 @@ def _recover_dispatch(cfg: Cfg) -> dict[bytes, int]:
         if saw_eq and sel is not None:
             out.setdefault(sel.to_bytes(4, "big"), t)
     return out
-
-
-def _call_edges(cfg: Cfg, abi: list[FunctionSig]) -> list[tuple[FunctionSig, FunctionSig]]:
-    entries: dict[int, FunctionSig] = {}
-    for sig in resolve_entries(cfg, abi):
-        if sig.entry_offset is not None:
-            entries[sig.entry_offset] = sig
-
-    edges: list[tuple[FunctionSig, FunctionSig]] = []
-    for sel, entry in sorted(cfg.dispatch.items()):
-        sig = entries.get(entry)
-        if sig is not None:
-            edges.append((DISPATCHER, sig))
-
-    # jumps from inside one function body into another function's entry
-    ranged = [s for s in entries.values() if s.body_range]
-    for a in ranged:
-        lo, hi = a.body_range
-        for start in cfg.order:
-            if not lo <= start < hi:
-                continue
-            for succ in cfg.blocks[start].succs:
-                b = entries.get(succ)
-                if b is not None and b is not a:
-                    edges.append((a, b))
-    seen = set()
-    uniq = []
-    for e in edges:
-        key = (e[0].name, e[1].name)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(e)
-    return uniq
 
 
 def resolve_entries(cfg: Cfg, abi: list[FunctionSig]) -> list[FunctionSig]:

@@ -516,12 +516,11 @@ def shadow_run(
     restored from its snapshot instead of being run again."""
     prefix = list(prefix)
     if not prefix:
-        base = world.copy()
+        base = world
     elif cache is None:
         base, _ = execute_sequence(world, prefix)
     else:
         base = restore(world, cache.get_or_build(world, prefix))
-    base.block.timestamp += tx.delay
     bundle = base.deployed.get(tx.destination)
     if bundle is None:
         raise UnknownDestination(f"0x{tx.destination:040x} has no code")
@@ -547,7 +546,7 @@ def shadow_run(
         tx.destination,
         tx.source,
         tx.value,
-        base.block.timestamp,
+        base.block.timestamp + tx.delay,
         base.block.number,
         tx.gas,
         start_pc,

@@ -28,7 +28,7 @@ class ContractBundle:
 
     @cached_property
     def cfg(self) -> Cfg:
-        return build_cfg(self.bytecode, self.abi)
+        return build_cfg(self.bytecode)
 
     @cached_property
     def resolved_abi(self) -> list[FunctionSig]:

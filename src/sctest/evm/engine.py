@@ -48,6 +48,17 @@ class _TxCtx:
         self.logs: list[tuple[int, int, tuple, bytes]] = []
         self.sha: list[tuple[bytes, bytes]] = []
         self.gas = gas
+        self.moved = False  # whether any value changed hands
+
+    def transfer(self, frm: int, to: int, value: int) -> bool:
+        """Move value from frm to to; False, moving nothing, when frm
+        holds less than value."""
+        if self.balances.get(frm, 0) < value:
+            return False
+        self.balances[frm] -= value
+        self.balances[to] = self.balances.get(to, 0) + value
+        self.moved = True
+        return True
 
     def overlay(self, addr: int) -> dict[int, int]:
         ov = self.overlays.get(addr)
@@ -92,8 +103,7 @@ def _run_call(
     while True:
         klogs: list = []
         r = run_frame(
-            image.code, image.imm, image.nxt, image.is_jumpdest, len(image.code),
-            calldata, storage, ctx.balances, exec_addr, caller, callvalue,
+            image, calldata, storage, ctx.balances, exec_addr, caller, callvalue,
             world.block.timestamp, world.block.number, ctx.gas, static,
             seg, klogs, ctx.ext, ctx.sha, state, callret,
         )
@@ -137,19 +147,13 @@ def _resolve_call(
         return 0, b""
     if bundle is None:
         # unknown destination: recorded, succeeds with empty return data
-        if kind == "call" and value:
-            if ctx.balances.get(from_addr, 0) < value:
-                return 0, b""
-            ctx.balances[from_addr] -= value
-            ctx.balances[to] = ctx.balances.get(to, 0) + value
+        if kind == "call" and value and not ctx.transfer(from_addr, to, value):
+            return 0, b""
         return 1, b""
     rec["resolved"] = True
     if kind == "call":
-        if value:
-            if ctx.balances.get(from_addr, 0) < value:
-                return 0, b""
-            ctx.balances[from_addr] -= value
-            ctx.balances[to] = ctx.balances.get(to, 0) + value
+        if value and not ctx.transfer(from_addr, to, value):
+            return 0, b""
         exec_addr, caller, callvalue, st = to, from_addr, value, static
     elif kind == "delegatecall":
         # callee code (and trace), caller's storage/address/caller/value
@@ -169,14 +173,18 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
 
     Worlds are values: the input world is never changed, and the result
     world shares every storage map and Account the transaction left
-    untouched, and its deployed map.  It gets fresh accounts and storage
-    dicts, a fresh BlockCtx, the committed storage overlays (private
-    copies) and a new Account for each balance that changed.  So a caller
-    must never mutate a world's maps or accounts in place;
-    EvmWorld.copy() gives a deep copy to edit.
+    untouched, and its deployed map.  It gets a fresh storage dict with
+    the committed storage overlays (private copies).  It shares the
+    input's BlockCtx when tx.delay is 0 and gets a fresh one otherwise,
+    and it shares the input's accounts dict unless value changed hands,
+    when it gets a fresh one with a new Account for each balance that
+    changed.  So a caller must never mutate a world's maps, accounts or
+    block in place; EvmWorld.copy() gives a deep copy to edit.
     """
-    block = BlockCtx(world.block.timestamp + tx.delay, world.block.number)
-    w = EvmWorld(dict(world.accounts), world.deployed, dict(world.storage), block)
+    block = world.block
+    if tx.delay:
+        block = BlockCtx(block.timestamp + tx.delay, block.number)
+    w = EvmWorld(world.accounts, world.deployed, dict(world.storage), block)
 
     bundle = w.deployed.get(tx.destination)
     if bundle is None:
@@ -194,14 +202,11 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
         raise MalformedCalldata(f"calldata is {len(calldata)} bytes, need >= 4")
 
     ctx = _TxCtx(w, tx.gas)
-    if tx.value:
-        if ctx.balances.get(tx.source, 0) < tx.value:
-            raise InsufficientBalance(
-                f"0x{tx.source:040x} holds {ctx.balances.get(tx.source, 0)}, "
-                f"needs {tx.value}"
-            )
-        ctx.balances[tx.source] -= tx.value
-        ctx.balances[tx.destination] = ctx.balances.get(tx.destination, 0) + tx.value
+    if tx.value and not ctx.transfer(tx.source, tx.destination, tx.value):
+        raise InsufficientBalance(
+            f"0x{tx.source:040x} holds {ctx.balances.get(tx.source, 0)}, "
+            f"needs {tx.value}"
+        )
 
     kind, data = _run_call(
         ctx, bundle.image, tx.destination, tx.destination, tx.source,
@@ -212,12 +217,13 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
     if halt != "OUT_OF_GAS":
         for addr in sorted(ctx.overlays):
             w.storage[addr] = ctx.overlays[addr]  # a private copy already
-        accounts = w.accounts
-        for addr in sorted(ctx.balances):
-            bal = ctx.balances[addr]
-            acc = accounts.get(addr)
-            if acc is None or acc.balance != bal:
-                accounts[addr] = Account(addr, bal)
+        if ctx.moved:
+            accounts = w.accounts = dict(world.accounts)
+            for addr in sorted(ctx.balances):
+                bal = ctx.balances[addr]
+                acc = accounts.get(addr)
+                if acc is None or acc.balance != bal:
+                    accounts[addr] = Account(addr, bal)
 
     result = ExecResult(
         halt=halt,

@@ -1,12 +1,5 @@
 """The modeled execution context: accounts, deployed contracts, storage
-and block metadata.
-
-Worlds are values.  execute_tx and deploy return a new world and leave
-their input as it was, and execute_tx shares with its input every
-storage map and Account the transaction did not change.  So never
-mutate a world's maps or accounts in place: take copy(), a deep copy
-that shares only the immutable bundles, and edit that.
-"""
+and block metadata."""
 
 from dataclasses import dataclass, field
 
@@ -17,6 +10,14 @@ from .types import DEFAULT_TIMESTAMP, Account, BlockCtx
 
 @dataclass
 class EvmWorld:
+    """A world is a value.  execute_tx and deploy return a new world and
+    leave their input as it was, and execute_tx shares with its input
+    every storage map and Account the transaction did not change, the
+    accounts dict itself when no value changed hands, and the BlockCtx
+    when the transaction has no delay.  So never mutate a world's maps,
+    accounts or block in place: take copy(), a deep copy that shares only
+    the immutable bundles, and edit that."""
+
     accounts: dict[int, Account] = field(default_factory=dict)
     deployed: dict[int, ContractBundle] = field(default_factory=dict)
     storage: dict[int, dict[int, int]] = field(default_factory=dict)

@@ -13,13 +13,15 @@ from the RNG and rebuilds the one changed argument row.
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..bytecode.abi import AbiType, FunctionSig
 from .target import FuzzTarget
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
+class Candidate(NamedTuple):
+    """A tuple, so the campaign's repeat table hashes and compares it in C."""
+
     args: tuple[tuple, ...]  # one tuple per fuzz call, declaration order
     order: tuple[int, ...]  # execution order over fuzz-call indices
 

@@ -1,12 +1,11 @@
 from sctest.bytecode import build_cfg, parse_abi
 from sctest.bytecode.asm import Asm, dispatcher
-from sctest.bytecode.cfg import DISPATCHER, resolve_entries
+from sctest.bytecode.cfg import resolve_entries
 
 
 def test_straight_line_single_block():
     cfg = build_cfg(bytes.fromhex("6002600301 00".replace(" ", "")))
     assert len(cfg.blocks) == 1
-    assert cfg.branch_edges == []
     blk = cfg.blocks[0]
     assert blk.terminator == "STOP"
     assert blk.succs == ()
@@ -68,17 +67,15 @@ def three_fn_bundle():
     return a.assemble(), abi
 
 
-def test_dispatcher_recovery_and_call_edges():
+def test_dispatcher_recovery():
     res, abi = three_fn_bundle()
-    cfg = build_cfg(res.bytecode, abi)
+    cfg = build_cfg(res.bytecode)
     assert set(cfg.dispatch) == {s.selector for s in abi}
-    pairs = {(a.name, b.name) for a, b in cfg.call_edges}
-    assert pairs == {(DISPATCHER.name, s.name) for s in abi}
 
 
 def test_body_range_inference():
     res, abi = three_fn_bundle()
-    cfg = build_cfg(res.bytecode, abi)
+    cfg = build_cfg(res.bytecode)
     resolved = resolve_entries(cfg, abi)
     for sig in resolved:
         entry, declared = res.functions[sig.name]

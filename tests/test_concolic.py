@@ -2,6 +2,7 @@
 SMT export, the shadow interpreter, error handling in drive and the
 fixture asserts drive reaches."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import sctest.concolic
 import sctest.evm
 from sctest._kernels import run_frame
+from sctest._kernels.interp_py import MEM_LIMIT
 from sctest.bytecode.abi import FunctionSig, encode_call
 from sctest.bytecode.opcodes import BINOP, CALL_CLASS, OPCODES, by_name
 from sctest.concolic import (
@@ -303,6 +305,17 @@ def test_shadow_run_with_cache_matches_uncached(pool):
     assert (cache.hits, cache.misses) == (1, 1)
 
 
+def test_shadow_run_leaves_the_world_it_ran_from_alone(pool):
+    # the world after a prefix of undelayed transactions shares the input
+    # world's BlockCtx, so a delayed shadowed call must not move it
+    world, prefix, tx = _pool_case(pool)
+    block = (world.block.timestamp, world.block.number)
+    for pre in (prefix, []):
+        run = shadow_run(world, pre, dataclasses.replace(tx, delay=5))
+        assert run.trace
+        assert (world.block.timestamp, world.block.number) == block
+
+
 def test_shadow_run_with_empty_prefix_skips_the_cache(pool):
     world, _, tx = _pool_case(pool)
     cache = SnapshotCache()
@@ -316,8 +329,7 @@ def test_shadow_and_kernel_agree_on_selfdestruct():
     run = _shadow_frame(image, b"", None, {}, {}, 0xC0DE, 0x1001, 0, 1, 1, 10_000)
     trace: list = []
     kernel = run_frame(
-        image.code, image.imm, image.nxt, image.is_jumpdest, len(image.code),
-        b"", {}, {}, 0xC0DE, 0x1001, 0, 1, 1, 10_000, False, trace, [], [], [],
+        image, b"", {}, {}, 0xC0DE, 0x1001, 0, 1, 1, 10_000, False, trace, [], [], [],
     )
     _, kind, data, gas_left = kernel
     assert run.halt == kind == "selfdestruct"
@@ -451,8 +463,7 @@ def _check_agree(items, call, storage, gas, value):
     )
     kernel_storage, trace, sha = dict(storage), [], []
     kernel = run_frame(
-        image.code, image.imm, image.nxt, image.is_jumpdest, len(image.code),
-        calldata, kernel_storage, dict(balances), SELF, CALLER, value, 1, 1,
+        image, calldata, kernel_storage, dict(balances), SELF, CALLER, value, 1, 1,
         gas, False, trace, [], [], sha,
     )
     assert kernel[0] == "halt"  # no pausing opcode was generated
@@ -463,6 +474,7 @@ def _check_agree(items, call, storage, gas, value):
     assert list(run.trace) == trace
     assert run.storage == kernel_storage
     assert list(run.sha_preimages) == sha
+    return run
 
 
 @settings(max_examples=250, deadline=None)
@@ -477,25 +489,89 @@ def test_shadow_and_kernel_agree_on_generated_programs(items, call, storage, gas
     _check_agree(items, call, storage, gas, value)
 
 
-ISZERO, POP, CALLDATALOAD = (by_name(n).code for n in ("ISZERO", "POP", "CALLDATALOAD"))
+ISZERO, POP, CALLDATALOAD, ADD, MUL, MSTORE, SHA3, DUP1 = (
+    by_name(n).code
+    for n in ("ISZERO", "POP", "CALLDATALOAD", "ADD", "MUL", "MSTORE", "SHA3", "DUP1")
+)
 ABI_ARGS = (7, (1, 2), b"xyz")
 ABI_CALL = (encode_call(DIFF_SIG, ABI_ARGS), ArgLayout(DIFF_SIG, ABI_ARGS))
+NO_CALL = (b"", None)
+# three words under what a program computes, so SINK finds four words
+BASE = [("push", w) for w in (5, 6, 7)]
+# 1022 words, then a JUMPI not taken: the next run starts at depth 1022
+AT_1022 = [("push", 0)] * 1022 + [("jump", 7, 0)]
 
 
 @pytest.mark.parametrize(
-    "items,call",
+    "items,call,halt",
     [
-        ([("op", ISZERO)], (b"", None)),
-        ([("push", 0), ("op", ISZERO), ("op", POP), ("op", ISZERO)], (b"", None)),
+        ([("op", ISZERO)], NO_CALL, "invalid"),
+        ([("push", 0), ("op", ISZERO), ("op", POP), ("op", ISZERO)], NO_CALL, "invalid"),
         # the last word of the calldata is shorter than 32 bytes
         ([("apply", CALLDATALOAD, [0]), ("apply", CALLDATALOAD, [3])],
-         (bytes(range(1, 6)), None)),
-        ([("apply", CALLDATALOAD, [len(ABI_CALL[0]) - 31])], ABI_CALL),
+         (bytes(range(1, 6)), None), "invalid"),
+        ([("apply", CALLDATALOAD, [len(ABI_CALL[0]) - 31])], ABI_CALL, "invalid"),
+        # the fourth ADD finds one word, in the middle of the program's run
+        ([*BASE, ("push", 1)] + [("op", ADD)] * 4 + [("push", 2)], NO_CALL, "invalid"),
+        # a PUSH or DUP on a full stack inside a run
+        ([("push", 0)] * 1024 + [("push", 1), ("push", 2)], NO_CALL, "invalid"),
+        ([("push", 0)] * 1024 + [("op", DUP1), ("push", 2)], NO_CALL, "invalid"),
+        # a run that rises to exactly 1024 words, and one that would pass it
+        (AT_1022 + [("push", 1), ("push", 2), ("op", POP), ("op", POP)], NO_CALL, "stop"),
+        (AT_1022 + [("push", 1), ("push", 2), ("push", 3)], NO_CALL, "invalid"),
+        # the memory cap halts an MSTORE with more of its run still to go
+        ([*BASE, ("apply", MSTORE, [MEM_LIMIT, 1]), ("push", 1)], NO_CALL, "out_of_gas"),
+        # a taken JUMPI to a JUMPDEST in the middle of a straight-line run
+        ([*BASE, ("push", 9), ("jump", 0, 1), ("push", 8), ("dest",), ("push", 4)],
+         NO_CALL, "stop"),
     ],
-    ids=["iszero-empty", "iszero-emptied", "calldataload-short", "calldataload-short-abi"],
+    ids=[
+        "iszero-empty", "iszero-emptied", "calldataload-short", "calldataload-short-abi",
+        "underflow-mid-run", "push-at-1024", "dup-at-1024", "run-up-to-1024",
+        "run-past-1024", "mstore-past-mem-limit-mid-run", "jump-into-a-run",
+    ],
 )
-def test_shadow_and_kernel_agree_on_edge_programs(items, call):
-    _check_agree(items, call, {}, 20000, 0)
+def test_shadow_and_kernel_agree_on_edge_programs(items, call, halt):
+    assert _check_agree(items, call, {}, 20000, 0).halt == halt
+
+
+def _gas_sweep(items) -> list:
+    """The agreed run at every gas budget from 0 to one past what the
+    program uses, in budget order."""
+    used = _check_agree(items, NO_CALL, {}, 20000, 0).gas_used
+    return [_check_agree(items, NO_CALL, {}, gas, 0) for gas in range(used + 2)]
+
+
+def test_shadow_and_kernel_agree_when_gas_runs_out_anywhere_in_a_run():
+    # one run from offset 0 to the end of the code
+    runs = _gas_sweep([*BASE, ("push", 1), ("push", 2), ("op", ADD), ("push", 3), ("op", MUL)])
+    assert runs[-1].halt == runs[-2].halt == "stop"
+    starved = [r for r in runs if r.halt == "out_of_gas"]
+    assert len(starved) == len(runs) - 2
+    # gas ran out before each instruction in turn
+    assert {len(r.trace) for r in starved} == set(range(len(runs[-1].trace)))
+
+
+def test_shadow_and_kernel_agree_when_gas_runs_out_on_sha3_words():
+    items = [*BASE, ("apply", MSTORE, [0, 7]), ("apply", SHA3, [0, 64])]
+    image = CodeImage.from_bytecode(_assemble(items))
+    sha_at = next(i.offset for i in image.instrs if i.code == SHA3)
+    before = image.offsets.index(sha_at)
+    runs = _gas_sweep(items)
+    assert runs[-1].halt == "stop"
+    stuck = [r for r in runs if r.halt == "out_of_gas" and len(r.trace) == before]
+    # 30 budgets short of SHA3's static gas, then 12 short of its 2 words
+    assert len(stuck) == 30 + 12
+    assert all(sha_at not in r.trace for r in stuck)
+
+
+def test_shadow_and_kernel_agree_when_gas_runs_out_stepping():
+    # the run needs a word it never has, so the kernel steps it throughout
+    runs = _gas_sweep([*BASE, ("push", 1)] + [("op", ADD)] * 4)
+    assert runs[-1].halt == "invalid"
+    assert {len(r.trace) for r in runs if r.halt == "out_of_gas"} == set(
+        range(len(runs[-1].trace))
+    )
 
 
 # -- error handling in drive -------------------------------------------------

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sctest._kernels import keccak256, run_frame
+from sctest._kernels.interp_py import _GAS
 from sctest.bytecode.abi import FunctionSig, parse_abi
 from sctest.bytecode.asm import Asm, dispatcher
-from sctest.bytecode.opcodes import BINOP, by_name
+from sctest.bytecode.opcodes import BINOP, OPCODES, by_name
 from sctest.coverage import CoverageMap, merge_result
 from sctest.errors import (
     AddressInUse,
@@ -26,6 +27,7 @@ from sctest.evm import (
     execute_tx,
     new_world,
 )
+from sctest.evm.image import RUN_ENDS
 from sctest.evm.types import normalize_args
 
 ACCT = 0x1001
@@ -185,8 +187,7 @@ def kernel_binop(name: str, x: int, y: int) -> int:
     )
     image = CodeImage.from_bytecode(code)
     halt, kind, data, _ = run_frame(
-        image.code, image.imm, image.nxt, image.is_jumpdest, len(image.code),
-        b"", {}, {}, AT, ACCT, 0, 1, 1, 10_000, False, [], [], [], [],
+        image, b"", {}, {}, AT, ACCT, 0, 1, 1, 10_000, False, [], [], [], [],
     )
     assert (halt, kind) == ("halt", "return")
     return int.from_bytes(data, "big")
@@ -206,6 +207,49 @@ def test_kernel_binop_matches_table(name, x, y):
     # the kernel inlines its arithmetic; the table is what the shadow,
     # symexpr and the bottleneck replay compute with
     assert kernel_binop(name, x, y) == BINOP[name](x, y)
+
+
+# -- the run table ---------------------------------------------------------------
+
+
+def fold_run(image: CodeImage, pc: int) -> tuple:
+    """(offsets, gas, need, rise) of the run from pc, one instruction at
+    a time: walk to the first run end or the end of the code, tracking
+    the stack depth relative to the run's start."""
+    offsets, gas, need, depth, rise = [], 0, 0, 0, 0
+    while pc < len(image.code):
+        op = image.code[pc]
+        info = OPCODES.get(op)
+        pops, pushes = (info.pops, info.pushes) if info else (0, 0)
+        offsets.append(pc)
+        gas += _GAS[op]
+        need = max(need, pops - depth)
+        depth += pushes - pops
+        rise = max(rise, depth)
+        if op in RUN_ENDS:
+            break
+        pc = image.nxt[pc]
+    return tuple(offsets), gas, need, rise
+
+
+def test_run_table_matches_a_per_instruction_fold(bundles):
+    codes = [b.bytecode for b in bundles.values()] + [
+        TOY.bytecode,
+        bytes.fromhex(_caller_hex("f1", 9)),
+        bytes.fromhex("5b" * 3 + "6001" + "80" * 5 + "9a" + "50" * 7 + "60ef"),  # to code end
+        bytes.fromhex("01" + "0c" + "a2" + "f5" + "5a" + "01" + "20" + "02" + "7f" + "11" * 32),
+    ]
+    for code in codes:
+        image = CodeImage.from_bytecode(code)
+        for pc in range(len(code)):
+            if pc in image.offsets:
+                assert image.runs[pc] == fold_run(image, pc), (code.hex(), pc)
+            else:  # inside a PUSH immediate: never run whole
+                assert image.runs[pc][1] == float("inf")
+    for op in range(256):  # each opcode alone, with its immediate
+        info = OPCODES.get(op)
+        alone = CodeImage.from_bytecode(bytes([op]) + bytes(info.immediate_len if info else 0))
+        assert alone.steps[op] == fold_run(alone, 0)[1:]
 
 
 # -- environment opcodes -----------------------------------------------------
@@ -630,6 +674,22 @@ def test_staticcall_forbids_writes():
     assert w.storage.get(CALLEE_AT, {}) == {}
 
 
+def test_static_write_in_the_middle_of_a_run_charges_and_traces_up_to_it():
+    # the callee's one run is CALLER PUSH1 SSTORE ... RETURN; its SSTORE
+    # halts invalid, so the rest of the run is neither charged nor traced
+    _, res = _call_world("fa")
+    caller_code = bytes.fromhex(_caller_hex("fa"))
+    callee_code = _callee_bundle().bytecode
+    assert res.trace == (
+        (AT, (0, 2, 4, 6, 8, 11, 13)),
+        (CALLEE_AT, (0, 1, 3)),
+        (AT, (14, 16, 17, 19, 21)),
+    )
+    code = {AT: caller_code, CALLEE_AT: callee_code}
+    assert res.gas_used == sum(_GAS[code[a][pc]] for a, seg in res.trace for pc in seg)
+    assert res.gas_used == 756
+
+
 def test_call_to_unknown_address_succeeds_empty():
     # CALL to 0xDEAD, no value
     hx = ("6000" + "6000" + "6000" + "6000" + "6000" + "61dead" + "6000" + "f1"
@@ -814,15 +874,22 @@ def test_execute_tx_never_changes_the_world_it_ran_from(specs):
     states = [_world_state(worlds[0])]
     for spec in specs:
         tx = _toy_tx(spec)
-        before = _world_state(worlds[-1])
-        after, res = execute_tx(worlds[-1], tx)
-        again, res_again = execute_tx(worlds[-1], tx)
+        world = worlds[-1]
+        before = _world_state(world)
+        after, res = execute_tx(world, tx)
+        again, res_again = execute_tx(world, tx)
         # the input world is as it was, and a second run from it agrees
-        assert _world_state(worlds[-1]) == before
+        assert _world_state(world) == before
         assert _world_state(again) == _world_state(after)
         assert _outcome(res_again) == _outcome(res)
         if res.halt == "OUT_OF_GAS":
             assert after.storage_view() == before[0]
+        # what the result world shares with its input
+        assert (after.block is world.block) == (tx.delay == 0)
+        if tx.value == 0 and tx.function_call != "send":
+            assert after.accounts is world.accounts
+        elif tx.value and res.halt != "OUT_OF_GAS":
+            assert after.accounts is not world.accounts
         worlds.append(after)
         states.append(_world_state(after))
     # running on from each result world left every earlier world alone
