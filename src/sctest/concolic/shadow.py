@@ -5,10 +5,15 @@ parallel shadow stack of symbolic expressions (None marks a concrete
 slot).  At every JUMPI whose condition is symbolic it records a
 PathConstraint carrying the branch offset and the concretely taken
 direction.  The concrete half reproduces the kernel's semantics
-instruction for instruction (same gas schedule, same halt kinds, same
-memory cap), so the recorded trace matches what the engine would
-produce for the same transaction; generated inputs are nevertheless
-always re-validated through the engine before being kept.
+instruction for instruction, so the recorded trace matches what the
+engine would produce for the same transaction; generated inputs are
+nevertheless always re-validated through the engine before being kept.
+Each instruction's gas and stack bounds come from the image's step
+table (CodeImage.steps), the table the kernel steps from: the shadow
+charges the gas, traces the instruction and makes the one stack check
+the kernel makes when it steps, before the handler runs.  SHA3 charges
+its words in its handler, and memory grows through the kernel's own
+helper under the same cap.
 
 Symbolic values enter through call data only.  The argument layout maps
 ABI-encoded regions to Input atoms: static arguments are whole-word
@@ -27,18 +32,19 @@ The two-operand arithmetic reads sctest.bytecode.opcodes.BINOP, the
 table symexpr evaluates with, so a folded constant and the concrete
 word agree by construction.  The world after a transaction prefix comes
 from the engine, or from a sctest.evm.snapshots.SnapshotCache when the
-caller passes one.
+caller passes one; either way the shadow starts from that world value
+and leaves it as it was.
 """
 
 from dataclasses import dataclass, replace
 
 from .._kernels import keccak256
-from .._kernels.interp_py import MEM_LIMIT, STACK_LIMIT, _GAS
+from .._kernels.interp_py import STACK_LIMIT, _ensure
 from ..bytecode.abi import encode_call
 from ..bytecode.opcodes import BINOP, OPCODES
 from ..errors import SctestError, UnknownDestination
 from ..evm.engine import _route, execute_sequence
-from ..evm.snapshots import SnapshotCache, restore
+from ..evm.snapshots import SnapshotCache
 from ..evm.types import Transaction
 from ..evm.world import EvmWorld
 from .symexpr import (
@@ -169,6 +175,7 @@ def _shadow_frame(
     imm = image.imm
     nxt = image.nxt
     is_jumpdest = image.is_jumpdest
+    steps = image.steps
     code_len = len(ops)
 
     stack: list[int] = []
@@ -191,13 +198,6 @@ def _shadow_frame(
             tuple(sha_seen),
             storage,
         )
-
-    def ensure(end: int) -> bool:
-        if end > MEM_LIMIT:
-            return False
-        if len(memory) < end:
-            memory.extend(bytes(end - len(memory)))
-        return True
 
     def mem_invalidate(lo: int, hi: int, keep: int | None = None):
         for off in [o for o in mem_sym if o < hi and o + 32 > lo]:
@@ -222,67 +222,49 @@ def _shadow_frame(
         if pc >= code_len:
             return halt("stop")
         op = ops[pc]
-        cost = _GAS[op]
-        if op == 0x20 and len(stack) >= 2:
-            cost += 6 * ((stack[-2] + 31) // 32)
+        cost, need, rise = steps[op]
         gas -= cost
         if gas < 0:
             return halt("out_of_gas", gleft=0)
         trace.append(pc)
+        if not need <= len(stack) <= STACK_LIMIT - rise:
+            return halt("invalid")
 
         if 0x60 <= op <= 0x7F:  # PUSH
-            if len(stack) >= STACK_LIMIT:
-                return halt("invalid")
             stack.append(imm[pc])
             sym.append(None)
-            pc = nxt[pc]
-            continue
-        if 0x80 <= op <= 0x8F:  # DUP
-            n = op - 0x7F
-            if len(stack) < n or len(stack) >= STACK_LIMIT:
-                return halt("invalid")
-            stack.append(stack[-n])
-            sym.append(sym[-n])
-            pc = nxt[pc]
-            continue
-        if 0x90 <= op <= 0x9F:  # SWAP
+        elif 0x80 <= op <= 0x8F:  # DUP
+            stack.append(stack[0x7F - op])
+            sym.append(sym[0x7F - op])
+        elif 0x90 <= op <= 0x9F:  # SWAP
             n = op - 0x8F
-            if len(stack) < n + 1:
-                return halt("invalid")
             stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
             sym[-1], sym[-n - 1] = sym[-n - 1], sym[-1]
-            pc = nxt[pc]
-            continue
-
-        name = _BIN_NAME.get(op)
-        if name is not None:  # two-operand arithmetic
-            if len(stack) < 2:
-                return halt("invalid")
+        elif op in _BIN_NAME:  # two-operand arithmetic
+            name = _BIN_NAME[op]
             a_snap = stack.pop()
             b_snap = stack[-1]
             stack[-1] = BINOP[name](a_snap, b_snap)
             sym[-1] = binop(name)
         elif op == 0x15:  # ISZERO
-            if not stack:
-                return halt("invalid")
             stack[-1] = 1 if stack[-1] == 0 else 0
             if sym[-1] is not None:
                 sym[-1] = simplify(Unop("ISZERO", sym[-1]))
         elif op == 0x19:  # NOT
-            if not stack:
-                return halt("invalid")
             stack[-1] = stack[-1] ^ MASK256
             if sym[-1] is not None:
                 sym[-1] = simplify(Unop("NOT", sym[-1]))
-        elif op == 0x20:  # SHA3
-            if len(stack) < 2:
-                return halt("invalid")
+        elif op == 0x20:  # SHA3: charge the words here
             off = stack.pop()
             size = stack.pop()
             sym.pop()
             sym.pop()
+            gas -= 6 * ((size + 31) // 32)
+            if gas < 0:
+                trace.pop()  # out of gas before it ran: not traced
+                return halt("out_of_gas", gleft=0)
             if size:
-                if not ensure(off + size):
+                if not _ensure(memory, off + size):
                     return halt("out_of_gas")
                 buf = bytes(memory[off : off + size])
             else:
@@ -305,28 +287,18 @@ def _shadow_frame(
                     shadow = Keccak(tuple(parts), size)
             sym.append(shadow)
         elif op == 0x30:  # ADDRESS
-            if len(stack) >= STACK_LIMIT:
-                return halt("invalid")
             stack.append(self_addr)
             sym.append(None)
         elif op == 0x31:  # BALANCE
-            if not stack:
-                return halt("invalid")
             stack[-1] = balances.get(stack[-1] & ADDR_MASK, 0)
             sym[-1] = None
         elif op == 0x33:  # CALLER
-            if len(stack) >= STACK_LIMIT:
-                return halt("invalid")
             stack.append(caller)
             sym.append(None)
         elif op == 0x34:  # CALLVALUE
-            if len(stack) >= STACK_LIMIT:
-                return halt("invalid")
             stack.append(callvalue)
             sym.append(None)
         elif op == 0x35:  # CALLDATALOAD
-            if not stack:
-                return halt("invalid")
             i = stack[-1]
             i_sym = sym[-1]
             if i >= len(calldata):
@@ -341,19 +313,15 @@ def _shadow_frame(
             else:
                 sym[-1] = layout.word_at(i, calldata)
         elif op == 0x36:  # CALLDATASIZE
-            if len(stack) >= STACK_LIMIT:
-                return halt("invalid")
             stack.append(len(calldata))
             sym.append(None)
         elif op == 0x37:  # CALLDATACOPY
-            if len(stack) < 3:
-                return halt("invalid")
             dst = stack.pop()
             src = stack.pop()
             size = stack.pop()
             del sym[-3:]
             if size:
-                if not ensure(dst + size):
+                if not _ensure(memory, dst + size):
                     return halt("out_of_gas")
                 chunk = calldata[src : src + size] if src < len(calldata) else b""
                 memory[dst : dst + size] = chunk.ljust(size, b"\x00")
@@ -364,36 +332,26 @@ def _shadow_frame(
                         if e is not None:
                             mem_sym[dst + w] = e
         elif op == 0x42:  # TIMESTAMP
-            if len(stack) >= STACK_LIMIT:
-                return halt("invalid")
             stack.append(timestamp)
             sym.append(None)
         elif op == 0x43:  # NUMBER
-            if len(stack) >= STACK_LIMIT:
-                return halt("invalid")
             stack.append(number)
             sym.append(None)
         elif op == 0x50:  # POP
-            if not stack:
-                return halt("invalid")
             stack.pop()
             sym.pop()
         elif op == 0x51:  # MLOAD
-            if not stack:
-                return halt("invalid")
             off = stack[-1]
-            if not ensure(off + 32):
+            if not _ensure(memory, off + 32):
                 return halt("out_of_gas")
             stack[-1] = int.from_bytes(memory[off : off + 32], "big")
             sym[-1] = mem_sym.get(off)
         elif op == 0x52:  # MSTORE
-            if len(stack) < 2:
-                return halt("invalid")
             off = stack.pop()
             val = stack.pop()
             sym.pop()  # offset shadow: the concrete offset is authoritative
             vsym = sym.pop()
-            if not ensure(off + 32):
+            if not _ensure(memory, off + 32):
                 return halt("out_of_gas")
             memory[off : off + 32] = val.to_bytes(32, "big")
             mem_invalidate(off, off + 32, keep=off)
@@ -402,24 +360,18 @@ def _shadow_frame(
             else:
                 mem_sym[off] = vsym
         elif op == 0x53:  # MSTORE8
-            if len(stack) < 2:
-                return halt("invalid")
             off = stack.pop()
             val = stack.pop()
             del sym[-2:]
-            if not ensure(off + 1):
+            if not _ensure(memory, off + 1):
                 return halt("out_of_gas")
             memory[off] = val & 0xFF
             mem_invalidate(off, off + 1)
         elif op == 0x54:  # SLOAD
-            if not stack:
-                return halt("invalid")
             slot = stack[-1]
             stack[-1] = storage.get(slot, 0)
             sym[-1] = sto_sym.get(slot)
         elif op == 0x55:  # SSTORE
-            if len(stack) < 2:
-                return halt("invalid")
             slot = stack.pop()
             val = stack.pop()
             sym.pop()  # slot shadow: keyed by the concrete slot
@@ -433,8 +385,6 @@ def _shadow_frame(
             else:
                 sto_sym[slot] = vsym
         elif op == 0x56:  # JUMP
-            if not stack:
-                return halt("invalid")
             dest = stack.pop()
             sym.pop()
             if dest >= code_len or not is_jumpdest[dest]:
@@ -442,8 +392,6 @@ def _shadow_frame(
             pc = dest
             continue
         elif op == 0x57:  # JUMPI
-            if len(stack) < 2:
-                return halt("invalid")
             dest = stack.pop()
             cond = stack.pop()
             sym.pop()
@@ -456,43 +404,33 @@ def _shadow_frame(
                 pc = dest
                 continue
         elif op == 0x58:  # PC
-            if len(stack) >= STACK_LIMIT:
-                return halt("invalid")
             stack.append(pc)
             sym.append(None)
         elif op == 0x5A:  # GAS
-            if len(stack) >= STACK_LIMIT:
-                return halt("invalid")
             stack.append(gas)
             sym.append(None)
         elif op == 0x5B:  # JUMPDEST
             pass
         elif 0xA0 <= op <= 0xA4:  # LOG0..4
             n = op - 0xA0
-            if len(stack) < 2 + n:
-                return halt("invalid")
             off = stack.pop()
             size = stack.pop()
             del stack[len(stack) - n :]
             del sym[len(sym) - n - 2 :]
-            if size and not ensure(off + size):
+            if size and not _ensure(memory, off + size):
                 return halt("out_of_gas")
         elif op in (0xF0, 0xF1, 0xF4, 0xF5, 0xFA):  # CALL-class / CREATE
             return halt("external_call")
         elif op == 0xFF:  # SELFDESTRUCT
-            if not stack:
-                return halt("invalid")
             return halt("selfdestruct")
         elif op == 0x00:  # STOP
             return halt("stop")
         elif op in (0xF3, 0xFD):  # RETURN / REVERT
-            if len(stack) < 2:
-                return halt("invalid")
             off = stack.pop()
             size = stack.pop()
             del sym[-2:]
             if size:
-                if not ensure(off + size):
+                if not _ensure(memory, off + size):
                     return halt("out_of_gas")
                 data = bytes(memory[off : off + size])
             else:
@@ -512,15 +450,16 @@ def shadow_run(
 ) -> ShadowRun:
     """Execute tx with symbolic call-data shadowing after a concrete
     prefix.  tx must carry structured args (the concrete seed values for
-    every symbolic parameter).  With a cache, a prefix seen before is
-    restored from its snapshot instead of being run again."""
+    every symbolic parameter).  With a cache, a prefix seen before from
+    the same world starts from the cached world instead of being run
+    again."""
     prefix = list(prefix)
     if not prefix:
         base = world
     elif cache is None:
         base, _ = execute_sequence(world, prefix)
     else:
-        base = restore(world, cache.get_or_build(world, prefix))
+        base = cache.get_or_build(world, prefix)
     bundle = base.deployed.get(tx.destination)
     if bundle is None:
         raise UnknownDestination(f"0x{tx.destination:040x} has no code")

@@ -3,7 +3,7 @@
 from .bundle import ContractBundle, genesis_config, load_bundle
 from .engine import execute_sequence, execute_tx
 from .image import CodeImage
-from .snapshots import Snapshot, SnapshotCache, capture, prefix_key, restore
+from .snapshots import SnapshotCache, prefix_key
 from .types import (
     DEFAULT_GAS,
     DEFAULT_TIMESTAMP,
@@ -24,10 +24,8 @@ __all__ = [
     "DEFAULT_TIMESTAMP",
     "EvmWorld",
     "ExecResult",
-    "Snapshot",
     "SnapshotCache",
     "Transaction",
-    "capture",
     "deploy",
     "execute_sequence",
     "execute_tx",
@@ -37,5 +35,4 @@ __all__ = [
     "new_world",
     "parse_addr",
     "prefix_key",
-    "restore",
 ]

@@ -1,20 +1,24 @@
-"""World snapshots keyed by transaction prefix.
+"""Worlds after a transaction prefix, cached by prefix.
 
-A snapshot captures (accounts, storage, block) after replaying a prefix
-of transactions.  Restoring a snapshot and executing a suffix must be
-indistinguishable from executing prefix + suffix from scratch, which
-makes the cache a pure speedup for sequence-heavy fuzzing loops.
+A cache entry is the world after a prefix of transactions, run from one
+base world.  Worlds are values (sctest.evm.world), so executing a suffix
+from a cached world leaves it as it was and equals executing prefix +
+suffix from the base world: the cache is a pure speedup for
+sequence-heavy loops.  The entry keeps its base world and serves only a
+caller that asks with that same world; any other base is a miss.
 """
 
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from .._kernels import keccak256
 from .engine import execute_sequence
-from .types import Account, BlockCtx, Transaction
+from .types import Transaction
 from .world import EvmWorld
+
+# worlds a cache keeps, least recently used dropped first
+MAX_WORLDS = 1024
 
 
 def _tx_json(tx: Transaction) -> dict:
@@ -41,85 +45,34 @@ def prefix_key(prefix: list[Transaction] | tuple[Transaction, ...]) -> bytes:
     return keccak256(doc.encode())
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    key: bytes
-    accounts: tuple[tuple[int, int], ...]       # (address, balance)
-    storage: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-    block: tuple[int, int]                      # (timestamp, number)
-
-    def approx_bytes(self) -> int:
-        cells = sum(len(slots) for _, slots in self.storage)
-        return 200 + 64 * len(self.accounts) + 96 * len(self.storage) + 96 * cells
-
-
-def capture(world: EvmWorld, key: bytes) -> Snapshot:
-    return Snapshot(
-        key=key,
-        accounts=tuple(
-            (a, world.accounts[a].balance) for a in sorted(world.accounts)
-        ),
-        storage=tuple(
-            (a, tuple(sorted(world.storage[a].items())))
-            for a in sorted(world.storage)
-            if world.storage[a]
-        ),
-        block=(world.block.timestamp, world.block.number),
-    )
-
-
-def restore(base: EvmWorld, snap: Snapshot) -> EvmWorld:
-    """Rebuild a world from snap, taking code bindings from base."""
-    return EvmWorld(
-        accounts={a: Account(a, b) for a, b in snap.accounts},
-        deployed=dict(base.deployed),
-        storage={a: dict(slots) for a, slots in snap.storage},
-        block=BlockCtx(timestamp=snap.block[0], number=snap.block[1]),
-    )
-
-
 class SnapshotCache:
-    """LRU snapshot cache bounded by an approximate memory budget."""
+    """LRU cache of the worlds after prefixes, at most MAX_WORLDS."""
 
-    def __init__(self, memory_budget: int = 10 * 2**30):
-        self.memory_budget = memory_budget
+    def __init__(self):
         self._lock = threading.Lock()
-        self._entries: OrderedDict[bytes, Snapshot] = OrderedDict()
-        self._bytes = 0
+        # prefix_key -> (base world, world after the prefix)
+        self._entries: OrderedDict[bytes, tuple[EvmWorld, EvmWorld]] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: bytes) -> Snapshot | None:
-        with self._lock:
-            snap = self._entries.get(key)
-            if snap is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return snap
-
-    def put(self, snap: Snapshot) -> None:
-        with self._lock:
-            old = self._entries.pop(snap.key, None)
-            if old is not None:
-                self._bytes -= old.approx_bytes()
-            self._entries[snap.key] = snap
-            self._bytes += snap.approx_bytes()
-            while self._bytes > self.memory_budget and len(self._entries) > 1:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.approx_bytes()
-
-    def get_or_build(self, world: EvmWorld, prefix) -> Snapshot:
-        """The snapshot after prefix; on a miss, prefix runs against
-        world (which it leaves as it was) and the result is cached."""
+    def get_or_build(self, world: EvmWorld, prefix) -> EvmWorld:
+        """The world after prefix run from world.  On a miss the prefix
+        runs (world stays as it was) and its result is cached."""
         key = prefix_key(prefix)
-        snap = self.get(key)
-        if snap is None:
-            after, _ = execute_sequence(world, list(prefix))
-            snap = capture(after, key)
-            self.put(snap)
-        return snap
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry[0] is world:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return entry[1]
+            self.misses += 1
+        after, _ = execute_sequence(world, list(prefix))
+        with self._lock:
+            self._entries[key] = (world, after)
+            self._entries.move_to_end(key)
+            while len(self._entries) > MAX_WORLDS:
+                self._entries.popitem(last=False)
+        return after

@@ -316,6 +316,22 @@ def test_shadow_run_leaves_the_world_it_ran_from_alone(pool):
         assert (world.block.timestamp, world.block.number) == block
 
 
+def test_delayed_shadow_runs_leave_the_cached_world_alone(pool):
+    # the shadow starts from the cached world itself, so a delayed call
+    # must move neither its block nor its storage
+    world, prefix, tx = _pool_case(pool)
+    cache = SnapshotCache()
+    cached = cache.get_or_build(world, prefix)
+    block = (cached.block.timestamp, cached.block.number)
+    storage = cached.storage_view()
+    for _ in range(2):
+        run = shadow_run(world, prefix, dataclasses.replace(tx, delay=5), cache=cache)
+        assert run.trace
+        assert (cached.block.timestamp, cached.block.number) == block
+        assert cached.storage_view() == storage
+    assert (cache.hits, cache.misses) == (2, 1)
+
+
 def test_shadow_run_with_empty_prefix_skips_the_cache(pool):
     world, _, tx = _pool_case(pool)
     cache = SnapshotCache()
@@ -493,6 +509,7 @@ ISZERO, POP, CALLDATALOAD, ADD, MUL, MSTORE, SHA3, DUP1 = (
     by_name(n).code
     for n in ("ISZERO", "POP", "CALLDATALOAD", "ADD", "MUL", "MSTORE", "SHA3", "DUP1")
 )
+CREATE, CALL, STATICCALL = (by_name(n).code for n in ("CREATE", "CALL", "STATICCALL"))
 ABI_ARGS = (7, (1, 2), b"xyz")
 ABI_CALL = (encode_call(DIFF_SIG, ABI_ARGS), ArgLayout(DIFF_SIG, ABI_ARGS))
 NO_CALL = (b"", None)
@@ -524,11 +541,16 @@ AT_1022 = [("push", 0)] * 1022 + [("jump", 7, 0)]
         # a taken JUMPI to a JUMPDEST in the middle of a straight-line run
         ([*BASE, ("push", 9), ("jump", 0, 1), ("push", 8), ("dest",), ("push", 4)],
          NO_CALL, "stop"),
+        # a call or create short of its operands halts before it would pause
+        ([("push", 0), ("op", CALL)], NO_CALL, "invalid"),
+        ([("push", 0), ("op", CREATE)], NO_CALL, "invalid"),
+        ([("push", 0), ("op", STATICCALL)], NO_CALL, "invalid"),
     ],
     ids=[
         "iszero-empty", "iszero-emptied", "calldataload-short", "calldataload-short-abi",
         "underflow-mid-run", "push-at-1024", "dup-at-1024", "run-up-to-1024",
         "run-past-1024", "mstore-past-mem-limit-mid-run", "jump-into-a-run",
+        "call-short-stack", "create-short-stack", "staticcall-short-stack",
     ],
 )
 def test_shadow_and_kernel_agree_on_edge_programs(items, call, halt):

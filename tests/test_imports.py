@@ -1,5 +1,6 @@
 """Import hygiene: subpackages load in any order, every module-level
-import is read, and every console script resolves.
+import is read, every console script resolves, and every binding the
+traced benchmark wraps exists.
 
 coverage.bottleneck imports concolic.symexpr, and the concolic package
 imports drive, which imports coverage.covmap.  That works only while
@@ -10,6 +11,7 @@ import order of the test session.
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -108,3 +110,20 @@ def test_every_console_script_imports_to_a_callable():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{name} = {ref} is not callable"
+
+
+def test_every_benchmark_binding_resolves():
+    # perfbench/layers.py wraps these names where they are bound; a name
+    # gone from its module would crash every traced benchmark round
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py"
+    )
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    assert layers.BINDINGS
+    for module, name, _, _ in layers.BINDINGS:
+        obj = getattr(importlib.import_module(module), name, None)
+        assert callable(obj), f"{module}.{name} is not callable"
+    from sctest.fuzzing.campaign import Campaign
+
+    assert callable(Campaign.run)

@@ -1,4 +1,4 @@
-"""Snapshot keys, restore transparency, and the LRU cache."""
+"""Snapshot keys, suffixes run from cached worlds, and the LRU cache."""
 
 import random
 
@@ -12,12 +12,10 @@ from sctest.evm import (
     ContractBundle,
     SnapshotCache,
     Transaction,
-    capture,
     deploy,
     execute_sequence,
     new_world,
     prefix_key,
-    restore,
 )
 
 ACCT = 0x1001
@@ -47,11 +45,6 @@ def _bump(v: int, delay: int = 0) -> Transaction:
                        source=ACCT, destination=AT)
 
 
-def _snapshot(world, prefix):
-    """The snapshot after prefix, built without the cache."""
-    return capture(execute_sequence(world, prefix)[0], prefix_key(prefix))
-
-
 def _state(world):
     return (
         sorted((a, acc.balance) for a, acc in world.accounts.items()),
@@ -76,13 +69,13 @@ def test_prefix_key_sensitive_to_order_args_and_delay():
     assert prefix_key([_bump(1)]) != base
 
 
-def test_restore_then_suffix_equals_direct_execution():
+def test_cached_world_then_suffix_equals_direct_execution():
     w = _world()
     seq = [_bump(3), _bump(5, delay=2), _bump(7)]
     direct, _ = execute_sequence(w, seq)
+    cache = SnapshotCache()
     for cut in range(len(seq) + 1):
-        snap = _snapshot(w, seq[:cut])
-        resumed, _ = execute_sequence(restore(w, snap), seq[cut:])
+        resumed, _ = execute_sequence(cache.get_or_build(w, seq[:cut]), seq[cut:])
         assert _state(resumed) == _state(direct), f"cut={cut}"
 
 
@@ -96,18 +89,19 @@ def test_snapshot_transparency_random_splits(vals, data):
     seq = [_bump(v, delay=v % 3) for v in vals]
     cut = data.draw(st.integers(0, len(seq)))
     direct, _ = execute_sequence(w, seq)
-    snap = _snapshot(w, seq[:cut])
-    resumed, _ = execute_sequence(restore(w, snap), seq[cut:])
+    cached = SnapshotCache().get_or_build(w, seq[:cut])
+    resumed, _ = execute_sequence(cached, seq[cut:])
     assert _state(resumed) == _state(direct)
 
 
-def test_restored_world_is_independent_of_snapshot():
+def test_suffix_from_cached_world_leaves_it_unchanged():
     w = _world()
-    snap = _snapshot(w, [_bump(9)])
-    r1 = restore(w, snap)
-    r1.storage[AT][0] = 12345
-    r2 = restore(w, snap)
-    assert r2.storage[AT][0] != 12345
+    cache = SnapshotCache()
+    cached = cache.get_or_build(w, [_bump(9)])
+    before = _state(cached)
+    execute_sequence(cached, [_bump(4, delay=5), _bump(2)])
+    assert _state(cached) == before
+    assert cache.get_or_build(w, [_bump(9)]) is cached
 
 
 def test_cache_hit_returns_same_snapshot():
@@ -122,7 +116,7 @@ def test_cache_hit_returns_same_snapshot():
 def test_cache_miss_captures_the_prefix_run_and_hashes_once(monkeypatch):
     w = _world()
     prefix = [_bump(5), _bump(7, delay=2)]
-    want = _snapshot(w, prefix)
+    want, _ = execute_sequence(w, prefix)
     keyed = []
 
     def counting_key(p):
@@ -131,31 +125,52 @@ def test_cache_miss_captures_the_prefix_run_and_hashes_once(monkeypatch):
 
     monkeypatch.setattr(snapshots, "prefix_key", counting_key)
     got = SnapshotCache().get_or_build(w, prefix)
-    assert got == want
+    assert _state(got) == _state(want)
     assert keyed == [2]
 
 
-def test_cache_evicts_least_recently_used():
+def test_cache_serves_a_world_only_for_its_own_base():
+    a = _world()
+    b, _ = execute_sequence(a, [_bump(100)])
+    cache = SnapshotCache()
+    from_a = cache.get_or_build(a, [_bump(1)])
+    from_b = cache.get_or_build(b, [_bump(1)])
+    assert from_a.storage[AT][0] == 1
+    assert from_b.storage[AT][0] == 100 * 31 + 1
+    assert _state(from_b) == _state(execute_sequence(b, [_bump(1)])[0])
+    assert (cache.hits, cache.misses) == (0, 2)
+
+
+def test_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(snapshots, "MAX_WORLDS", 3)
     w = _world()
-    one = _snapshot(w, [_bump(1)])
-    budget = 3 * one.approx_bytes() + one.approx_bytes() // 2
-    cache = SnapshotCache(memory_budget=budget)
+    cache = SnapshotCache()
     s1 = cache.get_or_build(w, [_bump(1)])
-    s2 = cache.get_or_build(w, [_bump(2)])
+    cache.get_or_build(w, [_bump(2)])
     s3 = cache.get_or_build(w, [_bump(3)])
     assert len(cache) == 3
-    cache.get(s1.key)  # refresh s1; s2 becomes LRU
-    cache.get_or_build(w, [_bump(4)])
+    assert cache.get_or_build(w, [_bump(1)]) is s1  # refresh s1; bump(2) becomes LRU
+    s4 = cache.get_or_build(w, [_bump(4)])
     assert len(cache) == 3
-    assert cache.get(s2.key) is None
-    assert cache.get(s1.key) is s1 and cache.get(s3.key) is s3
+    assert cache.hits == 1
+    # bump(2) was evicted; the other three are still held
+    assert cache.get_or_build(w, [_bump(3)]) is s3
+    assert cache.get_or_build(w, [_bump(1)]) is s1
+    assert cache.get_or_build(w, [_bump(4)]) is s4
+    assert (cache.hits, cache.misses) == (4, 4)
+    cache.get_or_build(w, [_bump(2)])
+    assert (cache.hits, cache.misses) == (4, 5)
 
 
-def test_cache_keeps_at_least_one_entry():
+def test_cache_keeps_at_least_one_entry(monkeypatch):
+    monkeypatch.setattr(snapshots, "MAX_WORLDS", 1)
     w = _world()
-    cache = SnapshotCache(memory_budget=1)
-    snap = cache.get_or_build(w, [_bump(1)])
-    assert cache.get(snap.key) is snap
+    cache = SnapshotCache()
+    cache.get_or_build(w, [_bump(1)])
+    kept = cache.get_or_build(w, [_bump(2)])
+    assert len(cache) == 1
+    assert cache.get_or_build(w, [_bump(2)]) is kept
+    assert (cache.hits, cache.misses) == (1, 2)
 
 
 def test_cache_build_leaves_base_world_untouched():
