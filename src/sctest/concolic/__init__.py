@@ -14,16 +14,10 @@ from .shadow import ArgLayout, ShadowRun, concretize_loop, shadow_run
 from .solve import Sat, SolverResult, SolverSoundness, Unknown, Unsat, solve
 from .symexpr import (
     Binop,
-    CallDataLoad,
-    CallDataSize,
     Const,
-    Env,
     Input,
     Keccak,
-    LoopVar,
-    Opaque,
     PathConstraint,
-    Sload,
     SymExpr,
     Unop,
     evaluate,
@@ -37,21 +31,15 @@ from .symexpr import (
 __all__ = [
     "ArgLayout",
     "Binop",
-    "CallDataLoad",
-    "CallDataSize",
     "ConcolicState",
     "Const",
     "DriveBudget",
-    "Env",
     "Input",
     "Keccak",
-    "LoopVar",
     "NoSymbolicInput",
-    "Opaque",
     "PathConstraint",
     "Sat",
     "ShadowRun",
-    "Sload",
     "SnapshotCache",
     "SolverResult",
     "SolverSoundness",

@@ -23,7 +23,6 @@ from .symexpr import (
     Const,
     Input,
     Keccak,
-    Sload,
     SymExpr,
     Unop,
     has_node,
@@ -54,8 +53,6 @@ def _subst_except(e: SymExpr, env: dict, keep: Input) -> SymExpr:
         return Keccak(
             tuple(_subst_except(p, env, keep) for p in e.parts), e.size
         )
-    if isinstance(e, Sload):
-        return Sload(_subst_except(e.slot, env, keep))
     return e
 
 
@@ -93,8 +90,6 @@ def concretize_nonlinear(pred: SymExpr, env: dict, keep: Input | None = None):
             return Binop(e.op, walk(e.x), walk(e.y))
         if isinstance(e, Keccak):
             return Keccak(tuple(walk(p) for p in e.parts), e.size)
-        if isinstance(e, Sload):
-            return Sload(walk(e.slot))
         return e
 
     return simplify(walk(pred))
@@ -170,8 +165,6 @@ def concretize_keccak(
                     _subst_except(p, env, keep=None) for p in parts
                 )
             return Keccak(parts, e.size)
-        if isinstance(e, Sload):
-            return Sload(walk(e.slot))
         return e
 
     return simplify(walk(pred))

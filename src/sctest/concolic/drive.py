@@ -65,7 +65,6 @@ class DriveBudget:
 class ConcolicState:
     """One flippable branch decision observed on a concrete run."""
 
-    path: tuple[tuple[int, bool], ...]  # decisions before the target
     input: tuple[Transaction, ...]  # full case; input[position] is symbolic
     pc: int  # offset of the branch to flip
     phi_solved: tuple[PathConstraint, ...]
@@ -162,7 +161,6 @@ def drive(
             seen_flips.add(key)
             worklist.append(
                 ConcolicState(
-                    path=decisions[:j],
                     input=tuple(txs),
                     pc=c.branch_offset,
                     phi_solved=tuple(run.constraints[:j]),

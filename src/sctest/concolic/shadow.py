@@ -28,6 +28,16 @@ Execution stops collecting at the first CALL-class instruction: cross-
 contract data flow stays concrete (the engine handles it when the
 materialized input is replayed).
 
+Beside the shadow stack and the symbolic memory words the run carries a
+slot record: for each word, the pre-transaction storage slots whose
+concrete values flowed into it.  An SLOAD sets a word's slots (the slot
+it read, or what the transaction stored there), two-operand arithmetic
+and SHA3 join them, and DUP, SWAP, MSTORE, MLOAD and SSTORE move them;
+every other word carries none.  ShadowRun.reads keeps, per JUMPI
+offset, the slots that reached its condition on any of its executions:
+the storage a branch depends on even where its predicate holds only
+the concrete words.
+
 The two-operand arithmetic reads sctest.bytecode.opcodes.BINOP, the
 table symexpr evaluates with, so a folded constant and the concrete
 word agree by construction.  The world after a transaction prefix comes
@@ -62,6 +72,7 @@ MASK256 = (1 << 256) - 1
 ADDR_MASK = (1 << 160) - 1
 
 _BIN_NAME = {code: o.mnemonic for code, o in OPCODES.items() if o.mnemonic in BINOP}
+_NO_SLOTS: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,7 @@ class ShadowRun:
     constraints: tuple[PathConstraint, ...]
     sha_preimages: tuple[tuple[bytes, bytes], ...]
     storage: dict
+    reads: dict[int, frozenset[int]]  # JUMPI offset -> slots its condition read
 
     @property
     def decisions(self) -> tuple[tuple[int, bool], ...]:
@@ -180,9 +192,13 @@ def _shadow_frame(
 
     stack: list[int] = []
     sym: list[SymExpr | None] = []
+    tags: list[frozenset[int]] = []  # the slot record beside sym
     memory = bytearray()
     mem_sym: dict[int, SymExpr] = {}
+    mem_tag: dict[int, frozenset[int]] = {}
     sto_sym: dict[int, SymExpr] = {}
+    sto_tag: dict[int, frozenset[int]] = {}
+    reads: dict[int, frozenset[int]] = {}
     trace: list[int] = []
     constraints: list[PathConstraint] = []
     sha_seen: list[tuple[bytes, bytes]] = []
@@ -197,12 +213,14 @@ def _shadow_frame(
             tuple(constraints),
             tuple(sha_seen),
             storage,
+            reads,
         )
 
     def mem_invalidate(lo: int, hi: int, keep: int | None = None):
-        for off in [o for o in mem_sym if o < hi and o + 32 > lo]:
-            if off != keep:
-                del mem_sym[off]
+        for words in (mem_sym, mem_tag):
+            for off in [o for o in words if o < hi and o + 32 > lo]:
+                if off != keep:
+                    del words[off]
 
     def binop(op: str) -> SymExpr | None:
         sa = sym.pop()
@@ -233,19 +251,25 @@ def _shadow_frame(
         if 0x60 <= op <= 0x7F:  # PUSH
             stack.append(imm[pc])
             sym.append(None)
+            tags.append(_NO_SLOTS)
         elif 0x80 <= op <= 0x8F:  # DUP
             stack.append(stack[0x7F - op])
             sym.append(sym[0x7F - op])
+            tags.append(tags[0x7F - op])
         elif 0x90 <= op <= 0x9F:  # SWAP
             n = op - 0x8F
             stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
             sym[-1], sym[-n - 1] = sym[-n - 1], sym[-1]
+            tags[-1], tags[-n - 1] = tags[-n - 1], tags[-1]
         elif op in _BIN_NAME:  # two-operand arithmetic
             name = _BIN_NAME[op]
             a_snap = stack.pop()
             b_snap = stack[-1]
             stack[-1] = BINOP[name](a_snap, b_snap)
             sym[-1] = binop(name)
+            a_tag = tags.pop()
+            if a_tag:
+                tags[-1] = a_tag | tags[-1]
         elif op == 0x15:  # ISZERO
             stack[-1] = 1 if stack[-1] == 0 else 0
             if sym[-1] is not None:
@@ -259,6 +283,7 @@ def _shadow_frame(
             size = stack.pop()
             sym.pop()
             sym.pop()
+            del tags[-2:]
             gas -= 6 * ((size + 31) // 32)
             if gas < 0:
                 trace.pop()  # out of gas before it ran: not traced
@@ -286,18 +311,29 @@ def _shadow_frame(
                 if symbolic:
                     shadow = Keccak(tuple(parts), size)
             sym.append(shadow)
+            tags.append(
+                frozenset().union(
+                    *(t for w, t in mem_tag.items() if w < off + size and w + 32 > off)
+                )
+                if size
+                else _NO_SLOTS
+            )
         elif op == 0x30:  # ADDRESS
             stack.append(self_addr)
             sym.append(None)
+            tags.append(_NO_SLOTS)
         elif op == 0x31:  # BALANCE
             stack[-1] = balances.get(stack[-1] & ADDR_MASK, 0)
             sym[-1] = None
+            tags[-1] = _NO_SLOTS
         elif op == 0x33:  # CALLER
             stack.append(caller)
             sym.append(None)
+            tags.append(_NO_SLOTS)
         elif op == 0x34:  # CALLVALUE
             stack.append(callvalue)
             sym.append(None)
+            tags.append(_NO_SLOTS)
         elif op == 0x35:  # CALLDATALOAD
             i = stack[-1]
             i_sym = sym[-1]
@@ -312,14 +348,17 @@ def _shadow_frame(
                 sym[-1] = None
             else:
                 sym[-1] = layout.word_at(i, calldata)
+            tags[-1] = _NO_SLOTS
         elif op == 0x36:  # CALLDATASIZE
             stack.append(len(calldata))
             sym.append(None)
+            tags.append(_NO_SLOTS)
         elif op == 0x37:  # CALLDATACOPY
             dst = stack.pop()
             src = stack.pop()
             size = stack.pop()
             del sym[-3:]
+            del tags[-3:]
             if size:
                 if not _ensure(memory, dst + size):
                     return halt("out_of_gas")
@@ -334,23 +373,29 @@ def _shadow_frame(
         elif op == 0x42:  # TIMESTAMP
             stack.append(timestamp)
             sym.append(None)
+            tags.append(_NO_SLOTS)
         elif op == 0x43:  # NUMBER
             stack.append(number)
             sym.append(None)
+            tags.append(_NO_SLOTS)
         elif op == 0x50:  # POP
             stack.pop()
             sym.pop()
+            tags.pop()
         elif op == 0x51:  # MLOAD
             off = stack[-1]
             if not _ensure(memory, off + 32):
                 return halt("out_of_gas")
             stack[-1] = int.from_bytes(memory[off : off + 32], "big")
             sym[-1] = mem_sym.get(off)
+            tags[-1] = mem_tag.get(off, _NO_SLOTS)
         elif op == 0x52:  # MSTORE
             off = stack.pop()
             val = stack.pop()
             sym.pop()  # offset shadow: the concrete offset is authoritative
             vsym = sym.pop()
+            tags.pop()
+            vtag = tags.pop()
             if not _ensure(memory, off + 32):
                 return halt("out_of_gas")
             memory[off : off + 32] = val.to_bytes(32, "big")
@@ -359,10 +404,15 @@ def _shadow_frame(
                 mem_sym.pop(off, None)
             else:
                 mem_sym[off] = vsym
+            if vtag:
+                mem_tag[off] = vtag
+            else:
+                mem_tag.pop(off, None)
         elif op == 0x53:  # MSTORE8
             off = stack.pop()
             val = stack.pop()
             del sym[-2:]
+            del tags[-2:]
             if not _ensure(memory, off + 1):
                 return halt("out_of_gas")
             memory[off] = val & 0xFF
@@ -371,11 +421,14 @@ def _shadow_frame(
             slot = stack[-1]
             stack[-1] = storage.get(slot, 0)
             sym[-1] = sto_sym.get(slot)
+            tags[-1] = sto_tag[slot] if slot in sto_tag else frozenset((slot,))
         elif op == 0x55:  # SSTORE
             slot = stack.pop()
             val = stack.pop()
             sym.pop()  # slot shadow: keyed by the concrete slot
             vsym = sym.pop()
+            tags.pop()
+            sto_tag[slot] = tags.pop()
             if val:
                 storage[slot] = val
             else:
@@ -387,6 +440,7 @@ def _shadow_frame(
         elif op == 0x56:  # JUMP
             dest = stack.pop()
             sym.pop()
+            tags.pop()
             if dest >= code_len or not is_jumpdest[dest]:
                 return halt("invalid")
             pc = dest
@@ -398,6 +452,10 @@ def _shadow_frame(
             csym = sym.pop()
             if csym is not None:
                 constraints.append(PathConstraint(csym, pc, bool(cond)))
+            tags.pop()
+            ctag = tags.pop()
+            if ctag:
+                reads[pc] = reads.get(pc, _NO_SLOTS) | ctag
             if cond:
                 if dest >= code_len or not is_jumpdest[dest]:
                     return halt("invalid")
@@ -406,9 +464,11 @@ def _shadow_frame(
         elif op == 0x58:  # PC
             stack.append(pc)
             sym.append(None)
+            tags.append(_NO_SLOTS)
         elif op == 0x5A:  # GAS
             stack.append(gas)
             sym.append(None)
+            tags.append(_NO_SLOTS)
         elif op == 0x5B:  # JUMPDEST
             pass
         elif 0xA0 <= op <= 0xA4:  # LOG0..4
@@ -417,6 +477,7 @@ def _shadow_frame(
             size = stack.pop()
             del stack[len(stack) - n :]
             del sym[len(sym) - n - 2 :]
+            del tags[len(tags) - n - 2 :]
             if size and not _ensure(memory, off + size):
                 return halt("out_of_gas")
         elif op in (0xF0, 0xF1, 0xF4, 0xF5, 0xFA):  # CALL-class / CREATE

@@ -3,8 +3,8 @@
 A conjunction is a list of predicates, each required to evaluate to a
 nonzero word.  The pipeline: fold constants, split boolean ANDs, then
 require every remaining predicate to mention exactly one unknown atom
-and no uninterpreted term (a hash, a storage read or a bottleneck-replay
-atom, see symexpr.UNINTERPRETED); otherwise the answer is Unknown.
+and no uninterpreted term (a hash, see symexpr.UNINTERPRETED); otherwise
+the answer is Unknown.
 Per atom, in order: linear (mod 2^256) equality and interval reasoning,
 exhaustive search when the atom's declared width is 16 bits or less,
 integer-root extraction for pure-power equalities, otherwise Unknown.
@@ -113,8 +113,6 @@ def _linearize(e: SymExpr, atom: Input) -> tuple[int, int] | None:
         if r is None:
             return None
         k, b = r
-        if e.op == "NEG":
-            return (-k) % M256, (-b) % M256
         if e.op == "NOT":
             return (-k) % M256, (MASK256 - b) % M256
         return None  # ISZERO is not affine
@@ -326,7 +324,7 @@ def solve(conjunction) -> SolverResult:
     by_atom: dict[Input, list[_Rel]] = {}
     for p in preds:
         if has_node(p, UNINTERPRETED):
-            return Unknown("uninterpreted term: hash, storage read or replay atom")
+            return Unknown("uninterpreted term: hash")
         atoms = inputs_of(p)
         if len(atoms) != 1:
             return Unknown(

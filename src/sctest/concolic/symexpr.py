@@ -16,20 +16,13 @@ Input atoms name a position inside one decoded argument:
 `bits` bounds the atom's value range as declared by the ABI (a byte atom
 is 8 bits, an address 160); solvers use it as the search domain.
 
-The bottleneck replay (sctest.coverage.bottleneck) reads predicates
-straight off the bytecode, without a concrete run, and needs five more
-atoms for words that no argument position determines:
-  Env           an environment word, named as in source (msg.sender, ...)
-  CallDataSize  msg.data.length
-  LoopVar       a loop-carried stack slot at a loop header
-  Opaque        a word the replay cannot track (an unresolved block-entry
-                stack slot when `slot` >= 0)
-  CallDataLoad  a read at an address no fixed argument position answers:
-                the selector word, `tickets[i]`, a dynamic argument's
-                offset word
-`evaluate` raises TypeError on them, and `solve` answers Unknown for a
-predicate that holds one (as it does for Keccak and Sload terms, see
-UNINTERPRETED).  `format_expr` renders every node.
+The node forms are the ones the shadow interpreter
+(sctest.concolic.shadow) builds: Const, Input, Unop (NOT, ISZERO), Binop
+and Keccak.  Every other word the shadow meets (environment values,
+storage words, calldata read at a symbolic address) stays concrete, so
+there is no node for it.  `solve` answers Unknown for a predicate that
+holds a Keccak term (UNINTERPRETED); `evaluate` and `format_expr` are
+total over every node.
 """
 
 from dataclasses import dataclass
@@ -39,7 +32,7 @@ from ..bytecode.opcodes import BINOP
 
 MASK256 = (1 << 256) - 1
 
-UNOPS = ("NOT", "ISZERO", "NEG")
+UNOPS = ("NOT", "ISZERO")
 
 _BOOL_OPS = ("LT", "GT", "EQ")
 
@@ -79,45 +72,10 @@ class Keccak:
     size: int  # byte length of the hashed buffer
 
 
-@dataclass(frozen=True)
-class Sload:
-    slot: "SymExpr"
+SymExpr = Const | Input | Unop | Binop | Keccak
 
-
-@dataclass(frozen=True)
-class Env:
-    name: str  # source spelling: msg.sender, msg.value, block.timestamp, ...
-
-
-@dataclass(frozen=True)
-class CallDataSize:
-    pass
-
-
-@dataclass(frozen=True)
-class LoopVar:
-    slot: int  # stack depth at the loop header's entry
-
-
-@dataclass(frozen=True)
-class Opaque:
-    slot: int = -1  # >= 0: unresolved block-entry slot, depth from the top
-
-
-@dataclass(frozen=True)
-class CallDataLoad:
-    addr: "SymExpr"
-    param: str = ""  # the dynamic argument the read is tied to, if any
-    kind: str = ""  # with param: "offset" (head word), "word" or "byte"
-
-
-SymExpr = (
-    Const | Input | Unop | Binop | Keccak | Sload
-    | Env | CallDataSize | LoopVar | Opaque | CallDataLoad
-)
-
-# terms the solver cannot decide: hashes, storage reads, the replay's atoms
-UNINTERPRETED = (Keccak, Sload, Env, CallDataSize, LoopVar, Opaque, CallDataLoad)
+# terms the solver cannot decide
+UNINTERPRETED = (Keccak,)
 
 
 def atom_value(atom: Input, env: dict) -> int:
@@ -139,42 +97,33 @@ def atom_value(atom: Input, env: dict) -> int:
 def _unop(op: str, x: int) -> int:
     if op == "NOT":
         return x ^ MASK256
-    if op == "ISZERO":
-        return 1 if x == 0 else 0
-    return (-x) & MASK256  # NEG
+    return 1 if x == 0 else 0  # ISZERO
 
 
-def _evaluate(expr: SymExpr, atom, storage: dict | None) -> int:
+def _evaluate(expr: SymExpr, atom) -> int:
     """Total evaluation; atom(Input) gives each atom's word."""
     if isinstance(expr, Const):
         return expr.value
     if isinstance(expr, Input):
         return atom(expr)
     if isinstance(expr, Unop):
-        return _unop(expr.op, _evaluate(expr.x, atom, storage))
+        return _unop(expr.op, _evaluate(expr.x, atom))
     if isinstance(expr, Binop):
-        return BINOP[expr.op](
-            _evaluate(expr.x, atom, storage), _evaluate(expr.y, atom, storage)
-        )
+        return BINOP[expr.op](_evaluate(expr.x, atom), _evaluate(expr.y, atom))
     if isinstance(expr, Keccak):
-        buf = b"".join(
-            _evaluate(p, atom, storage).to_bytes(32, "big") for p in expr.parts
-        )
+        buf = b"".join(_evaluate(p, atom).to_bytes(32, "big") for p in expr.parts)
         return int.from_bytes(keccak256(buf[: expr.size]), "big")
-    if isinstance(expr, Sload):
-        slot = _evaluate(expr.slot, atom, storage)
-        return (storage or {}).get(slot, 0)
-    raise TypeError(f"no value for {expr!r}")
+    raise TypeError(f"not a SymExpr: {expr!r}")
 
 
-def evaluate(expr: SymExpr, env: dict, storage: dict | None = None) -> int:
+def evaluate(expr: SymExpr, env: dict) -> int:
     """Total evaluation under a concrete assignment {param name: value}."""
-    return _evaluate(expr, lambda a: atom_value(a, env), storage)
+    return _evaluate(expr, lambda a: atom_value(a, env))
 
 
-def evaluate_atoms(expr: SymExpr, assignment: dict, storage: dict | None = None) -> int:
+def evaluate_atoms(expr: SymExpr, assignment: dict) -> int:
     """Evaluate with atoms bound directly: {Input atom: word value}."""
-    return _evaluate(expr, lambda a: assignment[a] & MASK256, storage)
+    return _evaluate(expr, lambda a: assignment[a] & MASK256)
 
 
 def nodes(expr: SymExpr):
@@ -189,10 +138,6 @@ def nodes(expr: SymExpr):
             stack.append(e.x)
         elif isinstance(e, Keccak):
             stack += reversed(e.parts)
-        elif isinstance(e, Sload):
-            stack.append(e.slot)
-        elif isinstance(e, CallDataLoad):
-            stack.append(e.addr)
 
 
 def inputs_of(expr: SymExpr) -> tuple[Input, ...]:
@@ -218,8 +163,6 @@ def substitute(expr: SymExpr, model: dict) -> SymExpr:
         return Binop(expr.op, substitute(expr.x, model), substitute(expr.y, model))
     if isinstance(expr, Keccak):
         return Keccak(tuple(substitute(p, model) for p in expr.parts), expr.size)
-    if isinstance(expr, Sload):
-        return Sload(substitute(expr.slot, model))
     raise TypeError(f"not a SymExpr: {expr!r}")
 
 
@@ -276,7 +219,7 @@ def upper_bound(expr: SymExpr) -> int:
             sh = expr.x.value
             return 0 if sh >= 256 else by >> sh
         return MASK256
-    return MASK256  # Keccak, Sload
+    return MASK256  # Keccak
 
 
 def _shift_term(term: SymExpr) -> tuple[int, SymExpr] | None:
@@ -341,7 +284,7 @@ def _shr_over_disjoint(shift: int, e: SymExpr) -> SymExpr | None:
 def simplify(expr: SymExpr) -> SymExpr:
     """Constant folding plus the structural rules the shadow relies on."""
     if not isinstance(expr, (Unop, Keccak, Binop)):
-        return expr  # atoms; a storage read or calldata address stays as is
+        return expr  # Const and Input
     if isinstance(expr, Unop):
         x = simplify(expr.x)
         if isinstance(x, Const):
@@ -450,9 +393,8 @@ def format_expr(expr: SymExpr) -> str:
 
     No brackets.  Operands appear in source order (`x*x*x + x*x + 2`),
     negated tests as `!=`, `>=` and `<=`, boolean ANDs as `&&` chains,
-    and calldata reads by argument name: `name`, `name.length`,
-    `name.offset`, `name[k]` for a fixed element and `name[i]` for a
-    computed one.  Total over every node, the replay's atoms included.
+    and calldata reads by argument name: `name`, `name.length` and
+    `name[k]` for a fixed element or byte.  Total over every node.
     """
     f = format_expr
     if isinstance(expr, Const):
@@ -465,28 +407,12 @@ def format_expr(expr: SymExpr) -> str:
         if expr.kind == "elem":
             return f"{expr.param}[{expr.offset // 32}]"
         return expr.param
-    if isinstance(expr, Env):
-        return expr.name
-    if isinstance(expr, CallDataSize):
-        return "msg.data.length"
-    if isinstance(expr, LoopVar):
-        return "i"
-    if isinstance(expr, Opaque):
-        return "opaque"
-    if isinstance(expr, CallDataLoad):
-        if not expr.param:
-            return f"calldata[{f(expr.addr)}]"
-        return f"{expr.param}.offset" if expr.kind == "offset" else f"{expr.param}[i]"
-    if isinstance(expr, Sload):
-        return f"storage[{f(expr.slot)}]"
     if isinstance(expr, Keccak):
         return "keccak(" + " ++ ".join(f(p) for p in expr.parts) + ")"
     if isinstance(expr, Unop):
         x = expr.x
         if expr.op == "NOT":
             return f"~{f(x)}"
-        if expr.op == "NEG":
-            return f"-({f(x)})"
         if isinstance(x, Binop) and x.op in _NEGATED:
             return f"{f(x.x)} {_NEGATED[x.op]} {f(x.y)}"
         if isinstance(x, Binop) and x.op == "EQ":
@@ -508,8 +434,6 @@ def format_expr(expr: SymExpr) -> str:
         return " + ".join(t for _, t in terms)
     if op == "EXP":
         return f"{f(x)}**{f(y)}"
-    if op == "SHR" and x == Const(248) and isinstance(y, CallDataLoad) and y.kind == "byte":
-        return f"{y.param}[i]"  # a byte pulled out of a bytes argument
     if op in ("SHL", "SHR"):  # the shift amount is x, the value y
         x, y = y, x
     elif op in ("AND", "OR", "XOR") and isinstance(x, Const) and not isinstance(y, Const):

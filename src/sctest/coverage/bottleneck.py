@@ -2,61 +2,43 @@
 
 A bottleneck is an executed JUMPI with exactly one covered successor: the
 branch keeps evaluating one way, and whatever sits behind the other arm
-stays dark.  For each such branch this module reconstructs the guarding
-predicate by symbolically replaying the stack along one acyclic chain of
-predecessor blocks, then renders it as source-flavoured text and derives
-routing features from its shape.
+stays dark.  Each one is described from the shadow run
+(sctest.concolic.shadow) of a test case that reaches it, so the
+predicate a router reads is the tree `drive` solves: the first
+PathConstraint the run recorded at the branch, negated to the dark arm.
+A branch whose condition the shadow saw as concrete (a dispatcher's
+selector test, a comparison of stored words) is reported with no
+predicate and the text "concrete"; it is never handed to `solve`.
 
-Predicates are sctest.concolic.symexpr trees.  A CALLDATALOAD of a
-static argument's head word or of a dynamic argument's length word is
-the same Input atom the shadow interpreter makes, so a predicate over
-such reads alone goes to `solve` and `evaluate` as it is.  Every other
-word the replay meets becomes one of symexpr's replay atoms (Env,
-CallDataSize, LoopVar, Opaque, CallDataLoad), which `solve` answers Unknown.
-
-The replay is deliberately best effort.  At a join it follows the
-lowest-offset predecessor; at a loop header it marks the loop-carried
-stack slots (those the back edge rewrites) as an induction variable and
-resolves the rest through the entry path.  Anything the replay cannot
-express renders as "opaque" while the feature flags still reflect the
-recognizable parts.
+Features: has_keccak and has_nonlinear_term read the predicate's tree.
+loop_guarded holds when the branch lies in a CFG cycle and the run
+decided one of that cycle's exits on a dynamic argument's length.
+storage_dependent holds when the run's slot record (ShadowRun.reads)
+names a storage slot that flowed into the branch's condition.
 """
 
 from dataclasses import dataclass
 
 from ..bytecode.abi import FunctionSig
 from ..bytecode.cfg import Cfg
-from ..bytecode.opcodes import BINOP, CALL_CLASS, lookup
+from ..concolic.shadow import ShadowRun, shadow_run
 from ..concolic.symexpr import (
-    MASK256,
     Binop,
-    CallDataLoad,
-    CallDataSize,
     Const,
-    Env,
     Input,
     Keccak,
-    LoopVar,
-    Opaque,
-    Sload,
     SymExpr,
     Unop,
     format_expr,
-    has_node,
+    inputs_of,
     nodes,
+    simplify,
 )
-from ..evm.bundle import ContractBundle, genesis_config
+from ..errors import SctestError
+from ..evm.bundle import ContractBundle
+from ..evm.snapshots import SnapshotCache
+from ..evm.world import EvmWorld, make_world
 from .covmap import CoverageMap
-
-_CHAIN_LIMIT = 16
-
-_ENV = {
-    "CALLER": "msg.sender",
-    "CALLVALUE": "msg.value",
-    "TIMESTAMP": "block.timestamp",
-    "NUMBER": "block.number",
-    "ADDRESS": "address(this)",
-}
 
 
 @dataclass(frozen=True)
@@ -65,166 +47,13 @@ class BranchConstraintInfo:
     constraint_text: str
     inputs_involved: tuple[str, ...]
     features: dict
-    predicate: SymExpr  # nonzero exactly when the dark arm is taken
+    # nonzero exactly when the dark arm is taken; None when the shadow
+    # saw the branch's condition as concrete
+    predicate: SymExpr | None
 
 
 # ---------------------------------------------------------------------------
-# symbolic replay of straight-line instruction runs
-# ---------------------------------------------------------------------------
-
-class _Replay:
-    """Stack/memory shadow over one chain of blocks.
-
-    Entry slots materialize lazily as Opaque(k); k counts depth from the
-    top of the stack at the start of the chain.  Memory is a dict of
-    constant offsets, dropped entirely on any untrackable write.
-    CALLDATALOADs are tied to `sig`'s parameter layout when one is given.
-    """
-
-    def __init__(self, sig: FunctionSig | None = None):
-        self.sig = sig
-        self.stack: list[SymExpr] = []
-        self.watermark = 0
-        self.mem: dict[int, SymExpr] | None = {}
-
-    def need(self, k: int) -> None:
-        while len(self.stack) < k:
-            self.stack.insert(0, Opaque(self.watermark))
-            self.watermark += 1
-
-    def pop(self) -> SymExpr:
-        self.need(1)
-        return self.stack.pop()
-
-    def push(self, e: SymExpr) -> None:
-        self.stack.append(e)
-
-    def clobber_mem(self) -> None:
-        self.mem = None
-
-    def write_mem(self, off: SymExpr, val: SymExpr | None) -> None:
-        if self.mem is None:
-            return
-        if not isinstance(off, Const):
-            self.mem = None
-            return
-        at = off.value
-        for k in [k for k in self.mem if k < at + 32 and k + 32 > at]:
-            del self.mem[k]
-        if val is not None:
-            self.mem[at] = val
-
-    def read_sha3(self, off: SymExpr, size: SymExpr) -> SymExpr:
-        if (
-            self.mem is None
-            or not isinstance(off, Const)
-            or not isinstance(size, Const)
-            or size.value <= 0
-            or size.value % 32
-        ):
-            return Opaque()
-        words = []
-        for k in range(off.value, off.value + size.value, 32):
-            if k not in self.mem:
-                return Opaque()
-            words.append(self.mem[k])
-        return Keccak(tuple(words), size.value)
-
-    def load_calldata(self, addr: SymExpr) -> SymExpr:
-        """A parameter's Input atom when the address is its head word (a
-        static parameter) or its length word (a dynamic one); otherwise a
-        CallDataLoad node, tied to the first dynamic parameter whose offset
-        word the address reads."""
-        sig = self.sig
-        for k, p in enumerate(sig.params if sig else ()):
-            name = sig.param_names[k]
-            head = Const(4 + 32 * k)
-            if addr == head:
-                if p.is_dynamic:
-                    return CallDataLoad(addr, name, "offset")
-                return Input(name, 0, "word", p.word_bits)
-            if not p.is_dynamic:
-                continue
-            head_load = CallDataLoad(head, name, "offset")
-            four = Const(4)
-            if addr in (Binop("ADD", four, head_load), Binop("ADD", head_load, four)):
-                return Input(name, 0, "length", 256)
-            if head_load in nodes(addr):
-                return CallDataLoad(addr, name, "byte" if p.kind == "bytes" else "word")
-        return CallDataLoad(addr)
-
-    def step(self, ins) -> None:
-        name = ins.name
-        if name.startswith("PUSH"):
-            self.push(Const(ins.imm or 0))
-        elif name.startswith("DUP"):
-            k = int(name[3:])
-            self.need(k)
-            self.push(self.stack[-k])
-        elif name.startswith("SWAP"):
-            k = int(name[4:])
-            self.need(k + 1)
-            self.stack[-1], self.stack[-1 - k] = (
-                self.stack[-1 - k],
-                self.stack[-1],
-            )
-        elif name == "POP":
-            self.pop()
-        elif name in BINOP:
-            x, y = self.pop(), self.pop()
-            if isinstance(x, Const) and isinstance(y, Const):
-                self.push(Const(BINOP[name](x.value, y.value)))
-            else:
-                self.push(Binop(name, x, y))
-        elif name == "ISZERO":
-            x = self.pop()
-            self.push(Const(int(x.value == 0)) if isinstance(x, Const) else Unop(name, x))
-        elif name == "NOT":
-            x = self.pop()
-            self.push(Const(x.value ^ MASK256) if isinstance(x, Const) else Unop(name, x))
-        elif name == "CALLDATALOAD":
-            self.push(self.load_calldata(self.pop()))
-        elif name == "CALLDATASIZE":
-            self.push(CallDataSize())
-        elif name in _ENV:
-            self.push(Env(_ENV[name]))
-        elif name == "SLOAD":
-            self.push(Sload(self.pop()))
-        elif name == "SSTORE":
-            self.pop(), self.pop()
-        elif name == "SHA3":
-            off, size = self.pop(), self.pop()
-            self.push(self.read_sha3(off, size))
-        elif name == "MLOAD":
-            off = self.pop()
-            if self.mem is not None and isinstance(off, Const) and off.value in self.mem:
-                self.push(self.mem[off.value])
-            else:
-                self.push(Opaque())
-        elif name == "MSTORE":
-            off, val = self.pop(), self.pop()
-            self.write_mem(off, val)
-        elif name == "MSTORE8":
-            off, _val = self.pop(), self.pop()
-            self.write_mem(off, None)
-        elif name == "JUMPDEST":
-            pass
-        elif name == "JUMP":
-            self.pop()
-        elif name == "JUMPI":
-            self.pop(), self.pop()
-        else:
-            info = lookup(ins.code)
-            for _ in range(info.pops):
-                self.pop()
-            for _ in range(info.pushes):
-                self.push(Opaque())
-            if ins.code in CALL_CLASS or name in ("CALLDATACOPY",):
-                self.clobber_mem()
-
-
-# ---------------------------------------------------------------------------
-# control-flow helpers: cycles, back edges, predecessor chains
+# control-flow cycles
 # ---------------------------------------------------------------------------
 
 def _sccs(cfg: Cfg) -> dict[int, int]:
@@ -281,131 +110,78 @@ def _in_cycle(cfg: Cfg, comp: dict[int, int], block: int) -> bool:
     return len(same) > 1 or block in cfg.blocks[block].succs
 
 
-def _mutated_positions(cfg: Cfg, back_preds: list[int]) -> set[int]:
-    """Stack slots (depth from the header's entry top) a back edge rewrites."""
-    out: set[int] = set()
-    for p in back_preds:
-        rp = _Replay()
-        rp.clobber_mem()
-        for ins in cfg.blocks[p].instrs:
-            rp.step(ins)
-        delta = len(rp.stack) - rp.watermark
-        if delta != 0:
-            out.update(range(max(len(rp.stack), rp.watermark)))
-            continue
-        for j in range(len(rp.stack)):
-            if rp.stack[-1 - j] != Opaque(j):
-                out.add(j)
-    return out
-
-
-def _guard_chain(
-    cfg: Cfg, comp: dict[int, int], block: int
-) -> tuple[list[int], dict[int, set[int]]]:
-    """An acyclic predecessor chain ending at `block`, plus the loop-carried
-    slot positions to pin at each cycle-header join along the way."""
-    chain = [block]
-    joins: dict[int, set[int]] = {}
-    while len(chain) < _CHAIN_LIMIT:
-        head = chain[0]
-        preds = cfg.preds.get(head, ())
-        cands = [p for p in preds if p not in chain]
-        if not cands:
-            break
-        if len(preds) > 1 and _in_cycle(cfg, comp, head):
-            back = [p for p in preds if comp.get(p) == comp[head]]
-            if back:
-                joins[head] = _mutated_positions(cfg, back)
-            fwd = [p for p in cands if comp.get(p) != comp[head]] or cands
-            chain.insert(0, min(fwd))
-        else:
-            chain.insert(0, min(cands))
-    return chain, joins
-
-
-def _condition(
-    cfg: Cfg, comp: dict[int, int], block_start: int, sig: FunctionSig | None
-) -> SymExpr | None:
-    blk = cfg.blocks.get(block_start)
-    if blk is None or blk.terminator != "JUMPI":
-        return None
-    chain, joins = _guard_chain(cfg, comp, block_start)
-    rp = _Replay(sig)
-    cond: SymExpr | None = None
-    for b in chain:
-        pins = joins.get(b)
-        if pins:
-            rp.need(max(pins) + 1)
-            for j in pins:
-                rp.stack[-1 - j] = LoopVar(j)
-        instrs = cfg.blocks[b].instrs
-        for ins in instrs:
-            if b == block_start and ins.name == "JUMPI":
-                rp.pop()  # destination
-                cond = rp.pop()
-            else:
-                rp.step(ins)
-    return cond
-
-
-# ---------------------------------------------------------------------------
-# feature flags
-# ---------------------------------------------------------------------------
-
-def _reads_dynamic_extent(e: SymExpr) -> bool:
-    """True when the expression reads CALLDATASIZE or a dynamic length word."""
-    return any(
-        isinstance(n, CallDataSize) or (isinstance(n, Input) and n.kind == "length")
-        for n in nodes(e)
-    )
-
-
-def _features(
-    bundle: ContractBundle,
-    cond: SymExpr,
-    block: int,
-    comp: dict[int, int],
-    sig: FunctionSig | None,
-) -> dict:
-    nonlinear = any(
-        isinstance(n, Binop)
-        and n.op in ("MUL", "EXP")
-        and not isinstance(n.x, Const)
-        and not isinstance(n.y, Const)
-        for n in nodes(cond)
-    )
-
-    loop_guarded = False
-    cfg = bundle.cfg
-    if _in_cycle(cfg, comp, block):
-        cid = comp[block]
-        for b, c in comp.items():
-            if c != cid:
-                continue
-            blk = cfg.blocks[b]
-            if blk.terminator != "JUMPI":
-                continue
-            if not any(comp.get(s) != cid for s in blk.succs):
-                continue
-            exit_cond = _condition(cfg, comp, b, sig)
-            if exit_cond is not None and _reads_dynamic_extent(exit_cond):
-                loop_guarded = True
-                break
-
-    return {
-        "has_keccak": has_node(cond, Keccak),
-        "has_nonlinear_term": nonlinear,
-        "loop_guarded": loop_guarded,
-        "storage_dependent": has_node(cond, Sload),
+def _loop_guarded(cfg: Cfg, comp: dict[int, int], block: int, run: ShadowRun) -> bool:
+    """The block lies in a cycle, and the run decided one of that cycle's
+    exits on a dynamic argument's length."""
+    if not _in_cycle(cfg, comp, block):
+        return False
+    cid = comp[block]
+    exits = {
+        cfg.blocks[b].instrs[-1].offset
+        for b, c in comp.items()
+        if c == cid
+        and cfg.blocks[b].terminator == "JUMPI"
+        and any(comp.get(s) != cid for s in cfg.blocks[b].succs)
     }
+    return any(
+        isinstance(n, Input) and n.kind == "length"
+        for c in run.constraints
+        if c.branch_offset in exits
+        for n in nodes(c.predicate)
+    )
 
 
-def _inputs_involved(cond: SymExpr, sig: FunctionSig | None) -> tuple[str, ...]:
-    """Parameters the predicate reads, in declaration order."""
-    if sig is None:
-        return ()
-    found = {n.param for n in nodes(cond) if isinstance(n, (Input, CallDataLoad))}
-    return tuple(name for name in sig.param_names if name in found)
+def _describe(
+    cfg: Cfg,
+    comp: dict[int, int],
+    block: int,
+    dark_taken: bool,
+    sig: FunctionSig,
+    run: ShadowRun,
+) -> BranchConstraintInfo:
+    """The bottleneck at block's JUMPI as the run saw it; dark_taken says
+    whether the dark arm is the jump target."""
+    offset = cfg.blocks[block].instrs[-1].offset
+    seen = next((c for c in run.constraints if c.branch_offset == offset), None)
+    if seen is None:
+        pred, text, inputs, tree = None, "concrete", (), []
+    else:
+        pred = seen.predicate
+        if not dark_taken:
+            pred = simplify(Unop("ISZERO", pred))
+        text = format_expr(pred)
+        found = {a.param for a in inputs_of(pred)}
+        inputs = tuple(name for name in sig.param_names if name in found)
+        tree = list(nodes(pred))
+    features = {
+        "has_keccak": any(isinstance(n, Keccak) for n in tree),
+        "has_nonlinear_term": any(
+            isinstance(n, Binop)
+            and n.op in ("MUL", "EXP")
+            and not isinstance(n.x, Const)
+            and not isinstance(n.y, Const)
+            for n in tree
+        ),
+        "loop_guarded": _loop_guarded(cfg, comp, block, run),
+        "storage_dependent": bool(run.reads.get(offset)),
+    }
+    return BranchConstraintInfo(offset, text, inputs, features, pred)
+
+
+def _shadow_runs(bundle: ContractBundle, world: EvmWorld, at: int, cases):
+    """(signature, shadow run) of every call to the bundle at `at` in
+    cases, each run from world after its case's earlier transactions."""
+    cache = SnapshotCache()
+    for tc in cases:
+        for pos, tx in enumerate(tc.txs):
+            sig = bundle.by_name.get(tx.function_call)
+            if tx.destination != at or sig is None:
+                continue
+            try:
+                run = shadow_run(world, tc.txs[:pos], tx, cache=cache)
+            except SctestError:
+                continue
+            yield sig, run
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +189,18 @@ def _inputs_involved(cond: SymExpr, sig: FunctionSig | None) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def extract_bottlenecks(
-    bundle: ContractBundle, map_: CoverageMap, address: int | None = None
+    bundle: ContractBundle, map_: CoverageMap, cases=()
 ) -> list[BranchConstraintInfo]:
-    """All executed JUMPIs with exactly one covered successor, by offset."""
-    if address is None:
-        address = genesis_config(bundle)["deploy_at"]
-    bits = map_.bits.get(address, 0)
-    cfg = bundle.cfg
-    comp = _sccs(cfg)
+    """Executed JUMPIs with exactly one covered successor, by offset.
 
-    out: list[BranchConstraintInfo] = []
+    A branch is reported once one of `cases` (TestCases, replayed from
+    the bundle's genesis world) reaches it, as the first shadow run that
+    reaches it saw it.  With no cases nothing is reported.
+    """
+    cfg = bundle.cfg
+    world, at = make_world(bundle)
+    bits = map_.bits.get(at, 0)
+    pending: dict[int, tuple[int, bool]] = {}  # offset -> (block, dark_taken)
     for start in cfg.order:
         blk = cfg.blocks[start]
         if blk.terminator != "JUMPI" or blk.unresolved_jump or len(blk.succs) != 2:
@@ -434,26 +212,17 @@ def extract_bottlenecks(
         if taken == fall:
             continue
         cov_t = bool((bits >> taken) & 1)
-        cov_f = bool((bits >> fall) & 1)
-        if cov_t == cov_f:
-            continue
+        if cov_t != bool((bits >> fall) & 1):
+            pending[branch_offset] = (start, not cov_t)
 
-        sig = bundle.function_at(branch_offset)
-        cond = _condition(cfg, comp, start, sig)
-        if cond is None:
-            continue
-        if cov_t:  # the fallthrough arm is dark: the block is its negation
-            blocking = Unop("ISZERO", cond)
-        else:
-            blocking = cond
-
-        out.append(
-            BranchConstraintInfo(
-                branch_offset,
-                "opaque" if has_node(blocking, Opaque) else format_expr(blocking),
-                _inputs_involved(blocking, sig),
-                _features(bundle, blocking, start, comp, sig),
-                blocking,
-            )
-        )
-    return out
+    if not pending:
+        return []
+    comp = _sccs(cfg)
+    found: list[BranchConstraintInfo] = []
+    for sig, run in _shadow_runs(bundle, world, at, cases):
+        for offset in pending.keys() & set(run.trace):
+            block, dark_taken = pending.pop(offset)
+            found.append(_describe(cfg, comp, block, dark_taken, sig, run))
+        if not pending:
+            break
+    return sorted(found, key=lambda b: b.branch_offset)

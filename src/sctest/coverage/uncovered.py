@@ -25,19 +25,18 @@ class UncoveredFunction:
 
 
 def extract_uncovered_functions(
-    bundle: ContractBundle, map_: CoverageMap, address: int | None = None
+    bundle: ContractBundle, map_: CoverageMap, cases=()
 ) -> list[UncoveredFunction]:
     """All ABI functions with any uncovered instruction, ordered by entry.
 
     A function's instructions are those whose offsets fall inside its body
     range.  Status is FULLY_UNCOVERED when not a single one has executed.
     Raises MissingBodyRange for a function whose body range is absent even
-    after dispatch recovery.
+    after dispatch recovery.  `cases` goes to extract_bottlenecks: the
+    blocking branches are those the cases reach.
     """
-    if address is None:
-        address = genesis_config(bundle)["deploy_at"]
-    bits = map_.bits.get(address, 0)
-    bottlenecks = extract_bottlenecks(bundle, map_, address)
+    bits = map_.bits.get(genesis_config(bundle)["deploy_at"], 0)
+    bottlenecks = extract_bottlenecks(bundle, map_, cases)
 
     out: list[UncoveredFunction] = []
     sigs = sorted(

@@ -17,17 +17,11 @@ from sctest.bytecode.abi import FunctionSig, encode_call
 from sctest.bytecode.opcodes import BINOP, CALL_CLASS, OPCODES, by_name
 from sctest.concolic import (
     Binop,
-    CallDataLoad,
-    CallDataSize,
     Const,
     DriveBudget,
-    Env,
     Input,
     Keccak,
-    LoopVar,
-    Opaque,
     Sat,
-    Sload,
     SnapshotCache,
     Unknown,
     Unsat,
@@ -35,6 +29,7 @@ from sctest.concolic import (
     drive,
     evaluate,
     format_expr,
+    inputs_of,
     shadow_run,
     simplify,
     solve,
@@ -142,21 +137,11 @@ ANY_TREE = st.recursive(
         st.builds(Input, st.just("arr"), st.sampled_from((0, 32, 64)), st.just("elem")),
         st.builds(Input, st.just("data"), st.integers(0, 40), st.just("byte"), st.just(8)),
         st.builds(Input, st.just("data"), st.just(0), st.just("length")),
-        st.sampled_from(
-            (Env("msg.sender"), CallDataSize(), LoopVar(0), Opaque(), Opaque(2))
-        ),
     ),
     lambda kids: st.one_of(
         st.builds(Binop, st.sampled_from(sorted(BINOP)), kids, kids),
         st.builds(Unop, st.sampled_from(UNOPS), kids),
         st.builds(Keccak, st.lists(kids, min_size=1, max_size=3).map(tuple), st.just(64)),
-        st.builds(Sload, kids),
-        st.builds(
-            CallDataLoad,
-            kids,
-            st.sampled_from(("", "tokens", "key")),
-            st.sampled_from(("", "offset", "word", "byte")),
-        ),
     ),
     max_leaves=10,
 )
@@ -180,13 +165,6 @@ def test_array_elements_render_with_their_index(feeswap):
     fee = feeswap.by_name["set_fee1e9"]
     static = ArgLayout(fee, (7,)).word_at(4, encode_call(fee, (7,)))
     assert format_expr(static) == fee.param_names[0]
-
-
-def test_solve_answers_unknown_for_an_input_beside_a_replay_atom():
-    # one Input atom passes the one-unknown rule; the Env atom must stop
-    # the predicate before evaluate_atoms meets it
-    pred = Binop("EQ", Input("x", bits=8), Env("msg.sender"))
-    assert isinstance(solve([pred]), Unknown)
 
 
 # -- solve against brute force over the atom's whole domain -----------------
@@ -505,9 +483,12 @@ def test_shadow_and_kernel_agree_on_generated_programs(items, call, storage, gas
     _check_agree(items, call, storage, gas, value)
 
 
-ISZERO, POP, CALLDATALOAD, ADD, MUL, MSTORE, SHA3, DUP1 = (
+ISZERO, POP, CALLDATALOAD, ADD, MUL, MSTORE, MSTORE8, MLOAD, SHA3, DUP1 = (
     by_name(n).code
-    for n in ("ISZERO", "POP", "CALLDATALOAD", "ADD", "MUL", "MSTORE", "SHA3", "DUP1")
+    for n in (
+        "ISZERO", "POP", "CALLDATALOAD", "ADD", "MUL", "MSTORE", "MSTORE8", "MLOAD",
+        "SHA3", "DUP1",
+    )
 )
 CREATE, CALL, STATICCALL = (by_name(n).code for n in ("CREATE", "CALL", "STATICCALL"))
 ABI_ARGS = (7, (1, 2), b"xyz")
@@ -517,6 +498,9 @@ NO_CALL = (b"", None)
 BASE = [("push", w) for w in (5, 6, 7)]
 # 1022 words, then a JUMPI not taken: the next run starts at depth 1022
 AT_1022 = [("push", 0)] * 1022 + [("jump", 7, 0)]
+# a word with a distinct byte at each position, so a read-back at the
+# wrong offset or length stores a different word
+WORD = int.from_bytes(bytes(range(1, 33)), "big")
 
 
 @pytest.mark.parametrize(
@@ -545,12 +529,17 @@ AT_1022 = [("push", 0)] * 1022 + [("jump", 7, 0)]
         ([("push", 0), ("op", CALL)], NO_CALL, "invalid"),
         ([("push", 0), ("op", CREATE)], NO_CALL, "invalid"),
         ([("push", 0), ("op", STATICCALL)], NO_CALL, "invalid"),
+        # memory read back: the loaded word is stored in its item's slot
+        ([*BASE, ("apply", MSTORE, [64, WORD]), ("apply", MLOAD, [64])], NO_CALL, "stop"),
+        ([*BASE, ("apply", MSTORE8, [3, 0xAB]), ("apply", MLOAD, [0])], NO_CALL, "stop"),
+        ([*BASE, ("apply", MSTORE, [0, WORD]), ("apply", MLOAD, [16])], NO_CALL, "stop"),
     ],
     ids=[
         "iszero-empty", "iszero-emptied", "calldataload-short", "calldataload-short-abi",
         "underflow-mid-run", "push-at-1024", "dup-at-1024", "run-up-to-1024",
         "run-past-1024", "mstore-past-mem-limit-mid-run", "jump-into-a-run",
         "call-short-stack", "create-short-stack", "staticcall-short-stack",
+        "mstore-mload", "mstore8-mload", "mload-unaligned",
     ],
 )
 def test_shadow_and_kernel_agree_on_edge_programs(items, call, halt):
@@ -594,6 +583,67 @@ def test_shadow_and_kernel_agree_when_gas_runs_out_stepping():
     assert {len(r.trace) for r in runs if r.halt == "out_of_gas"} == set(
         range(len(runs[-1].trace))
     )
+
+
+# -- the slot record ----------------------------------------------------------
+
+
+def _branch_on(code: str) -> CodeImage:
+    """code (hex), then a JUMPI on the word it leaves on top to a final
+    JUMPDEST; the JUMPI sits at len(code) + 2."""
+    n = len(code) // 2
+    tail = bytes([0x60, n + 4, 0x57, 0x00, 0x5B, 0x00])
+    return CodeImage.from_bytecode(bytes.fromhex(code) + tail)
+
+
+@pytest.mark.parametrize(
+    "code,slots",
+    [
+        ("600554600052600051", {5}),  # SLOAD 5, MSTORE at 0, MLOAD at 0
+        ("6005546006549050", {6}),  # SLOAD 5, SLOAD 6, SWAP1, POP
+        ("60055460065401", {5, 6}),  # SLOAD 5 + SLOAD 6
+        ("6005546000526020600020", {5}),  # SLOAD 5, MSTORE at 0, SHA3 of it
+        ("600554600955600954", {5}),  # SLOAD 5 stored at 9, then SLOAD 9
+        ("6001600555600554", set()),  # SLOAD 5 after the call wrote 1 there
+        ("600435", set()),  # CALLDATALOAD 4
+    ],
+    ids=["mload", "swap", "add", "sha3", "sstore", "overwritten", "calldata"],
+)
+def test_slot_record_names_the_slots_a_condition_read(code, slots):
+    calldata, layout = ABI_CALL
+    run = _shadow_frame(
+        _branch_on(code), calldata, layout, {5: 3, 6: 4, 9: 1}, {},
+        SELF, CALLER, 0, 1, 1, 100_000,
+    )
+    assert run.halt == "stop"
+    assert run.reads.get(len(code) // 2 + 2, frozenset()) == slots
+
+
+def test_slot_record_sits_beside_a_symbolic_constraint():
+    # CALLDATALOAD 4 (the argument a) + SLOAD 7
+    calldata, layout = ABI_CALL
+    run = _shadow_frame(
+        _branch_on("60043560075401"), calldata, layout, {7: 1}, {},
+        SELF, CALLER, 0, 1, 1, 100_000,
+    )
+    (c,) = run.constraints
+    assert c.branch_offset == 9 and inputs_of(c.predicate) == (Input("a"),)
+    assert run.reads == {9: frozenset({7})}
+
+
+def test_slot_record_joins_a_branch_over_its_executions():
+    # one JUMPI (at 24) reached twice through a subroutine at 0x15, on
+    # SLOAD 5 and then on SLOAD 6; both words are 0, so it never jumps
+    code = (
+        "6005 54 6009 90 6015 56"  # SLOAD 5, return to 0x09, call 0x15
+        "5b 6006 54 6013 90 6015 56"  # 0x09: SLOAD 6, return to 0x13, call 0x15
+        "5b 00"  # 0x13: STOP
+        "5b 6015 57 56"  # 0x15: JUMPI on the word, JUMP back
+    )
+    image = CodeImage.from_bytecode(bytes.fromhex(code.replace(" ", "")))
+    run = _shadow_frame(image, b"", None, {}, {}, SELF, CALLER, 0, 1, 1, 100_000)
+    assert run.halt == "stop"
+    assert run.reads == {24: frozenset({5, 6})}
 
 
 # -- error handling in drive -------------------------------------------------

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sctest.bytecode.abi import parse_abi
-from sctest.concolic import ArgLayout, Unknown, evaluate, inputs_of, solve
+from sctest.bytecode.abi import FunctionSig, parse_abi
+from sctest.bytecode.asm import Asm, dispatcher
+from sctest.concolic import ArgLayout, Sat, Unsat, evaluate, inputs_of, shadow_run, solve
 from sctest.coverage import (
     FULLY_UNCOVERED,
     PARTIALLY_COVERED,
@@ -36,19 +37,27 @@ from sctest.evm import (
     new_world,
 )
 from sctest.evm.bundle import ContractBundle, genesis_config
+from sctest.fuzzing import TestCase as FuzzCase
 from sctest.fuzzing import run_campaign, seed_initial_target
 
 ACCT_A = 0x1001
 
 
+def as_case(bundle, calls) -> FuzzCase:
+    """The calls, from ACCT_A to the bundle's genesis address, as one case."""
+    _, at = make_world(bundle)
+    return FuzzCase(
+        tuple(
+            Transaction(function_call=fn, args=args, source=ACCT_A, destination=at)
+            for fn, args in calls
+        )
+    )
+
+
 def run_cover(bundle, calls):
     """Execute calls from genesis and fold every trace into one map."""
-    world, at = make_world(bundle)
-    txs = [
-        Transaction(function_call=fn, args=args, source=ACCT_A, destination=at)
-        for fn, args in calls
-    ]
-    world, results = execute_sequence(world, txs)
+    world, _ = make_world(bundle)
+    world, results = execute_sequence(world, list(as_case(bundle, calls).txs))
     map_ = CoverageMap()
     for r in results:
         merge_result(map_, r, world)
@@ -448,17 +457,23 @@ def test_missing_body_range_is_an_error(cubic):
 # ---------------------------------------------------------------------------
 
 
-def bottleneck_in(bundle, map_, fn_name):
+def bottleneck_in(bundle, calls, fn_name):
+    """(map, bottlenecks inside fn_name) after running calls as one case."""
+    map_ = run_cover(bundle, calls)
     lo, hi = bundle.by_name[fn_name].body_range
-    hits = [b for b in extract_bottlenecks(bundle, map_) if lo <= b.branch_offset < hi]
+    hits = [
+        b
+        for b in extract_bottlenecks(bundle, map_, [as_case(bundle, calls)])
+        if lo <= b.branch_offset < hi
+    ]
     assert hits, f"no bottleneck inside {fn_name}"
-    return hits
+    return map_, hits
 
 
 def test_lottery_restrictive_condition(lottery):
-    map_ = run_cover(lottery, [("checkBalance", ([5, 9], 2))])
-    (b,) = bottleneck_in(lottery, map_, "checkBalance")
-    assert b.constraint_text == "tickets[i] == amount*amount*amount"
+    _, (b,) = bottleneck_in(lottery, [("checkBalance", ([5, 9], 2))], "checkBalance")
+    # the first iteration's element: the shadow reads tickets[0]
+    assert b.constraint_text == "tickets[0] == amount*amount*amount"
     assert b.inputs_involved == ("tickets", "amount")
     assert b.features == {
         "has_keccak": False,
@@ -466,11 +481,12 @@ def test_lottery_restrictive_condition(lottery):
         "loop_guarded": True,
         "storage_dependent": False,
     }
+    assert evaluate(b.predicate, {"tickets": (5, 9), "amount": 2}) == 0
+    assert evaluate(b.predicate, {"tickets": (8, 9), "amount": 2}) == 1
 
 
 def test_ballot_guard_reads_as_keccak_equality(ballot):
-    map_ = run_cover(ballot, FUZZ_SHAPE_BALLOT)
-    (b,) = bottleneck_in(ballot, map_, "castVote")
+    _, (b,) = bottleneck_in(ballot, FUZZ_SHAPE_BALLOT, "castVote")
     assert b.constraint_text == (
         "keccak(voter ++ id) == keccak(reason ++ sig + 0xbadbeef)"
     )
@@ -481,46 +497,57 @@ def test_ballot_guard_reads_as_keccak_equality(ballot):
 
 
 def test_pool_fused_guard_is_storage_dependent(pool):
-    map_ = run_cover(pool, [("mintDyad", (1, 100)), ("deposit", (ACCT_A, 1, 50))])
-    (b,) = bottleneck_in(pool, map_, "deposit")
-    assert b.constraint_text == (
-        "0 < value && storage[keccak(id ++ 2)] >= value"
-        " && storage[keccak(id ++ keccak(from ++ 3))] >= value"
-    )
+    calls = [("mintDyad", (1, 100)), ("deposit", (ACCT_A, 1, 50))]
+    map_, (b,) = bottleneck_in(pool, calls, "deposit")
+    # the two mapping words are the shadow's concrete reads: 100 minted,
+    # nothing allowed
+    assert b.constraint_text == "0 < value && 100 >= value && 0 >= value"
     assert b.features["storage_dependent"]
-    assert b.features["has_keccak"]
+    assert not b.features["has_keccak"]
     assert not b.features["loop_guarded"]
-    assert b.inputs_involved == ("from", "id", "value")
+    assert b.inputs_involved == ("value",)
+    assert isinstance(solve([b.predicate]), Unsat)
+    # an allowance set first makes value = 50 pass, which the predicate,
+    # holding the old allowance, cannot see
+    allowed = [("redeemable", (1, 100))] + calls
+    assert covers(pool, run_cover(pool, allowed), dark_successor(pool, map_, b))
 
 
 def test_bytekey_window_condition(bytekey):
-    map_ = run_cover(bytekey, [("validate", (ACCT_A, b"\x09"))])
-    (b,) = bottleneck_in(bytekey, map_, "validate")
+    _, (b,) = bottleneck_in(bytekey, [("validate", (ACCT_A, b"\x09"))], "validate")
     assert b.constraint_text == (
-        "0 < key[i]*key[i]*key[i] - 12 && key[i]*key[i]*key[i] - 12 < 16"
+        "0 < key[0]*key[0]*key[0] - 12 && key[0]*key[0]*key[0] - 12 < 16"
     )
     assert b.features["has_nonlinear_term"]
     assert b.features["loop_guarded"]
     assert b.inputs_involved == ("key",)
+    assert evaluate(b.predicate, {"key": b"\x09"}) == 0
+    assert evaluate(b.predicate, {"key": b"\x03"}) == 1
 
 
-def test_feeswap_band_assert_negated_when_pass_arm_covered(feeswap):
-    map_ = run_cover(
-        feeswap, [("set_fee1e9", (500,)), ("velocore_execute", ([123],))]
-    )
-    hits = bottleneck_in(feeswap, map_, "velocore_execute")
-    by_text = {b.constraint_text: b for b in hits}
-    band = by_text["!(10 < storage[0] && storage[0] < 1000)"]
-    assert band.features["storage_dependent"]
+def test_feeswap_band_and_multiplier_checks_are_concrete_and_storage_dependent(feeswap):
+    calls = [("set_fee1e9", (500,)), ("velocore_execute", ([123],))]
+    _, hits = bottleneck_in(feeswap, calls, "velocore_execute")
+    # both conditions compare stored words with concrete ones; the slot
+    # record names the slot each read: fee1e9 (0) for the band check,
+    # lastWithdrawTimestamp (2) for the multiplier's
+    world, _ = make_world(feeswap)
+    txs = as_case(feeswap, calls).txs
+    reads = shadow_run(world, txs[:1], txs[1]).reads
+    by_slot = {reads[b.branch_offset]: b for b in hits}
+    band, mult = by_slot[frozenset({0})], by_slot[frozenset({2})]
+    for b in (band, mult):
+        assert b.constraint_text == "concrete"
+        assert b.predicate is None
+        assert b.inputs_involved == ()
+        assert b.features["storage_dependent"]
+        assert not b.features["has_keccak"]
     assert band.features["loop_guarded"]
-    mult = by_text["storage[2] == block.timestamp & 0xffffffff"]
-    assert mult.features["storage_dependent"]
-    assert not mult.features["has_keccak"]
+    assert not mult.features["loop_guarded"]
 
 
 def test_cubic_both_polarities(cubic):
-    map_ = run_cover(cubic, [("example", (1, 2, 10))])
-    hits = bottleneck_in(cubic, map_, "example")
+    _, hits = bottleneck_in(cubic, [("example", (1, 2, 10))], "example")
     texts = {b.constraint_text for b in hits}
     # the taken square-match arm is covered, so its blocker is the negation;
     # the final equality never fired, so its blocker is the raw condition
@@ -531,26 +558,90 @@ def test_cubic_both_polarities(cubic):
 
 
 def test_blocking_branches_sit_inside_their_function(pool):
-    map_ = run_cover(pool, [("mintDyad", (1, 100)), ("deposit", (ACCT_A, 1, 50))])
-    for u in extract_uncovered_functions(pool, map_):
+    calls = [("mintDyad", (1, 100)), ("deposit", (ACCT_A, 1, 50))]
+    map_ = run_cover(pool, calls)
+    gaps = extract_uncovered_functions(pool, map_, [as_case(pool, calls)])
+    assert any(u.blocking for u in gaps)
+    for u in gaps:
         lo, hi = pool.by_name[u.sig.split("(")[0]].body_range
         for b in u.blocking:
             assert lo <= b.branch_offset < hi
 
 
 def test_no_bottlenecks_without_execution(lottery):
-    assert extract_bottlenecks(lottery, CoverageMap()) == []
+    case = as_case(lottery, [("checkBalance", ([5, 9], 2))])
+    assert extract_bottlenecks(lottery, CoverageMap(), [case]) == []
+
+
+def _length_and_word_loop() -> ContractBundle:
+    """f(uint256 n, bytes data): `if (data.length == 5) stop;` outside
+    any loop, then `for (i = 0; i < n; i++) if (n == 7) stop;`."""
+    f = FunctionSig("f", ("uint256", "bytes"))
+    a = Asm()
+    dispatcher(a, [(f.selector, "f")])
+    a.func("f").op("JUMPDEST")
+    a.push(36).op("CALLDATALOAD").push(4).op("ADD").op("CALLDATALOAD")
+    a.push(5).op("EQ").jumpi("five")
+    a.push(0)  # i
+    a.label("loop").op("JUMPDEST")
+    a.push(4).op("CALLDATALOAD").op("DUP2").op("LT").op("ISZERO").jumpi("end")
+    a.push(4).op("CALLDATALOAD").push(7).op("EQ").jumpi("seven")
+    a.push(1).op("ADD").jump("loop")
+    for label in ("end", "five", "seven"):
+        a.label(label).op("JUMPDEST").op("STOP")
+    a.end_func("f")
+    abi = parse_abi(
+        {"functions": [{"name": "f", "params": ["uint256", "bytes"], "param_names": ["n", "data"]}]}
+    )
+    return ContractBundle("lengthloop", a.assemble().bytecode, abi)
+
+
+def test_loop_guarded_needs_a_cycle_whose_exit_reads_a_length():
+    bundle = _length_and_word_loop()
+    calls = [("f", (2, b"ab"))]
+    got = {
+        b.constraint_text: b.features["loop_guarded"]
+        for b in extract_bottlenecks(bundle, run_cover(bundle, calls), [as_case(bundle, calls)])
+    }
+    # a length test outside any loop, and a test inside a loop whose
+    # exits read only the word n
+    assert got == {"concrete": False, "5 == data.length": False, "7 == n": False}
+
+
+def test_a_branch_no_case_reaches_is_not_reported(pool):
+    calls = [("mintDyad", (1, 100)), ("deposit", (ACCT_A, 1, 50))]
+    map_ = run_cover(pool, calls)
+    lo, hi = pool.by_name["deposit"].body_range
+
+    def in_deposit(cases):
+        return [b for b in extract_bottlenecks(pool, map_, cases) if lo <= b.branch_offset < hi]
+
+    assert in_deposit([as_case(pool, calls)])
+    assert in_deposit([as_case(pool, calls[:1])]) == []
+
+
+def test_dispatcher_fallback_is_reported_concrete(cubic):
+    map_ = run_cover(cubic, [("example", (1, 2, 10))])
+    (fallback,) = [
+        b
+        for b in extract_bottlenecks(cubic, map_, [as_case(cubic, [("example", (1, 2, 10))])])
+        if b.branch_offset < cubic.by_name["example"].body_range[0]
+    ]
+    assert fallback.constraint_text == "concrete"
+    assert fallback.predicate is None
+    assert fallback.inputs_involved == ()
+    assert not any(fallback.features.values())
 
 
 def test_fully_exercised_branch_is_not_a_bottleneck(cubic):
-    map_ = run_cover(
-        cubic,
-        [("example", (1, 3, 10)), ("example", (1, 2, 10)), ("example", (1, 2, 4))],
-    )
+    calls = [("example", (1, 3, 10)), ("example", (1, 2, 10)), ("example", (1, 2, 4))]
+    map_ = run_cover(cubic, calls)
     assert extract_uncovered_functions(cubic, map_) == []
     lo, hi = cubic.by_name["example"].body_range
     in_body = [
-        b for b in extract_bottlenecks(cubic, map_) if lo <= b.branch_offset < hi
+        b
+        for b in extract_bottlenecks(cubic, map_, [as_case(cubic, calls)])
+        if lo <= b.branch_offset < hi
     ]
     assert in_body == []
 
@@ -568,10 +659,10 @@ def dark_successor(bundle, map_, b):
 
 
 def test_cubic_blocker_predicate_evaluates_to_the_dark_arm(cubic):
-    map_ = run_cover(cubic, [("example", (1, 2, 10))])
-    by_text = {b.constraint_text: b for b in bottleneck_in(cubic, map_, "example")}
+    map_, hits = bottleneck_in(cubic, [("example", (1, 2, 10))], "example")
+    by_text = {b.constraint_text: b for b in hits}
     b = by_text["y*y != x*x*x + x*x + 2"]
-    # the replay's atoms are the ones the shadow makes for the same reads
+    # the predicate's atoms are the ones ArgLayout makes for the same reads
     layout = ArgLayout(cubic.by_name["example"], (1, 2, 10))
     x, y = layout.word_at(4, b""), layout.word_at(36, b"")
     assert set(inputs_of(b.predicate)) == {x, y}
@@ -582,8 +673,7 @@ def test_cubic_blocker_predicate_evaluates_to_the_dark_arm(cubic):
 
 
 def test_ballot_keccak_predicate_evaluates_to_the_dark_arm(ballot):
-    map_ = run_cover(ballot, FUZZ_SHAPE_BALLOT)
-    (b,) = bottleneck_in(ballot, map_, "castVote")
+    map_, (b,) = bottleneck_in(ballot, FUZZ_SHAPE_BALLOT, "castVote")
     miss = {"id": 5, "voter": 7, "reason": 7, "params": 0, "sig": 6}
     hit = dict(miss, id=5 + 0xBADBEEF, sig=5)
     assert evaluate(b.predicate, miss) == 0
@@ -593,17 +683,15 @@ def test_ballot_keccak_predicate_evaluates_to_the_dark_arm(ballot):
     assert covers(ballot, run_cover(ballot, [("castVote", args)]), dark)
 
 
-def test_solve_answers_unknown_for_replay_atoms(cubic, lottery):
-    # the selector read and tickets[i] are CallDataLoad atoms; solve must not
-    # hand them to evaluate_atoms
-    map_ = run_cover(cubic, [("example", (1, 2, 10))])
-    (selector,) = [
-        b
-        for b in extract_bottlenecks(cubic, map_)
-        if b.constraint_text == "0xabcec51 != calldata[0] >> 224"
-    ]
-    map_ = run_cover(lottery, [("checkBalance", ([5, 9], 2))])
-    (loop,) = bottleneck_in(lottery, map_, "checkBalance")
-    assert loop.constraint_text == "tickets[i] == amount*amount*amount"
-    for b in (selector, loop):
-        assert isinstance(solve([b.predicate]), Unknown)
+def test_feeswap_element_predicate_is_solved_into_the_dark_arm(feeswap):
+    calls = [("velocore_execute", ([5],))]
+    map_, hits = bottleneck_in(feeswap, calls, "velocore_execute")
+    (b,) = [b for b in hits if b.predicate is not None]
+    assert b.constraint_text == "123 == tokens[0]"
+    assert b.features["loop_guarded"]
+    verdict = solve([b.predicate])
+    assert isinstance(verdict, Sat)
+    ((atom, value),) = verdict.model.items()
+    assert (atom.param, atom.offset, value) == ("tokens", 0, 123)
+    dark = dark_successor(feeswap, map_, b)
+    assert covers(feeswap, run_cover(feeswap, [("velocore_execute", ([123],))]), dark)

@@ -5,9 +5,10 @@ caches (path-hash memo, scheduler weight cache).  A cache that changed
 what a campaign does would change the digest, even when it changes it
 the same way on every run, which a run-twice comparison cannot see.
 
-The bottleneck list was recorded from the same campaigns while the
-bottleneck replay still kept its own tuple expression form, so it pins
-the texts, inputs and features across the move onto symexpr trees.
+The bottleneck list is what extract_bottlenecks reports after the same
+campaigns, each branch described from the shadow run of a corpus entry
+that reaches it.  The dispatcher fallbacks read "concrete": the shadow
+sees their selector test on concrete words only.
 """
 
 import functools
@@ -15,6 +16,7 @@ import hashlib
 
 import pytest
 
+from sctest.concolic import Sat, Unknown, Unsat, evaluate_atoms, solve
 from sctest.coverage import extract_bottlenecks
 from sctest.evm import load_bundle
 from sctest.evm.world import make_world
@@ -53,9 +55,10 @@ GOLDEN = {
 
 
 # (branch_offset, constraint_text, inputs_involved, features set) of
-# extract_bottlenecks after the same campaigns, all fixtures in name order
+# extract_bottlenecks over the corpus entries of the same campaigns, all
+# fixtures in name order
 GOLDEN_BOTTLENECKS = [
-    ("ballot", 16, "0x63604d38 != calldata[0] >> 224", (), ()),
+    ("ballot", 16, "concrete", (), ()),
     (
         "ballot",
         64,
@@ -63,27 +66,26 @@ GOLDEN_BOTTLENECKS = [
         ("id", "voter", "reason", "sig"),
         ("has_keccak",),
     ),
-    ("bytekey", 16, "0xcaf92785 != calldata[0] >> 224", (), ()),
+    ("bytekey", 16, "concrete", (), ()),
     (
         "bytekey",
         71,
-        "0 < key[i]*key[i]*key[i] - 12 && key[i]*key[i]*key[i] - 12 < 16",
+        "0 < key[0]*key[0]*key[0] - 12 && key[0]*key[0]*key[0] - 12 < 16",
         ("key",),
         ("has_nonlinear_term", "loop_guarded"),
     ),
-    ("cubic", 16, "0xabcec51 != calldata[0] >> 224", (), ()),
+    ("cubic", 16, "concrete", (), ()),
     ("cubic", 43, "y*y == x*x*x + x*x + 2", ("x", "y"), ("has_nonlinear_term",)),
-    ("feeswap", 38, "0xba4035d7 != calldata[0] >> 224", (), ()),
-    ("feeswap", 135, "123 == tokens[i]", ("tokens",), ("loop_guarded",)),
-    ("lottery", 16, "0x420b42ef != calldata[0] >> 224", (), ()),
-    ("pool", 38, "0xefe6a8b != calldata[0] >> 224", (), ()),
+    ("feeswap", 38, "concrete", (), ()),
+    ("feeswap", 135, "123 == tokens[0]", ("tokens",), ("loop_guarded",)),
+    ("lottery", 16, "concrete", (), ()),
+    ("pool", 38, "concrete", (), ()),
     (
         "pool",
         205,
-        "0 < value && storage[keccak(id ++ 2)] >= value"
-        " && storage[keccak(id ++ keccak(from ++ 3))] >= value",
-        ("from", "id", "value"),
-        ("has_keccak", "storage_dependent"),
+        "0 < value && 0 >= value && 0 >= value",
+        ("value",),
+        ("storage_dependent",),
     ),
 ]
 
@@ -116,11 +118,44 @@ def test_campaign_output_matches_golden(name):
 def test_bottlenecks_after_campaign_match_golden():
     got = []
     for name in sorted(GOLDEN):
-        bundle, cov, _, _ = campaign(name)
-        for b in extract_bottlenecks(bundle, cov):
+        bundle, cov, corpus, _ = campaign(name)
+        for b in extract_bottlenecks(bundle, cov, corpus.entries):
             assert set(b.features) == set(FEATURES)
             flags = tuple(f for f in FEATURES if b.features[f])
             got.append(
                 (name, b.branch_offset, b.constraint_text, b.inputs_involved, flags)
             )
     assert got == GOLDEN_BOTTLENECKS
+
+
+def test_bottlenecks_without_cases_are_empty():
+    # the benchmark's hybrid workload calls extract_bottlenecks(bundle,
+    # map) with no cases; that call must keep working on a real map
+    for name in sorted(GOLDEN):
+        bundle, cov, _, _ = campaign(name)
+        assert cov.bits
+        assert extract_bottlenecks(bundle, cov) == []
+
+
+@pytest.mark.parametrize(
+    "name,offset,verdict,flag",
+    [
+        # a hash equality: drive rewrites it with the shadow's preimages
+        ("ballot", 64, Unknown, "has_keccak"),
+        # two atoms in one predicate
+        ("cubic", 43, Unknown, "has_nonlinear_term"),
+        ("feeswap", 135, Sat, "loop_guarded"),
+        # no single call passes from the corpus's world: the stored words
+        # it compares with are zero
+        ("pool", 205, Unsat, "storage_dependent"),
+    ],
+)
+def test_solve_on_the_shadow_predicate_of_each_bottleneck(name, offset, verdict, flag):
+    bundle, cov, corpus, _ = campaign(name)
+    found = extract_bottlenecks(bundle, cov, corpus.entries)
+    (b,) = [b for b in found if b.branch_offset == offset]
+    assert b.features[flag]
+    result = solve([b.predicate])
+    assert isinstance(result, verdict)
+    if isinstance(result, Sat):
+        assert evaluate_atoms(b.predicate, result.model) == 1

@@ -2,7 +2,7 @@
 import is read, every console script resolves, and every binding the
 traced benchmark wraps exists.
 
-coverage.bottleneck imports concolic.symexpr, and the concolic package
+coverage.bottleneck imports concolic.shadow, and the concolic package
 imports drive, which imports coverage.covmap.  That works only while
 each side imports the other's submodules, not its package names.  A
 fresh interpreter per subpackage keeps a cycle from hiding behind the
