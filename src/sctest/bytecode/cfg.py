@@ -56,7 +56,7 @@ class Cfg:
 
     def _dominators(self) -> dict[int, set[int]]:
         entry = self.order[0] if self.order else 0
-        reachable = self._reachable(entry)
+        reachable = self.reachable(entry)
         doms = {b: set(reachable) for b in reachable}
         doms[entry] = {entry}
         changed = True
@@ -75,7 +75,8 @@ class Cfg:
                     changed = True
         return doms
 
-    def _reachable(self, entry: int) -> set[int]:
+    def reachable(self, entry: int) -> set[int]:
+        """Blocks (starts) reachable from entry, entry included."""
         seen: set[int] = set()
         work = [entry]
         while work:

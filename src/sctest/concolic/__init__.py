@@ -1,16 +1,10 @@
 """Concolic execution: lockstep shadow interpretation, path constraints,
-a built-in word-level solver with concretization fallbacks, and a
-coverage-guided branch-flipping driver."""
+a built-in word-level solver, and a coverage-guided branch-flipping
+driver that weakens the conjunctions the solver cannot take whole."""
 
 from ..evm.snapshots import SnapshotCache
-from .concretize import (
-    NoSymbolicInput,
-    concretize_keccak,
-    concretize_nonlinear,
-    substitute_all_but,
-)
-from .drive import ConcolicState, DriveBudget, drive
-from .shadow import ArgLayout, ShadowRun, concretize_loop, shadow_run
+from .drive import DriveBudget, drive
+from .shadow import ArgLayout, ShadowRun, shadow_run
 from .solve import Sat, SolverResult, SolverSoundness, Unknown, Unsat, solve
 from .symexpr import (
     Binop,
@@ -31,12 +25,10 @@ from .symexpr import (
 __all__ = [
     "ArgLayout",
     "Binop",
-    "ConcolicState",
     "Const",
     "DriveBudget",
     "Input",
     "Keccak",
-    "NoSymbolicInput",
     "PathConstraint",
     "Sat",
     "ShadowRun",
@@ -47,9 +39,6 @@ __all__ = [
     "Unknown",
     "Unop",
     "Unsat",
-    "concretize_keccak",
-    "concretize_loop",
-    "concretize_nonlinear",
     "drive",
     "evaluate",
     "evaluate_atoms",
@@ -59,5 +48,4 @@ __all__ = [
     "simplify",
     "solve",
     "substitute",
-    "substitute_all_but",
 ]

@@ -3,18 +3,21 @@
 The driver keeps a worklist of flip candidates (one recorded branch
 decision each), always attacking the one whose untaken side borders the
 most uncovered blocks.  A round builds the path conjunction with the
-target negated, applies the concretization rules (dynamic lengths
-pinned, hash equalities rewritten, nonlinear terms broken by pinning
-all-but-one unknown at observed values), solves, and materializes the
-model into a new transaction.  The new input runs concretely; when its
-decision prefix matches the prediction it is emitted and its own
-branches join the worklist, otherwise it is discarded and the round
-ends (the classic restart on divergence).
+target negated, pins dynamic lengths at their observed values, rewrites
+hash equalities into word equations (rewrite_hashes) and solves.  When
+the solver cannot take the conjunction whole, each predicate it cannot
+decide is tried in single-unknown variants, every other unknown pinned
+at its observed value (pin_all_but_one), as in SAGE's generational
+search; a model of the variants must still satisfy the unweakened
+conjunction.  The model materializes into a new transaction.  The new
+input runs concretely; when its decision prefix matches the prediction
+it is emitted and its own branches join the worklist, otherwise it is
+discarded and the round ends (the classic restart on divergence).
 
 Dynamic-length escalation: when a conjunction is unsolvable at the
-observed lengths, the seed is re-pinned to lengths 2, 4, then 8, each
-re-shadowed for fresh constraints; runs that cover new code along the
-way are kept.
+observed lengths, the seed's bytes and array arguments are resized to
+2, 4, then 8 items (resize_dynamic), each re-shadowed for fresh
+constraints; runs that cover new code along the way are kept.
 """
 
 import itertools
@@ -29,36 +32,34 @@ from ..evm.types import Transaction
 from ..evm.world import make_world
 from ..fuzzing.corpus import Corpus, TestCase
 from ..fuzzing.target import seed_initial_target
-from .concretize import (
-    concretize_keccak,
-    concretize_nonlinear,
-    substitute_all_but,
-)
-from .shadow import ShadowRun, concretize_loop, shadow_run
+from .shadow import ShadowRun, shadow_run
 from .solve import Sat, Unsat, solve
 from .symexpr import (
     UNINTERPRETED,
     Binop,
+    Const,
     Input,
     Keccak,
     PathConstraint,
+    SymExpr,
+    Unop,
     atom_value,
+    conjuncts,
     evaluate_atoms,
     has_node,
     inputs_of,
-    is_boolean,
     simplify,
     substitute,
 )
 
 _PIN_LADDER = (2, 4, 8)
 _MAX_COMBOS = 16  # cap on candidate rewrites tried per conjunction
+_DEPTH = 2  # longest concrete transaction prefix to explore
 
 
 @dataclass
 class DriveBudget:
     iterations: int = 10  # worklist rounds (one solve attempt each)
-    depth: int = 2  # longest concrete transaction prefix to explore
 
 
 @dataclass(frozen=True)
@@ -66,18 +67,92 @@ class ConcolicState:
     """One flippable branch decision observed on a concrete run."""
 
     input: tuple[Transaction, ...]  # full case; input[position] is symbolic
-    pc: int  # offset of the branch to flip
     phi_solved: tuple[PathConstraint, ...]
     phi_target: PathConstraint
     position: int = 0
     order: int = 0
 
 
-def _split_bool(pred) -> list:
-    """Flatten a boolean AND tree into its conjuncts."""
-    if isinstance(pred, Binop) and pred.op == "AND" and is_boolean(pred.x) and is_boolean(pred.y):
-        return _split_bool(pred.x) + _split_bool(pred.y)
-    return [pred]
+def pin_all_but_one(pred: SymExpr, env: dict) -> list[SymExpr]:
+    """Single-unknown variants of pred, one per unknown in inputs_of
+    order: that unknown kept, every other atom pinned to its word in env
+    ({Input: word}).  Repeats and variants left with more than one
+    unknown are dropped."""
+    out = []
+    for keep in inputs_of(pred):
+        pins = {a: v for a, v in env.items() if a != keep}
+        cand = simplify(substitute(pred, pins))
+        if len(inputs_of(cand)) <= 1 and cand not in out:
+            out.append(cand)
+    return out
+
+
+def _word_eqs(parts, words) -> SymExpr:
+    """parts[i] == words[i] for every i, left-folded; 1 when empty."""
+    eqs = [Binop("EQ", p, w) for p, w in zip(parts, words)]
+    if not eqs:
+        return Const(1)
+    out = eqs[0]
+    for e in eqs[1:]:
+        out = Binop("AND", out, e)
+    return out
+
+
+def rewrite_hashes(pred: SymExpr, preimages: dict) -> SymExpr:
+    """pred with its hash equalities rewritten into word equations.
+
+    Hashes of same-sized buffers are equal when their words are
+    (collision resistance); hashes of different sizes never are.  A hash
+    equal to a digest in preimages ({digest word: buffer observed at run
+    time}) of the hash's size becomes equations against that buffer's
+    words.  Any other hash is left alone.
+    """
+
+    def rewrite_eq(x: SymExpr, y: SymExpr) -> SymExpr | None:
+        if isinstance(x, Keccak) and isinstance(y, Keccak):
+            if x.size != y.size:
+                return Const(0)
+            return _word_eqs(
+                [walk(p) for p in x.parts], [walk(p) for p in y.parts]
+            )
+        for k, c in ((x, y), (y, x)):
+            if isinstance(k, Keccak) and isinstance(c, Const):
+                buf = preimages.get(c.value)
+                if buf is not None and len(buf) == k.size:
+                    words = [
+                        Const(int.from_bytes(buf[i : i + 32], "big"))
+                        for i in range(0, len(buf), 32)
+                    ]
+                    return _word_eqs([walk(p) for p in k.parts], words)
+        return None
+
+    def walk(e: SymExpr) -> SymExpr:
+        if isinstance(e, Binop):
+            if e.op == "EQ":
+                r = rewrite_eq(e.x, e.y)
+                if r is not None:
+                    return r
+            return Binop(e.op, walk(e.x), walk(e.y))
+        if isinstance(e, Unop):
+            return Unop(e.op, walk(e.x))
+        if isinstance(e, Keccak):
+            return Keccak(tuple(walk(p) for p in e.parts), e.size)
+        return e
+
+    return simplify(walk(pred))
+
+
+def resize_dynamic(args: tuple, n: int) -> tuple:
+    """args with each bytes and array argument cut or zero-padded to n
+    items; static arguments as they are."""
+    out = []
+    for v in args:
+        if isinstance(v, (bytes, bytearray)):
+            v = bytes(v[:n]).ljust(n, b"\0")
+        elif isinstance(v, (list, tuple)):
+            v = tuple(v[:n]) + (0,) * (n - len(v))
+        out.append(v)
+    return tuple(out)
 
 
 def _default_seeds(bundle: ContractBundle, world, destination: int) -> list[TestCase]:
@@ -162,7 +237,6 @@ def drive(
             worklist.append(
                 ConcolicState(
                     input=tuple(txs),
-                    pc=c.branch_offset,
                     phi_solved=tuple(run.constraints[:j]),
                     phi_target=c,
                     position=position,
@@ -171,7 +245,7 @@ def drive(
             )
 
     def flip_block(state: ConcolicState) -> int | None:
-        start = cfg.block_of.get(state.pc)
+        start = cfg.block_of.get(state.phi_target.branch_offset)
         if start is None:
             return None
         succs = cfg.blocks[start].succs
@@ -196,7 +270,7 @@ def drive(
         return 1 + adjacent
 
     def shadow_positions(tc: TestCase):
-        for pos in range(min(len(tc.txs), budget.depth + 1)):
+        for pos in range(min(len(tc.txs), _DEPTH + 1)):
             tx = tc.txs[pos]
             if bundle.by_name.get(tx.function_call) is None:
                 continue
@@ -252,24 +326,10 @@ def drive(
                 out[i] = value
         return tuple(out)
 
-    def candidate_rewrites(pred, env) -> list:
-        """Single-unknown variants of a multi-unknown predicate."""
-        atoms = inputs_of(pred)
-        out = []
-        for keep in atoms:
-            cand = concretize_nonlinear(pred, env, keep=keep)
-            if len(inputs_of(cand)) == 1 and cand not in out:
-                out.append(cand)
-        for keep in atoms:
-            cand = substitute_all_but(pred, env, keep)
-            if len(inputs_of(cand)) <= 1 and cand not in out:
-                out.append(cand)
-        return out
-
     def verify_model(original, env, model) -> bool:
         """The solved values, with unsolved atoms at seed defaults, must
-        satisfy the pre-rewrite conjunction; hash and storage terms are
-        left to the divergence check."""
+        satisfy the pre-rewrite conjunction; hash terms are left to the
+        divergence check."""
         assignment = dict(env)
         assignment.update(model)
         for p in original:
@@ -279,7 +339,7 @@ def drive(
                 return False
         return True
 
-    def attempt_conjunction(state, sig, prefix, run_tx, constraints, j):
+    def attempt_conjunction(sig, prefix, run_tx, constraints, j):
         """Solve Φ ∧ ¬φ for one rung; returns the new case or a verdict."""
         conj = [c.observed() for c in constraints[:j]] + [
             constraints[j].negated()
@@ -287,12 +347,11 @@ def drive(
         env = atom_env(sig, run_tx.args, conj)
         lengths = {a: v for a, v in env.items() if a.kind == "length"}
         conj = [substitute(p, lengths) for p in conj]
-        conj = [concretize_keccak(p, None, preimages) for p in conj]
-        conj = [q for p in conj for q in _split_bool(simplify(p))]
+        conj = [q for p in conj for q in conjuncts(rewrite_hashes(p, preimages))]
 
         result = solve(conj)
         if isinstance(result, Sat):
-            return _finish(state, sig, prefix, run_tx, constraints, j, env, result.model)
+            return _finish(sig, prefix, run_tx, constraints, j, env, result.model)
         if isinstance(result, Unsat):
             return "unsat"
 
@@ -303,7 +362,7 @@ def drive(
             if n <= 1 and not has_node(p, Keccak):
                 lists.append([p])
             else:
-                cands = candidate_rewrites(p, env)
+                cands = pin_all_but_one(p, env)
                 if not cands:
                     return "unknown"
                 lists.append(cands)
@@ -318,14 +377,12 @@ def drive(
                 continue
             if not verify_model(conj, env, res.model):
                 continue
-            done = _finish(
-                state, sig, prefix, run_tx, constraints, j, env, res.model
-            )
+            done = _finish(sig, prefix, run_tx, constraints, j, env, res.model)
             if done == "sat":
                 return "sat"
         return "unknown"
 
-    def _finish(state, sig, prefix, run_tx, constraints, j, env, model):
+    def _finish(sig, prefix, run_tx, constraints, j, env, model):
         """Materialize a model, check faithfulness, emit and enqueue."""
         new_args = apply_model(sig, run_tx.args, model)
         new_tx = replace(run_tx, args=new_args)
@@ -342,7 +399,7 @@ def drive(
         harvest(run.sha_preimages)
         engine_run(case_txs)
         emit(TestCase(case_txs))
-        enqueue_flips(case_txs, state.position, run)
+        enqueue_flips(case_txs, len(prefix), run)
         return "sat"
 
     def attempt(state: ConcolicState) -> None:
@@ -351,27 +408,25 @@ def drive(
         sig = bundle.by_name.get(seed_tx.function_call)
         if sig is None:
             return
-        target_pair = (state.pc, state.phi_target.taken)
+        target_pair = (state.phi_target.branch_offset, state.phi_target.taken)
         dynamic = any(t.is_dynamic for t in sig.params)
 
         constraints = state.phi_solved + (state.phi_target,)
         verdict = attempt_conjunction(
-            state, sig, prefix, seed_tx, constraints, len(state.phi_solved)
+            sig, prefix, seed_tx, constraints, len(state.phi_solved)
         )
         if verdict == "sat" or not dynamic:
             return
 
-        names = dict(zip(sig.param_names, seed_tx.args))
-        current = {
-            n: max(1, len(v))
-            for n, v in names.items()
+        lengths = [
+            max(1, len(v))
+            for v in seed_tx.args
             if isinstance(v, (bytes, bytearray, list, tuple))
-        }
+        ]
         for pin in _PIN_LADDER:
-            if all(c == pin for c in current.values()):
+            if all(n == pin for n in lengths):
                 continue
-            pins = {n: pin for n in current}
-            pinned_tx = concretize_loop(seed_tx, names, pins)
+            pinned_tx = replace(seed_tx, args=resize_dynamic(seed_tx.args, pin))
             case_txs = tuple(prefix) + (pinned_tx,)
             before = instr_count()
             engine_run(case_txs)
@@ -397,9 +452,7 @@ def drive(
                     emit(TestCase(case_txs))
                     return
                 continue
-            verdict = attempt_conjunction(
-                state, sig, prefix, pinned_tx, run.constraints, j
-            )
+            verdict = attempt_conjunction(sig, prefix, pinned_tx, run.constraints, j)
             if verdict == "sat":
                 return
 

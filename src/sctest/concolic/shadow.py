@@ -46,7 +46,7 @@ caller passes one; either way the shadow starts from that world value
 and leaves it as it was.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .._kernels import keccak256
 from .._kernels.interp_py import STACK_LIMIT, _ensure
@@ -551,36 +551,3 @@ def shadow_run(
         tx.gas,
         start_pc,
     )
-
-
-def concretize_loop(
-    tx_symbolic: Transaction, concrete_env: dict, pins: dict | None = None
-) -> Transaction:
-    """Pin dynamic-argument lengths so loop bounds become concrete.
-
-    concrete_env maps parameter names to the seed values, in declaration
-    order.  Lengths default to each seed value's own length, promoted to
-    1 when the seed is empty; iterations beyond the pinned length never
-    run and so contribute no constraints.  Callers escalate pins (2, 4,
-    8) when a branch needs more iterations than the current pin allows."""
-    names = list(concrete_env)
-    args = list(tx_symbolic.args if tx_symbolic.args is not None else ())
-    if len(names) != len(args):
-        raise SctestError(
-            f"{len(names)} env entries for {len(args)} arguments"
-        )
-    if pins is None:
-        pins = {}
-    for i, name in enumerate(names):
-        v = concrete_env[name]
-        if isinstance(v, (bytes, bytearray)):
-            n = pins.get(name, max(1, len(v)))
-            buf = bytes(v)[:n]
-            args[i] = buf + b"\x00" * (n - len(buf))
-        elif isinstance(v, (list, tuple)):
-            n = pins.get(name, max(1, len(v)))
-            lst = list(v)[:n]
-            args[i] = tuple(lst + [0] * (n - len(lst)))
-        else:
-            args[i] = v
-    return replace(tx_symbolic, args=tuple(args))

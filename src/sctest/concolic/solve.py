@@ -26,11 +26,11 @@ from .symexpr import (
     Input,
     SymExpr,
     Unop,
+    conjuncts,
     evaluate_atoms,
     format_expr,
     has_node,
     inputs_of,
-    is_boolean,
     simplify,
 )
 
@@ -64,20 +64,14 @@ SolverResult = Sat | Unsat | Unknown
 
 
 def _normalize(conjunction) -> list[SymExpr] | Unsat:
-    """Simplify, drop trivially-true predicates, split boolean ANDs."""
-    work = [simplify(p) for p in conjunction]
+    """Simplify, split boolean ANDs, drop trivially-true predicates."""
     out: list[SymExpr] = []
-    while work:
-        p = work.pop(0)
-        if isinstance(p, Const):
-            if p.value == 0:
+    for c in conjunction:
+        for p in conjuncts(simplify(c)):
+            if not isinstance(p, Const):
+                out.append(p)
+            elif p.value == 0:
                 return Unsat()
-            continue
-        if isinstance(p, Binop) and p.op == "AND" and is_boolean(p.x) and is_boolean(p.y):
-            work.insert(0, p.y)
-            work.insert(0, p.x)
-            continue
-        out.append(p)
     return out
 
 
@@ -168,15 +162,18 @@ def _match_power(e: SymExpr, atom: Input) -> int | None:
 
 
 def _nth_root(c: int, n: int) -> int | None:
+    """The r >= 0 with r**n == c, or None."""
     if n == 2:
         r = math.isqrt(c)
         return r if r * r == c else None
-    r = round(c ** (1.0 / n)) if c < (1 << 52) else 1 << ((c.bit_length() + n - 1) // n)
-    while r ** n > c:
-        r -= 1
-    while (r + 1) ** n <= c:
-        r += 1
-    return r if r ** n == c and r >= 0 else None
+    if c < 2:
+        return c
+    # integer Newton from a power of two at or above the root descends to
+    # the floor root in O(log) steps
+    r = 1 << (c.bit_length() + n - 1) // n
+    while (s := ((n - 1) * r + c // r ** (n - 1)) // n) < r:
+        r = s
+    return r if r ** n == c else None
 
 
 def _holds(rel: _Rel, assignment: dict) -> bool:

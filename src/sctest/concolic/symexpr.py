@@ -180,6 +180,18 @@ def is_boolean(expr: SymExpr) -> bool:
     return False
 
 
+def conjuncts(expr: SymExpr) -> list[SymExpr]:
+    """The conjuncts of a boolean AND tree, left to right."""
+    if (
+        isinstance(expr, Binop)
+        and expr.op == "AND"
+        and is_boolean(expr.x)
+        and is_boolean(expr.y)
+    ):
+        return conjuncts(expr.x) + conjuncts(expr.y)
+    return [expr]
+
+
 def upper_bound(expr: SymExpr) -> int:
     """A sound upper bound on the expression's value (at worst MASK256)."""
     if isinstance(expr, Const):

@@ -56,72 +56,17 @@ class BranchConstraintInfo:
 # control-flow cycles
 # ---------------------------------------------------------------------------
 
-def _sccs(cfg: Cfg) -> dict[int, int]:
-    """Tarjan; maps block start -> SCC id (iterative)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on: set[int] = set()
-    stack: list[int] = []
-    comp: dict[int, int] = {}
-    counter = [0]
-    ncomp = [0]
-
-    for root in cfg.order:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter[0]
-                counter[0] += 1
-                stack.append(node)
-                on.add(node)
-            recurse = False
-            succs = cfg.blocks[node].succs
-            for si in range(pi, len(succs)):
-                s = succs[si]
-                if s not in index:
-                    work[-1] = (node, si + 1)
-                    work.append((s, 0))
-                    recurse = True
-                    break
-                if s in on:
-                    low[node] = min(low[node], index[s])
-            if recurse:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp[w] = ncomp[0]
-                    if w == node:
-                        break
-                ncomp[0] += 1
-    return comp
-
-
-def _in_cycle(cfg: Cfg, comp: dict[int, int], block: int) -> bool:
-    same = [b for b, c in comp.items() if c == comp[block]]
-    return len(same) > 1 or block in cfg.blocks[block].succs
-
-
-def _loop_guarded(cfg: Cfg, comp: dict[int, int], block: int, run: ShadowRun) -> bool:
+def _loop_guarded(cfg: Cfg, block: int, run: ShadowRun) -> bool:
     """The block lies in a cycle, and the run decided one of that cycle's
     exits on a dynamic argument's length."""
-    if not _in_cycle(cfg, comp, block):
+    cycle = {b for b in cfg.reachable(block) if block in cfg.reachable(b)}
+    if len(cycle) == 1 and block not in cfg.blocks[block].succs:
         return False
-    cid = comp[block]
     exits = {
         cfg.blocks[b].instrs[-1].offset
-        for b, c in comp.items()
-        if c == cid
-        and cfg.blocks[b].terminator == "JUMPI"
-        and any(comp.get(s) != cid for s in cfg.blocks[b].succs)
+        for b in cycle
+        if cfg.blocks[b].terminator == "JUMPI"
+        and any(s not in cycle for s in cfg.blocks[b].succs)
     }
     return any(
         isinstance(n, Input) and n.kind == "length"
@@ -133,7 +78,6 @@ def _loop_guarded(cfg: Cfg, comp: dict[int, int], block: int, run: ShadowRun) ->
 
 def _describe(
     cfg: Cfg,
-    comp: dict[int, int],
     block: int,
     dark_taken: bool,
     sig: FunctionSig,
@@ -162,7 +106,7 @@ def _describe(
             and not isinstance(n.y, Const)
             for n in tree
         ),
-        "loop_guarded": _loop_guarded(cfg, comp, block, run),
+        "loop_guarded": _loop_guarded(cfg, block, run),
         "storage_dependent": bool(run.reads.get(offset)),
     }
     return BranchConstraintInfo(offset, text, inputs, features, pred)
@@ -217,12 +161,11 @@ def extract_bottlenecks(
 
     if not pending:
         return []
-    comp = _sccs(cfg)
     found: list[BranchConstraintInfo] = []
     for sig, run in _shadow_runs(bundle, world, at, cases):
         for offset in pending.keys() & set(run.trace):
             block, dark_taken = pending.pop(offset)
-            found.append(_describe(cfg, comp, block, dark_taken, sig, run))
+            found.append(_describe(cfg, block, dark_taken, sig, run))
         if not pending:
             break
     return sorted(found, key=lambda b: b.branch_offset)

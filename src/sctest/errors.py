@@ -87,10 +87,3 @@ class InsufficientBalance(EvmError):
 
 class EmptyAbi(SctestError):
     pass
-
-
-# -- concolic ---------------------------------------------------------------
-
-class NoSymbolicInput(SctestError):
-    """The predicate mentions no input atoms, so nothing can be kept."""
-

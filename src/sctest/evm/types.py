@@ -93,7 +93,7 @@ class ExecResult:
     external_calls: tuple[dict, ...]
     logs: tuple[tuple[int, int, tuple, bytes], ...]  # (address, pc, topics, data)
     # (preimage, digest) pairs observed at SHA3 sites; feeds the
-    # campaign-local preimage table used by hash concretization
+    # preimage table drive rewrites hash equalities against
     sha_preimages: tuple[tuple[bytes, bytes], ...] = ()
 
     def offsets(self, address: int | None = None) -> list[int]:

@@ -1,6 +1,6 @@
 """Concolic engine: symbolic expressions, the solver against brute force,
-SMT export, the shadow interpreter, error handling in drive and the
-fixture asserts drive reaches."""
+the shadow interpreter, drive's constraint weakening, error handling in
+drive and the fixture asserts drive reaches."""
 
 import dataclasses
 import importlib
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import sctest.concolic
 import sctest.evm
-from sctest._kernels import run_frame
+from sctest._kernels import keccak256, run_frame
 from sctest._kernels.interp_py import MEM_LIMIT
 from sctest.bytecode.abi import FunctionSig, encode_call
 from sctest.bytecode.opcodes import BINOP, CALL_CLASS, OPCODES, by_name
@@ -28,13 +28,15 @@ from sctest.concolic import (
     Unop,
     drive,
     evaluate,
+    evaluate_atoms,
     format_expr,
     inputs_of,
     shadow_run,
     simplify,
     solve,
 )
-from sctest.concolic.symexpr import UNOPS, _shr_over_disjoint, atom_value
+from sctest.concolic.drive import pin_all_but_one, resize_dynamic, rewrite_hashes
+from sctest.concolic.symexpr import UNOPS, _shr_over_disjoint, atom_value, conjuncts
 from sctest.concolic.shadow import ArgLayout, _shadow_frame
 from sctest.coverage import CoverageMap
 from sctest.errors import SctestError
@@ -243,6 +245,25 @@ X16 = Input("x", bits=16)
 )
 def test_solve_agrees_with_brute_force_on_16_bit_atoms(preds, want):
     assert isinstance(_check_against_brute_force(preds, X16), want)
+
+
+@pytest.mark.parametrize(
+    "c,want",
+    [
+        ((2**85 + 3) ** 3, Sat),
+        # not a cube over the integers; x*x*x == c does have a solution
+        # mod 2^256 (c is odd), which root extraction does not look for
+        ((1 << 255) + 12345, Unknown),
+    ],
+)
+def test_solve_takes_the_cube_root_of_a_wide_constant(c, want):
+    # the cube root of a 256-bit constant is near 2^85: a root search
+    # that steps by one does not end
+    pred = Binop("EQ", Binop("MUL", Binop("MUL", X, X), X), Const(c))
+    result = solve([pred])
+    assert isinstance(result, want)
+    if isinstance(result, Sat):
+        assert evaluate_atoms(pred, result.model) == 1
 
 
 # -- shadow interpreter ------------------------------------------------------
@@ -644,6 +665,79 @@ def test_slot_record_joins_a_branch_over_its_executions():
     run = _shadow_frame(image, b"", None, {}, {}, SELF, CALLER, 0, 1, 1, 100_000)
     assert run.halt == "stop"
     assert run.reads == {24: frozenset({5, 6})}
+
+
+# -- drive's constraint weakening --------------------------------------------
+
+B = Input("b")
+C = Input("c")
+
+
+def test_rewrite_hashes_equates_same_sized_buffers_word_by_word():
+    pred = Binop("EQ", Keccak((X, A), 64), Keccak((B, C), 64))
+    assert rewrite_hashes(pred, {}) == Binop(
+        "AND", Binop("EQ", X, B), Binop("EQ", A, C)
+    )
+
+
+def test_rewrite_hashes_of_different_sizes_never_collide():
+    pred = Binop("EQ", Keccak((X, A), 64), Keccak((B,), 32))
+    assert rewrite_hashes(pred, {}) == Const(0)
+
+
+def _digest(buf: bytes) -> int:
+    return int.from_bytes(keccak256(buf), "big")
+
+
+def test_rewrite_hashes_turns_an_observed_digest_into_its_preimage_words():
+    buf = (7).to_bytes(32, "big") + (9).to_bytes(32, "big")
+    pred = Binop("EQ", Keccak((X, A), 64), Const(_digest(buf)))
+    want = Binop("AND", Binop("EQ", X, Const(7)), Binop("EQ", A, Const(9)))
+    assert rewrite_hashes(pred, {_digest(buf): buf}) == want
+
+
+def test_rewrite_hashes_leaves_an_unseen_digest_alone():
+    pred = Binop("EQ", Keccak((X, A), 64), Const(_digest(b"\x01" * 64)))
+    assert rewrite_hashes(pred, {_digest(b"\x02" * 64): b"\x02" * 64}) == pred
+
+
+def test_solving_the_rewrite_of_a_planted_preimage_satisfies_the_hash():
+    buf = bytes(range(64))
+    pred = Binop("EQ", Const(_digest(buf)), Keccak((X, A), 64))
+    result = solve(conjuncts(rewrite_hashes(pred, {_digest(buf): buf})))
+    assert isinstance(result, Sat)
+    assert evaluate_atoms(pred, result.model) == 1
+
+
+def test_pin_all_but_one_keeps_each_unknown_of_cubic_in_turn():
+    # cubic's guard, y*y == x*x*x + x*x + 2, as the shadow builds it
+    y = Input("y")
+    xx = Binop("MUL", X, X)
+    cube = Binop("ADD", Binop("ADD", Binop("MUL", xx, X), xx), Const(2))
+    pred = Binop("EQ", cube, Binop("MUL", y, y))
+    env = {X: 3, y: 5}
+    variants = pin_all_but_one(pred, env)
+    assert [inputs_of(v) for v in variants] == [(X,), (y,)]
+    assert [format_expr(v) for v in variants] == [
+        "25 == x*x*x + x*x + 2",
+        "38 == y*y",
+    ]
+    for v, keep in zip(variants, (X, y)):
+        for value in (0, 1, 3, 5, 6):
+            assert evaluate_atoms(v, {keep: value}) == evaluate_atoms(
+                pred, {**env, keep: value}
+            )
+
+
+@pytest.mark.parametrize(
+    "n,want",
+    [
+        (2, (b"ab", (1, 2), 7, True)),
+        (5, (b"abc\x00\x00", (1, 2, 3, 0, 0), 7, True)),
+    ],
+)
+def test_resize_dynamic_cuts_or_pads_bytes_and_arrays_only(n, want):
+    assert resize_dynamic((b"abc", (1, 2, 3), 7, True), n) == want
 
 
 # -- error handling in drive -------------------------------------------------

@@ -6,9 +6,8 @@ class catches what every raise site raises.
 
 import pytest
 
-from sctest import concolic, coverage, errors, fuzzing
+from sctest import coverage, errors, fuzzing
 from sctest.bytecode.abi import FunctionSig, parse_abi
-from sctest.concolic import Binop, Const, concretize_nonlinear
 from sctest.coverage import CoverageMap, extract_uncovered_functions
 from sctest.evm.bundle import ContractBundle
 from sctest.fuzzing import seed_initial_target
@@ -16,18 +15,12 @@ from sctest.fuzzing import seed_initial_target
 
 def test_reexports_are_the_errors_classes():
     assert fuzzing.EmptyAbi is errors.EmptyAbi
-    assert concolic.NoSymbolicInput is errors.NoSymbolicInput
     assert coverage.MissingBodyRange is errors.MissingBodyRange
 
 
 def test_empty_abi_raise_site():
     with pytest.raises(errors.EmptyAbi):
         seed_initial_target([FunctionSig("prop_x", (), None, None, True)])
-
-
-def test_no_symbolic_input_raise_site():
-    with pytest.raises(errors.NoSymbolicInput):
-        concretize_nonlinear(Binop("MUL", Const(2), Const(3)), {})
 
 
 def test_missing_body_range_raise_site(cubic):

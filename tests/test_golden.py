@@ -9,6 +9,10 @@ The bottleneck list is what extract_bottlenecks reports after the same
 campaigns, each branch described from the shadow run of a corpus entry
 that reaches it.  The dispatcher fallbacks read "concrete": the shadow
 sees their selector test on concrete words only.
+
+The drive digests cover the cases drive emits from each campaign's
+corpus, so a change to which weakened conjunctions drive tries, or in
+what order, changes them.
 """
 
 import functools
@@ -16,7 +20,16 @@ import hashlib
 
 import pytest
 
-from sctest.concolic import Sat, Unknown, Unsat, evaluate_atoms, solve
+from sctest.concolic import (
+    DriveBudget,
+    Sat,
+    SnapshotCache,
+    Unknown,
+    Unsat,
+    drive,
+    evaluate_atoms,
+    solve,
+)
 from sctest.coverage import extract_bottlenecks
 from sctest.evm import load_bundle
 from sctest.evm.world import make_world
@@ -50,6 +63,35 @@ GOLDEN = {
     "lottery": (
         "8be530c102269f07f3cd15460274602e"
         "c807d8a26a00085cd5b5528bd9b04aa9"
+    ),
+}
+
+# SHA-256 over the ids of the cases drive emits, 20 rounds, from the
+# corpus and coverage of the same campaigns
+GOLDEN_DRIVE = {
+    "ballot": (
+        "3103315ce908b8977c2d8e28aaf629ca"
+        "7120446b691cc97e93728070b4b2a4d9"
+    ),
+    "bytekey": (
+        "1fb5f680347cfed7db2295ccef98991e"
+        "2081a58314981c541f55bd7f77ea288f"
+    ),
+    "pool": (
+        "31a83149f714c0079219656326ca88fd"
+        "633c6bd0b3ed0dedcef3fab127a6790b"
+    ),
+    "feeswap": (
+        "8ce3dabe4300ff1a797c75119fc4251f"
+        "c7ff8c913b8f72d4c4100ea3aa58d5bd"
+    ),
+    "cubic": (
+        "e8ae8749c5141c12d346033a3f148841"
+        "2ba3d715432fd6770500cc6c4a356af5"
+    ),
+    "lottery": (
+        "0fce56d19f0d05798b9bc5388b7c6775"
+        "7715392ed92303e17e558e13139e28eb"
     ),
 }
 
@@ -113,6 +155,16 @@ def campaign_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_campaign_output_matches_golden(name):
     assert campaign_digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DRIVE))
+def test_drive_after_campaign_matches_golden(name):
+    bundle, cov, corpus, _ = campaign(name)
+    emitted = drive(
+        bundle, corpus, cov.copy(), DriveBudget(iterations=20), cache=SnapshotCache()
+    )
+    doc = "\n".join(tc.id for tc in emitted)
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_DRIVE[name]
 
 
 def test_bottlenecks_after_campaign_match_golden():
