@@ -21,7 +21,7 @@ constraints; runs that cover new code along the way are kept.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..coverage.covmap import CoverageMap, merge_result
 from ..errors import SctestError
@@ -105,7 +105,9 @@ def rewrite_hashes(pred: SymExpr, preimages: dict) -> SymExpr:
     (collision resistance); hashes of different sizes never are.  A hash
     equal to a digest in preimages ({digest word: buffer observed at run
     time}) of the hash's size becomes equations against that buffer's
-    words.  Any other hash is left alone.
+    words; a short last word holds its bytes at the top, as a Keccak
+    part does, and the hash reads only those.  Any other hash is left
+    alone.
     """
 
     def rewrite_eq(x: SymExpr, y: SymExpr) -> SymExpr | None:
@@ -120,7 +122,7 @@ def rewrite_hashes(pred: SymExpr, preimages: dict) -> SymExpr:
                 buf = preimages.get(c.value)
                 if buf is not None and len(buf) == k.size:
                     words = [
-                        Const(int.from_bytes(buf[i : i + 32], "big"))
+                        Const(int.from_bytes(buf[i : i + 32].ljust(32, b"\0"), "big"))
                         for i in range(0, len(buf), 32)
                     ]
                     return _word_eqs([walk(p) for p in k.parts], words)
@@ -385,7 +387,7 @@ def drive(
     def _finish(sig, prefix, run_tx, constraints, j, env, model):
         """Materialize a model, check faithfulness, emit and enqueue."""
         new_args = apply_model(sig, run_tx.args, model)
-        new_tx = replace(run_tx, args=new_args)
+        new_tx = run_tx._replace(args=new_args)
         case_txs = tuple(prefix) + (new_tx,)
         predicted = tuple(
             (c.branch_offset, c.taken) for c in constraints[:j]
@@ -426,7 +428,7 @@ def drive(
         for pin in _PIN_LADDER:
             if all(n == pin for n in lengths):
                 continue
-            pinned_tx = replace(seed_tx, args=resize_dynamic(seed_tx.args, pin))
+            pinned_tx = seed_tx._replace(args=resize_dynamic(seed_tx.args, pin))
             case_txs = tuple(prefix) + (pinned_tx,)
             before = instr_count()
             engine_run(case_txs)

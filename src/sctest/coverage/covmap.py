@@ -5,24 +5,21 @@ contract address plus a set of 64-bit path hashes.  A path is the
 sequence of basic-block entries a transaction makes, hashed with FNV-1a
 and truncated at PATH_BLOCK_LIMIT blocks so the monitor stays O(trace).
 
-A fuzzing campaign takes the same few paths over and over, so path
-hashes are memoised in `_PATH_MEMO`, keyed by the truncated entry tuple.
-The memo is bounded by the block entries its keys hold together
-(`_PATH_MEMO_CAP`, about 1.6 MB at most; a single key holds up to
-PATH_BLOCK_LIMIT entries) and drops the oldest key first.
-
 There is one fold.  coverage_record turns a transaction's trace,
 segment by segment, into (address, instruction mask) pairs plus a path
 hash; absorb ORs such a record into a map; merge_result is the two in a
 row.  A campaign keeps the records of what it ran and absorbs them
-again instead of folding the same trace twice.  The same few segments
-recur as often as the paths do.  `_SEG_MEMO` maps a segment's
-instruction-offset tuple to the CFG it was folded under, its
-instruction bitmask and its block entries in order; a hit under the
-same CFG object replaces the walk over every offset by a dict lookup,
-and a hit under another CFG is folded again and replaces the entry.
-The memo is bounded the same way: by the offsets its keys hold together
-(`_SEG_MEMO_CAP`), oldest key dropped first.
+again instead of folding the same trace twice.
+
+A fuzzing campaign takes the same few traces over and over, so there is
+one memo, `_RECORDS`: a trace maps to its record and to the CFG each
+segment's address had when it was folded (None for an address with no
+code).  A hit under the same CFG objects replaces the walk over every
+offset and the FNV fold by a dict lookup; a hit under another CFG is
+folded again and replaces the entry.  The memo is bounded by the
+instruction offsets its keys hold together (`_RECORDS_CAP`) and drops
+the oldest key first; a trace longer than the bound is folded but not
+kept.
 """
 
 import json
@@ -37,14 +34,10 @@ _MASK64 = (1 << 64) - 1
 
 PATH_BLOCK_LIMIT = 4096
 
-_PATH_MEMO: dict[tuple[tuple[int, int], ...], int] = {}
-_PATH_MEMO_CAP = 4 * PATH_BLOCK_LIMIT  # block entries over all keys
-_path_memo_size = 0  # block entries the keys of _PATH_MEMO hold now
-
-# segment offsets -> (cfg, instruction bitmask, block entries)
-_SEG_MEMO: dict[tuple[int, ...], tuple[Cfg, int, tuple[int, ...]]] = {}
-_SEG_MEMO_CAP = 1 << 16  # instruction offsets over all keys
-_seg_memo_size = 0  # offsets the keys of _SEG_MEMO hold now
+# trace -> (CFG or None per segment, coverage record)
+_RECORDS: dict[tuple, tuple[tuple[Cfg | None, ...], tuple]] = {}
+_RECORDS_CAP = 1 << 16  # instruction offsets over all keys
+_records_size = 0  # offsets the keys of _RECORDS hold now
 
 
 @dataclass
@@ -82,43 +75,21 @@ class CoverageMap:
 
 def _path_hash(entries: list[tuple[int, int]]) -> int:
     """Hash a sequence of (address, block_start) entries."""
-    global _path_memo_size
-    key = tuple(entries[:PATH_BLOCK_LIMIT])
-    h = _PATH_MEMO.get(key)
-    if h is None:
-        h = FNV_OFFSET
-        for addr, start in key:
-            for b in addr.to_bytes(20, "big") + start.to_bytes(4, "big"):
-                h = ((h ^ b) * FNV_PRIME) & _MASK64
-        _PATH_MEMO[key] = h
-        _path_memo_size += len(key)
-        while _path_memo_size > _PATH_MEMO_CAP:
-            oldest = next(iter(_PATH_MEMO))  # FIFO: dicts keep insertion order
-            del _PATH_MEMO[oldest]
-            _path_memo_size -= len(oldest)
+    h = FNV_OFFSET
+    for addr, start in entries[:PATH_BLOCK_LIMIT]:
+        for b in addr.to_bytes(20, "big") + start.to_bytes(4, "big"):
+            h = ((h ^ b) * FNV_PRIME) & _MASK64
     return h
 
 
 def _segment(offsets: tuple[int, ...], cfg: Cfg) -> tuple[int, tuple[int, ...]]:
     """(instruction bitmask, block entries in order) of one trace segment
     of a contract whose CFG is cfg."""
-    global _seg_memo_size
-    hit = _SEG_MEMO.get(offsets)
-    if hit is not None and hit[0] is cfg:
-        return hit[1], hit[2]
     blocks = cfg.blocks
     mask = 0
     for off in offsets:
         mask |= 1 << off
-    starts = tuple(off for off in offsets if off in blocks)
-    if hit is None:
-        _seg_memo_size += len(offsets)
-    _SEG_MEMO[offsets] = (cfg, mask, starts)
-    while _seg_memo_size > _SEG_MEMO_CAP:
-        oldest = next(iter(_SEG_MEMO))  # FIFO: dicts keep insertion order
-        del _SEG_MEMO[oldest]
-        _seg_memo_size -= len(oldest)
-    return mask, starts
+    return mask, tuple(off for off in offsets if off in blocks)
 
 
 def coverage_record(result: ExecResult, world) -> tuple:
@@ -130,16 +101,39 @@ def coverage_record(result: ExecResult, world) -> tuple:
     one path hash, so call interleavings count as distinct paths.
     Segments of addresses with no deployed code are skipped.
     """
+    global _records_size
+    trace = result.trace
+    deployed = world.deployed
+    hit = _RECORDS.get(trace)
+    if hit is not None:
+        for (address, _), cfg in zip(trace, hit[0]):
+            bundle = deployed.get(address)
+            if (None if bundle is None else bundle.cfg) is not cfg:
+                break
+        else:
+            return hit[1]
+    cfgs: list[Cfg | None] = []
     masks = []
     entries: list[tuple[int, int]] = []
-    for address, offsets in result.trace:
-        bundle = world.deployed.get(address)
+    for address, offsets in trace:
+        bundle = deployed.get(address)
         if bundle is None:
+            cfgs.append(None)
             continue
-        mask, starts = _segment(tuple(offsets), bundle.cfg)
+        cfg = bundle.cfg
+        cfgs.append(cfg)
+        mask, starts = _segment(offsets, cfg)
         masks.append((address, mask))
         entries += [(address, start) for start in starts]
-    return tuple(masks), _path_hash(entries)
+    record = tuple(masks), _path_hash(entries)
+    if hit is None:
+        _records_size += sum(len(offsets) for _, offsets in trace)
+    _RECORDS[trace] = (tuple(cfgs), record)
+    while _records_size > _RECORDS_CAP:
+        oldest = next(iter(_RECORDS))  # FIFO: dicts keep insertion order
+        del _RECORDS[oldest]
+        _records_size -= sum(len(offsets) for _, offsets in oldest)
+    return record
 
 
 def absorb(map_: CoverageMap, record: tuple) -> int:

@@ -39,8 +39,9 @@ _HALT_NAME = {
 class _TxCtx:
     """Mutable per-transaction execution state."""
 
-    def __init__(self, world: EvmWorld, gas: int):
+    def __init__(self, world: EvmWorld, block: BlockCtx, gas: int):
         self.world = world
+        self.block = block
         self.balances = {a: acc.balance for a, acc in world.accounts.items()}
         self.overlays: dict[int, dict[int, int]] = {}
         self.segments: list[tuple[int, tuple[int, ...]]] = []
@@ -95,7 +96,7 @@ def _run_call(
     storage, balance and logs it uses, until the frame halts.  Trace
     segments are filed under code_addr, so a DELEGATECALL's offsets land
     on the callee's code; the two addresses differ only there."""
-    world = ctx.world
+    block = ctx.block
     storage = ctx.overlay(exec_addr)
     seg: list[int] = []
     state = None if start_pc == 0 else ([], bytearray(), start_pc, 0, 0)
@@ -104,7 +105,7 @@ def _run_call(
         klogs: list = []
         r = run_frame(
             image, calldata, storage, ctx.balances, exec_addr, caller, callvalue,
-            world.block.timestamp, world.block.number, ctx.gas, static,
+            block.timestamp, block.number, ctx.gas, static,
             seg, klogs, ctx.ext, ctx.sha, state, callret,
         )
         for pc, topics, data in klogs:
@@ -173,20 +174,24 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
 
     Worlds are values: the input world is never changed, and the result
     world shares every storage map and Account the transaction left
-    untouched, and its deployed map.  It gets a fresh storage dict with
-    the committed storage overlays (private copies).  It shares the
-    input's BlockCtx when tx.delay is 0 and gets a fresh one otherwise,
-    and it shares the input's accounts dict unless value changed hands,
-    when it gets a fresh one with a new Account for each balance that
-    changed.  So a caller must never mutate a world's maps, accounts or
-    block in place; EvmWorld.copy() gives a deep copy to edit.
+    unchanged, and its deployed map.  A contract's storage map is
+    replaced only when the transaction leaves it with other contents
+    (writing a slot's own value back changes nothing), and only then
+    does the result get a fresh storage dict.  It shares the input's
+    BlockCtx when tx.delay is 0 and gets a fresh one otherwise, and it
+    shares the input's accounts dict unless value changed hands, when it
+    gets a fresh one with a new Account for each balance that changed.
+    When no storage map changed, no value moved and tx.delay is 0 (an
+    OUT_OF_GAS rollback changes nothing), the result world is the input
+    world itself.  So a caller must never mutate a world's maps,
+    accounts or block in place; EvmWorld.copy() gives a deep copy to
+    edit.
     """
     block = world.block
     if tx.delay:
         block = BlockCtx(block.timestamp + tx.delay, block.number)
-    w = EvmWorld(world.accounts, world.deployed, dict(world.storage), block)
 
-    bundle = w.deployed.get(tx.destination)
+    bundle = world.deployed.get(tx.destination)
     if bundle is None:
         raise UnknownDestination(f"0x{tx.destination:040x} has no code")
 
@@ -201,7 +206,7 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
     if len(calldata) < 4:
         raise MalformedCalldata(f"calldata is {len(calldata)} bytes, need >= 4")
 
-    ctx = _TxCtx(w, tx.gas)
+    ctx = _TxCtx(world, block, tx.gas)
     if tx.value and not ctx.transfer(tx.source, tx.destination, tx.value):
         raise InsufficientBalance(
             f"0x{tx.source:040x} holds {ctx.balances.get(tx.source, 0)}, "
@@ -214,27 +219,38 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
     )
     halt = _HALT_NAME[kind]
 
+    storage, accounts = world.storage, world.accounts
     if halt != "OUT_OF_GAS":
         for addr in sorted(ctx.overlays):
-            w.storage[addr] = ctx.overlays[addr]  # a private copy already
+            ov = ctx.overlays[addr]  # a private copy already
+            if ov != storage.get(addr, {}):
+                if storage is world.storage:
+                    storage = dict(storage)
+                storage[addr] = ov
         if ctx.moved:
-            accounts = w.accounts = dict(world.accounts)
+            accounts = dict(accounts)
             for addr in sorted(ctx.balances):
                 bal = ctx.balances[addr]
                 acc = accounts.get(addr)
                 if acc is None or acc.balance != bal:
                     accounts[addr] = Account(addr, bal)
 
-    result = ExecResult(
-        halt=halt,
-        return_data=data,
-        gas_used=tx.gas - ctx.gas,
-        trace=tuple(ctx.segments),
-        external_calls=tuple(ctx.ext),
-        logs=tuple(ctx.logs),
-        sha_preimages=tuple(ctx.sha),
+    result = ExecResult(  # positional, in field order: the cheapest build
+        halt,
+        data,
+        tx.gas - ctx.gas,
+        tuple(ctx.segments),
+        tuple(ctx.ext),
+        tuple(ctx.logs),
+        tuple(ctx.sha),
     )
-    return w, result
+    if (
+        storage is not world.storage
+        or accounts is not world.accounts
+        or block is not world.block
+    ):
+        world = EvmWorld(accounts, world.deployed, storage, block)
+    return world, result
 
 
 def execute_sequence(

@@ -1,6 +1,7 @@
 """Core value types for the execution environment."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_TIMESTAMP = 1_000_000
 DEFAULT_GAS = 10_000_000
@@ -57,15 +58,7 @@ def normalize_args(args) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """The 8-tuple unit of contract interaction.
-
-    Exactly one of (args, call_data) drives encoding: structured args are
-    ABI-encoded at execution time via the destination's manifest; raw
-    call_data is passed through untouched.
-    """
-
+class _TxFields(NamedTuple):
     function_call: str
     args: tuple | None = None
     call_data: bytes | None = None
@@ -75,15 +68,43 @@ class Transaction:
     destination: int = 0
     value: int = 0
 
-    def __post_init__(self):
-        if self.args is not None:
-            args = normalize_args(self.args)
-            if args is not self.args:
-                object.__setattr__(self, "args", args)
+
+class Transaction(_TxFields):
+    """The 8-tuple unit of contract interaction.
+
+    Exactly one of (args, call_data) drives encoding: structured args are
+    ABI-encoded at execution time via the destination's manifest; raw
+    call_data is passed through untouched.  A named tuple, so building
+    one is cheap; args are normalised on the way in, by _replace too.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        function_call: str,
+        args: tuple | None = None,
+        call_data: bytes | None = None,
+        delay: int = 0,
+        gas: int = DEFAULT_GAS,
+        source: int = 0,
+        destination: int = 0,
+        value: int = 0,
+    ):
+        if args is not None:
+            args = normalize_args(args)
+        return tuple.__new__(
+            cls, (function_call, args, call_data, delay, gas, source, destination, value)
+        )
+
+    def _replace(self, **changes) -> "Transaction":
+        tx = Transaction(*map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return tx
 
 
-@dataclass(frozen=True)
-class ExecResult:
+class ExecResult(NamedTuple):
     halt: str  # STOP | RETURN | REVERT | INVALID | OUT_OF_GAS
     return_data: bytes
     gas_used: int

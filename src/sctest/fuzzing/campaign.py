@@ -45,6 +45,18 @@ byte-identical even when the caller replaces the coverage map between
 runs.  The store grows only with the corpus (at most entries x target
 length steps).
 
+A kept world is probed once.  The property probe is a pure function of
+the world it runs on (sender, destination and properties are fixed for
+the campaign), and worlds are values no one mutates, so the campaign
+keeps the probe's findings for each world it holds anyway: the
+snapshot and the worlds in the store, keyed by id() with the world in
+the value so the id stays valid.  A candidate whose remaining calls
+changed nothing ends on the very world it resumed from (execute_tx
+returns its input world then), and that world's findings are reused;
+any other candidate ends on a new world and is probed as before.  The
+kept findings are bounded by the store; replay and minimize_corpus
+probe every world they run.
+
 Bug detection applies two rules to each executed candidate:
   * assert_failure     - a transaction halted on INVALID
   * property_violation - a zero-argument property function reverts or
@@ -215,6 +227,10 @@ class Campaign:
         # a (fuzz-call index, args) row to (world after, result, tx,
         # coverage record, next)
         self._prefixes: dict = {}
+        # id(world) -> (world, property findings) for the snapshot and
+        # the worlds in _prefixes that were probed; the value holds the
+        # world, so its id is not reused while the entry lives
+        self._probes: dict[int, tuple] = {}
         self._ran: dict[Candidate, None] = {}  # executed, oldest first
         # the map's bits and paths when the last run() ended
         self._held: tuple[dict[int, int], set[int]] = ({}, set())
@@ -268,18 +284,18 @@ class Campaign:
             node = step[4]
         return steps
 
-    def _execute(self, cand: Candidate) -> tuple[list, list]:
-        """Run `cand` from its longest stored prefix.  Returns its rows
-        and one step per call, shaped as _resume's (next is None for a
-        call that ran now)."""
+    def _execute(self, cand: Candidate) -> tuple[list, list, object]:
+        """Run `cand` from its longest stored prefix.  Returns its rows,
+        one step per call, shaped as _resume's (next is None for a call
+        that ran now), and the world it resumed from."""
         rows = [(i, cand.args[i]) for i in cand.order]
         steps = self._resume(rows)
-        world = steps[-1][0] if steps else self.snapshot
+        world = start = steps[-1][0] if steps else self.snapshot
         for i, args in rows[len(steps) :]:
             tx = self._tx(self._fixed[i], args)
             world, (res,) = execute_sequence(world, [tx])
             steps.append((world, res, tx, coverage_record(res, world), None))
-        return rows, steps
+        return rows, steps, start
 
     def _store(self, rows, steps) -> None:
         node = self._prefixes
@@ -288,6 +304,21 @@ class Campaign:
             if stored is None:
                 stored = node[row] = (*step[:4], {})
             node = stored[4]
+
+    def _probe(self, world, held: bool) -> list[tuple[str, int, str, str]]:
+        """_probe_properties of `world`, from the cache when the world
+        was probed before; the result is kept when `held` (the world is
+        the snapshot or in _prefixes, so it lives as long as the
+        campaign)."""
+        hit = self._probes.get(id(world))
+        if hit is not None:
+            return hit[1]
+        found = _probe_properties(
+            world, self._props, self.default_sender, self.destination
+        )
+        if held:
+            self._probes[id(world)] = (world, found)
+        return found
 
     # -- scheduling ---------------------------------------------------------
 
@@ -360,7 +391,7 @@ class Campaign:
             if cand in ran:
                 stats.repeats += 1
                 continue
-            rows, steps = self._execute(cand)
+            rows, steps, start = self._execute(cand)
             if steps:
                 worlds, results, txs, records, _ = zip(*steps)
                 world_after = worlds[-1]
@@ -384,9 +415,8 @@ class Campaign:
 
             raw = self._pending + _detect_asserts(txs, results, world_after)
             self._pending = []
-            raw += _probe_properties(
-                world_after, self._props, self.default_sender, self.destination
-            )
+            found = self._probe(world_after, world_after is start) if self._props else []
+            raw += found
             fresh = [
                 (kind, pc, fn, msg)
                 for kind, pc, fn, msg in raw
@@ -401,6 +431,8 @@ class Campaign:
                 self._cands.append(cand)
                 self._blocks.append(self._trace_blocks(results))
                 self._store(rows, steps)
+                if self._props:  # world_after is in _prefixes now
+                    self._probes[id(world_after)] = (world_after, found)
                 self._cum_weights = None
                 for kind, pc, fn, msg in fresh:
                     self._finding_keys.add((kind, pc, fn))

@@ -2,7 +2,6 @@
 the shadow interpreter, drive's constraint weakening, error handling in
 drive and the fixture asserts drive reaches."""
 
-import dataclasses
 import importlib
 
 import pytest
@@ -38,9 +37,9 @@ from sctest.concolic import (
 from sctest.concolic.drive import pin_all_but_one, resize_dynamic, rewrite_hashes
 from sctest.concolic.symexpr import UNOPS, _shr_over_disjoint, atom_value, conjuncts
 from sctest.concolic.shadow import ArgLayout, _shadow_frame
-from sctest.coverage import CoverageMap
+from sctest.coverage import CoverageMap, merge_result
 from sctest.errors import SctestError
-from sctest.evm import CodeImage, Transaction, make_world
+from sctest.evm import CodeImage, Transaction, execute_sequence, make_world
 from sctest.fuzzing import (
     ASSERT_FAILURE,
     Corpus,
@@ -48,6 +47,7 @@ from sctest.fuzzing import (
     run_campaign,
     seed_initial_target,
 )
+from sctest.fuzzing import TestCase as FuzzCase
 
 X = Input("x")
 X8 = Input("x", bits=8)
@@ -310,7 +310,7 @@ def test_shadow_run_leaves_the_world_it_ran_from_alone(pool):
     world, prefix, tx = _pool_case(pool)
     block = (world.block.timestamp, world.block.number)
     for pre in (prefix, []):
-        run = shadow_run(world, pre, dataclasses.replace(tx, delay=5))
+        run = shadow_run(world, pre, tx._replace(delay=5))
         assert run.trace
         assert (world.block.timestamp, world.block.number) == block
 
@@ -324,7 +324,7 @@ def test_delayed_shadow_runs_leave_the_cached_world_alone(pool):
     block = (cached.block.timestamp, cached.block.number)
     storage = cached.storage_view()
     for _ in range(2):
-        run = shadow_run(world, prefix, dataclasses.replace(tx, delay=5), cache=cache)
+        run = shadow_run(world, prefix, tx._replace(delay=5), cache=cache)
         assert run.trace
         assert (cached.block.timestamp, cached.block.number) == block
         assert cached.storage_view() == storage
@@ -379,7 +379,10 @@ DIFF_WORDS = st.one_of(
 
 
 # item kinds, an apply four times as often as the others
-KINDS = st.sampled_from(("apply", "apply", "apply", "apply", "op", "push", "jump", "dest"))
+KINDS = st.sampled_from(
+    ("apply", "apply", "apply", "apply", "op", "push", "jump", "dest", "mem")
+)
+MEM_STORES = st.sampled_from((by_name("MSTORE").code, by_name("MSTORE8").code))
 PICK = [None] + [st.integers(0, n - 1) for n in range(1, len(STEP_OPS) + 1)]  # index < n
 
 
@@ -388,8 +391,9 @@ def programs(draw):
     """Program items over a few opcodes and operand words drawn per
     program (swarm testing), so each opcode meets equal, zero and edge
     operands.  Items: apply (one of those opcodes on operands it
-    pushes), op (any opcode on whatever the stack holds), push, jump
-    and dest (a JUMPDEST)."""
+    pushes), op (any opcode on whatever the stack holds), push, jump,
+    dest (a JUMPDEST) and mem (an MSTORE or MSTORE8 and then an MLOAD at
+    one offset, two applies, so what memory holds is read back)."""
     ops = draw(st.lists(st.sampled_from(APPLY_OPS), min_size=1, max_size=4, unique=True))
     words = draw(st.lists(DIFF_WORDS, min_size=1, max_size=3))
 
@@ -408,6 +412,10 @@ def programs(draw):
             items.append((kind, word()))
         elif kind == "jump":
             items.append((kind, draw(PICK[8]), word()))
+        elif kind == "mem":
+            off = draw(st.integers(0, 64))
+            items.append(("apply", draw(MEM_STORES), [off, word()]))
+            items.append(("apply", by_name("MLOAD").code, [off]))
         else:
             items.append((kind,))
     return items
@@ -709,6 +717,17 @@ def test_solving_the_rewrite_of_a_planted_preimage_satisfies_the_hash():
     assert evaluate_atoms(pred, result.model) == 1
 
 
+def test_a_short_last_preimage_word_is_matched_at_the_top_of_its_part():
+    # 33 bytes: the last part holds byte 33 at the top of its word, and
+    # the hash reads only that byte of it
+    buf = bytes(range(1, 34))
+    pred = Binop("EQ", Keccak((X, A), 33), Const(_digest(buf)))
+    result = solve(conjuncts(rewrite_hashes(pred, {_digest(buf): buf})))
+    assert isinstance(result, Sat)
+    assert result.model[A] >> 248 == 33
+    assert evaluate_atoms(pred, result.model) == 1
+
+
 def test_pin_all_but_one_keeps_each_unknown_of_cubic_in_turn():
     # cubic's guard, y*y == x*x*x + x*x + 2, as the shadow builds it
     y = Input("y")
@@ -738,6 +757,26 @@ def test_pin_all_but_one_keeps_each_unknown_of_cubic_in_turn():
 )
 def test_resize_dynamic_cuts_or_pads_bytes_and_arrays_only(n, want):
     assert resize_dynamic((b"abc", (1, 2, 3), 7, True), n) == want
+
+
+def test_drive_escalates_a_dynamic_length_the_seed_left_empty(feeswap):
+    # velocore_execute(()) never enters its loop, and the loop's exit
+    # cannot be flipped at length 0: drive resizes the array, re-runs and
+    # re-shadows it, then solves tokens[0] == 123 on the resized run
+    world, at = make_world(feeswap)
+    seed = FuzzCase((Transaction("velocore_execute", args=((),),
+                                 source=next(iter(world.accounts)), destination=at),))
+    emitted = drive(feeswap, Corpus([seed], [{}]), CoverageMap(), DriveBudget(iterations=2))
+    assert [tc.txs[0].args for tc in emitted] == [((),), ((0, 0),), ((123, 0),)]
+    covered = []
+    for tc in emitted:
+        after, results = execute_sequence(world, list(tc.txs))
+        cov = CoverageMap()
+        for res in results:
+            merge_result(cov, res, after)
+        covered.append(cov.bits[at])
+    seed_bits, resized, solved = covered
+    assert resized & ~seed_bits and solved & ~resized
 
 
 # -- error handling in drive -------------------------------------------------

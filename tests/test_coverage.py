@@ -5,8 +5,6 @@ contract the fuzzing pipeline and the model prompts build on; any change
 to them is a behavior change, not a cosmetic one.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +27,7 @@ from sctest.coverage import (
 from sctest.coverage import covmap
 from sctest.coverage.covmap import PATH_BLOCK_LIMIT, _path_hash
 from sctest.evm import (
+    ExecResult,
     Transaction,
     deploy,
     execute_sequence,
@@ -109,9 +108,7 @@ def entry_lists(draw):
 @settings(max_examples=30, deadline=None)
 @given(entry_lists())
 def test_path_hash_matches_reference_fold(entries):
-    want = reference_path_hash(entries)
-    assert _path_hash(entries) == want
-    assert _path_hash(list(entries)) == want  # second call: a memo hit
+    assert _path_hash(entries) == reference_path_hash(entries)
 
 
 @settings(max_examples=10, deadline=None)
@@ -122,29 +119,7 @@ def test_entries_past_the_block_limit_do_not_change_the_hash(tail_a, tail_b):
     assert _path_hash(head + tail_a) == _path_hash(head)
 
 
-def test_path_memo_stays_within_its_bound_and_rehashes_evicted_keys(monkeypatch):
-    monkeypatch.setattr(covmap, "_PATH_MEMO", {})
-    monkeypatch.setattr(covmap, "_path_memo_size", 0)
-    monkeypatch.setattr(covmap, "_PATH_MEMO_CAP", 12)
-    keys = [[(0xA, j) for j in range(i % 5 + 1)] + [(i, 0)] for i in range(20)]
-
-    def check(entries):
-        assert _path_hash(entries) == reference_path_hash(entries)
-        held = sum(len(k) for k in covmap._PATH_MEMO)
-        assert held == covmap._path_memo_size <= 12
-
-    for entries in keys:
-        check(entries)
-    assert tuple(keys[0]) not in covmap._PATH_MEMO  # evicted
-    for entries in keys:  # every early key comes back, evicting others
-        check(entries)
-    assert tuple(keys[-1]) in covmap._PATH_MEMO
-    # a key longer than the bound is hashed but not kept
-    check([(0xB, j) for j in range(13)])
-    assert covmap._PATH_MEMO == {}
-
-
-# -- merge_result and its segment memo -------------------------------------
+# -- merge_result and its record memo --------------------------------------
 
 
 def reference_merge_result(map_, result, world) -> int:
@@ -184,7 +159,7 @@ def _interleaved_result():
         destination=CALLER_AT))
     assert [a for a, _ in res.trace] == [CALLER_AT, CALLEE_AT, CALLER_AT,
                                          CALLEE_AT, CALLER_AT]
-    return replace(res, trace=res.trace + ((0xDEAD, (0, 2, 4)),)), after
+    return res._replace(trace=res.trace + ((0xDEAD, (0, 2, 4)),)), after
 
 
 @pytest.fixture(scope="module")
@@ -203,11 +178,11 @@ def merge_cases(bundles):
     return cases
 
 
-def _fresh_seg_memo(monkeypatch, cap=None):
-    monkeypatch.setattr(covmap, "_SEG_MEMO", {})
-    monkeypatch.setattr(covmap, "_seg_memo_size", 0)
+def _fresh_records(monkeypatch, cap=None):
+    monkeypatch.setattr(covmap, "_RECORDS", {})
+    monkeypatch.setattr(covmap, "_records_size", 0)
     if cap is not None:
-        monkeypatch.setattr(covmap, "_SEG_MEMO_CAP", cap)
+        monkeypatch.setattr(covmap, "_RECORDS_CAP", cap)
 
 
 def _check_merge(map_, ref, result, world):
@@ -218,13 +193,26 @@ def _check_merge(map_, ref, result, world):
     assert map_.path_set == ref.path_set
 
 
+def _held() -> int:
+    """Offsets the record memo's keys hold, checked against its count."""
+    held = sum(len(seg) for trace in covmap._RECORDS for _, seg in trace)
+    assert held == covmap._records_size
+    return held
+
+
 def test_merge_result_matches_the_per_offset_walk(monkeypatch, merge_cases):
-    _fresh_seg_memo(monkeypatch)
+    _fresh_records(monkeypatch)
     map_, ref = CoverageMap(), CoverageMap()
-    for _ in range(2):  # the second pass folds every segment from the memo
-        for result, world in merge_cases:
-            _check_merge(map_, ref, result, world)
-    assert sum(len(r.trace) for r, _ in merge_cases) > len(covmap._SEG_MEMO)
+    for result, world in merge_cases:
+        _check_merge(map_, ref, result, world)
+    assert len(covmap._RECORDS) == len({r.trace for r, _ in merge_cases})
+
+    def no_fold(*args):
+        raise AssertionError("a kept trace was folded again")
+
+    monkeypatch.setattr(covmap, "_segment", no_fold)
+    for result, world in merge_cases:  # every trace comes from the memo
+        _check_merge(map_, ref, result, world)
 
 
 def test_merge_result_is_absorb_of_its_coverage_record(merge_cases):
@@ -237,10 +225,10 @@ def test_merge_result_is_absorb_of_its_coverage_record(merge_cases):
             assert merged == absorbed
 
 
-def test_segment_memo_keeps_entries_per_cfg(monkeypatch):
+def test_record_memo_keeps_entries_per_cfg(monkeypatch):
     # the same offsets (0, 2, 4, 5, 6) under two CFGs: offset 5 is a
     # JUMPDEST, so a block entry, in one and a PC in the other
-    _fresh_seg_memo(monkeypatch)
+    _fresh_records(monkeypatch)
     runs = []
     for op in ("5b", "58"):
         code = bytes.fromhex("6002600301" + op + "00")
@@ -256,21 +244,48 @@ def test_segment_memo_keeps_entries_per_cfg(monkeypatch):
         _check_merge(map_, ref, res, after)
     assert len(map_.path_set) == 2
     # one key, replaced in place: its offsets are counted once
-    assert list(covmap._SEG_MEMO) == [r_pc.trace[0][1]]
-    assert covmap._seg_memo_size == 5
+    assert list(covmap._RECORDS) == [r_pc.trace]
+    assert _held() == 5
 
 
-def test_segment_memo_stays_within_its_bound(monkeypatch, merge_cases):
-    lengths = sorted(len(seg) for r, _ in merge_cases for _, seg in r.trace)
-    cap = lengths[len(lengths) // 2]  # some segments are longer than this
-    _fresh_seg_memo(monkeypatch, cap)
+def test_record_memo_stays_within_its_bound(monkeypatch, merge_cases):
+    lengths = sorted(
+        sum(len(seg) for _, seg in r.trace) for r, _ in merge_cases
+    )
+    cap = lengths[len(lengths) // 2]  # some traces are longer than this
+    _fresh_records(monkeypatch, cap)
     map_, ref = CoverageMap(), CoverageMap()
-    for _ in range(2):  # evicted segments are folded again
+    for _ in range(2):  # evicted traces are folded again
         for result, world in merge_cases:
             _check_merge(map_, ref, result, world)
-            held = sum(len(k) for k in covmap._SEG_MEMO)
-            assert held == covmap._seg_memo_size <= cap
-    assert covmap._SEG_MEMO
+            assert _held() <= cap
+    assert covmap._RECORDS
+
+
+def test_record_memo_drops_the_oldest_trace_first_and_refolds_it(monkeypatch):
+    _fresh_records(monkeypatch, 12)
+    code = bytes.fromhex("5b" * 16)  # every offset starts a block
+    world = deploy(new_world([(ACCT_A, 10**18)]),
+                   ContractBundle("dests", code, []), CALLER_AT)
+    traces = [
+        ((CALLER_AT, tuple(range(i % 5 + 1))), (0xDEAD, (i,)))
+        for i in range(20)
+    ]
+
+    def check(trace):
+        res = ExecResult("STOP", b"", 0, trace, (), ())
+        _check_merge(CoverageMap(), CoverageMap(), res, world)
+        assert _held() <= 12
+
+    for trace in traces:
+        check(trace)
+    assert traces[0] not in covmap._RECORDS  # evicted
+    for trace in traces:  # every early trace comes back, evicting others
+        check(trace)
+    assert traces[-1] in covmap._RECORDS
+    # a trace longer than the bound is folded but not kept
+    check(((CALLER_AT, tuple(range(13))),))
+    assert covmap._RECORDS == {}
 
 
 def test_merge_sets_bits_and_one_path(cubic):

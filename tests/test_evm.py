@@ -884,8 +884,11 @@ def test_execute_tx_never_changes_the_world_it_ran_from(specs):
         assert _outcome(res_again) == _outcome(res)
         if res.halt == "OUT_OF_GAS":
             assert after.storage_view() == before[0]
-        # what the result world shares with its input
+        # what the result world shares with its input; with nothing
+        # changed, it is the input world itself
         assert (after.block is world.block) == (tx.delay == 0)
+        unchanged = _world_state(after)[:2] == before[:2]
+        assert (after is world) == (unchanged and tx.delay == 0)
         if tx.value == 0 and tx.function_call != "send":
             assert after.accounts is world.accounts
         elif tx.value and res.halt != "OUT_OF_GAS":
@@ -894,6 +897,28 @@ def test_execute_tx_never_changes_the_world_it_ran_from(specs):
         states.append(_world_state(after))
     # running on from each result world left every earlier world alone
     assert [_world_state(w) for w in worlds] == states
+
+
+def test_a_call_that_changes_nothing_returns_the_world_it_ran_from():
+    def call(w, fn, *args, delay=0):
+        return execute_tx(w, Transaction(function_call=fn, args=args, delay=delay,
+                                         source=ACCT, destination=AT))
+
+    stored, _ = call(_toy_world(), "store", 7)
+    after, res = call(stored, "load")
+    assert returned_word(res) == 7
+    assert after is stored
+    assert after.storage[AT] is stored.storage[AT]
+    # writing a slot's own value back changes nothing either
+    assert call(stored, "store", 7)[0] is stored
+    # a delay gives a new world with a new block, sharing the storage
+    later, _ = call(stored, "load", delay=3)
+    assert later is not stored and later.block is not stored.block
+    assert later.storage is stored.storage
+    # a write gives a new storage dict and a new map
+    changed, _ = call(stored, "store", 8)
+    assert changed.storage is not stored.storage
+    assert changed.storage[AT] == {0: 8} and stored.storage[AT] == {0: 7}
 
 
 # -- argument normalisation ----------------------------------------------------
@@ -938,3 +963,15 @@ def test_normalize_args_matches_reference_and_keeps_canonical_tuples(args, as_tu
     if _shape(args) == _shape(ref):  # canonical already: the same object
         assert out is args
     assert normalize_args(out) is out
+
+
+def test_transaction_normalises_args_when_built_and_replaced():
+    tx = Transaction("f", [1, [2, 3], bytearray(b"ab")], destination=AT)
+    assert tx.args == (1, (2, 3), b"ab")
+    moved = tx._replace(args=[[4], 5], value=9)
+    assert type(moved) is Transaction
+    assert moved.args == ((4,), 5)
+    assert (moved.function_call, moved.destination, moved.value) == ("f", AT, 9)
+    assert tx._replace(args=None).args is None
+    with pytest.raises(ValueError):
+        tx._replace(nonsense=1)

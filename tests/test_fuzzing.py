@@ -819,6 +819,67 @@ def test_cross_run_repeats_run_nothing(monkeypatch):
     assert camp.coverage.to_json() == covered
 
 
+# ROADMAP's hand-written pool target: it reaches prop_balanced in the
+# first 1000 executions
+POOL_DEFUSE_TARGET = """\
+target pool_defuse
+alias A = 0x0000000000000000000000000000000000001001
+alias B = 0x0000000000000000000000000000000000001002
+fuzz:
+    call mintDyad(?id:uint256=1, ?amount:uint256=5) from A
+    call redeemable(?id:uint256=1, ?value:uint256=5) from A
+    call deposit(A, ?id:uint256=1, ?value:uint256=5) from B
+order fixed
+"""
+
+
+class ProbeEveryRunCampaign(Campaign):
+    """The campaign before probes were kept: every candidate that runs
+    probes the world it ends on."""
+
+    def _probe(self, world, held):
+        return campaign_mod._probe_properties(
+            world, self._props, self.default_sender, self.destination
+        )
+
+
+@pytest.mark.parametrize("seed", [42, 77])
+def test_kept_probes_leave_outputs_unchanged(seed, monkeypatch):
+    bundle = load_bundle(FIXTURES / "pool")
+    world, _ = make_world(bundle)
+    t = parse_target(POOL_DEFUSE_TARGET, bundle.resolved_abi)
+    probed = []
+    probe = campaign_mod._probe_properties
+
+    def counting(world, *args):
+        probed.append(world)
+        return probe(world, *args)
+
+    monkeypatch.setattr(campaign_mod, "_probe_properties", counting)
+    outputs, probes = [], []
+    for cls in (Campaign, ProbeEveryRunCampaign):
+        del probed[:]
+        camp = cls(world, t, rng_seed=seed)
+        out = []
+        for _ in range(2):
+            camp.run(1000)
+            out.append(
+                (
+                    camp.coverage.to_json(),
+                    [e.id for e in camp.corpus.entries],
+                    camp.report.to_json(),
+                )
+            )
+        outputs.append(out)
+        probes.append(len(probed))
+    assert outputs[0] == outputs[1]
+    assert (PROPERTY_VIOLATION, "prop_balanced") in {
+        (f.kind, f.function) for f in camp.report.findings
+    }
+    kept, every = probes
+    assert kept < every
+
+
 def test_only_lost_coverage_reruns_repeats(monkeypatch):
     bundle = load_bundle(FIXTURES / "feeswap")
     world, at = make_world(bundle)
