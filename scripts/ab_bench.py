@@ -9,11 +9,12 @@ in each checkout, T being the benchmark's `run_seconds` from the
 BENCHMARK.json of this script's repository.  The parent runs first in
 odd pairs and the change first in even ones, so a host that speeds up
 or slows down during the comparison weighs on both sides alike.  For
-every pair it prints both sides' execs_per_s and peak_rss_mb; at the
-end the wins of the change on execs_per_s, the medians and their ratio,
-the parent's interquartile range, the median and interquartile range of
-the per-pair change/parent ratios, the medians of wall_s and setup_s,
-and whether every run gave the same output digest and exact outcomes.
+every pair it prints both sides' execs_per_s, wall_s, setup_s and
+peak_rss_mb; at the end the wins of the change on execs_per_s, the
+medians and their ratio, the parent's interquartile range, the median
+and interquartile range of the per-pair change/parent ratios, the
+medians of wall_s and setup_s, and whether every run gave the same
+output digest and exact outcomes.
 The per-pair ratios compare runs made a minute apart, so a host that
 swings between fast and slow states for minutes at a time moves both
 sides of a ratio together.
@@ -78,8 +79,9 @@ def main() -> int:
         p, c = runs["parent"][-1]["metrics"], runs["change"][-1]["metrics"]
         print(
             f"pair {k:2d} ({order[0]} first): execs_per_s {p['execs_per_s']:9.1f} ->"
-            f" {c['execs_per_s']:9.1f}   peak_rss_mb {p['peak_rss_mb']:6.2f} ->"
-            f" {c['peak_rss_mb']:6.2f}",
+            f" {c['execs_per_s']:9.1f}   wall_s {p['wall_s']:.4f} -> {c['wall_s']:.4f}"
+            f"   setup_s {p['setup_s']:.4f} -> {c['setup_s']:.4f}"
+            f"   peak_rss_mb {p['peak_rss_mb']:6.2f} -> {c['peak_rss_mb']:6.2f}",
             flush=True,
         )
 

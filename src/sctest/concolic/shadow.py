@@ -53,7 +53,7 @@ from .._kernels.interp_py import STACK_LIMIT, _ensure
 from ..bytecode.abi import encode_call
 from ..bytecode.opcodes import BINOP, OPCODES
 from ..errors import SctestError, UnknownDestination
-from ..evm.engine import _route, execute_sequence
+from ..evm.engine import _route, _TxCtx, execute_sequence
 from ..evm.snapshots import SnapshotCache
 from ..evm.types import Transaction
 from ..evm.world import EvmWorld
@@ -513,7 +513,8 @@ def shadow_run(
     prefix.  tx must carry structured args (the concrete seed values for
     every symbolic parameter).  With a cache, a prefix seen before from
     the same world starts from the cached world instead of being run
-    again."""
+    again.  The transaction starts as the engine starts it (_TxCtx), so
+    a source that cannot pay tx.value raises InsufficientBalance."""
     prefix = list(prefix)
     if not prefix:
         base = world
@@ -531,23 +532,18 @@ def shadow_run(
     calldata = encode_call(sig, args)
     layout = ArgLayout(sig, args)
 
-    balances = {a: acc.balance for a, acc in base.accounts.items()}
-    if tx.value:
-        balances[tx.source] = balances.get(tx.source, 0) - tx.value
-        balances[tx.destination] = balances.get(tx.destination, 0) + tx.value
-    storage = dict(base.storage.get(tx.destination, {}))
-    start_pc = _route(bundle, calldata)
+    ctx = _TxCtx(base, tx)  # the engine's block, value transfer and storage
     return _shadow_frame(
         bundle.image,
         calldata,
         layout,
-        storage,
-        balances,
+        ctx.overlay(tx.destination),
+        ctx.balances,
         tx.destination,
         tx.source,
         tx.value,
-        base.block.timestamp + tx.delay,
-        base.block.number,
-        tx.gas,
-        start_pc,
+        ctx.block.timestamp,
+        ctx.block.number,
+        ctx.gas,
+        _route(bundle, calldata),
     )

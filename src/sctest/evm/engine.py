@@ -21,7 +21,7 @@ from ..errors import (
     UnknownDestination,
 )
 from .bundle import ContractBundle
-from .types import Account, BlockCtx, ExecResult, Transaction
+from .types import BlockCtx, ExecResult, Transaction
 from .world import EvmWorld
 
 CALL_DEPTH_LIMIT = 8
@@ -37,28 +37,40 @@ _HALT_NAME = {
 
 
 class _TxCtx:
-    """Mutable per-transaction execution state."""
+    """Mutable per-transaction execution state, from the block after
+    tx.delay and with tx.value moved from source to destination; raises
+    InsufficientBalance when the source cannot pay.  balances is the
+    world's own accounts dict until the first transfer copies it, so
+    value moved exactly when balances is not world.accounts."""
 
-    def __init__(self, world: EvmWorld, block: BlockCtx, gas: int):
+    def __init__(self, world: EvmWorld, tx: Transaction):
         self.world = world
-        self.block = block
-        self.balances = {a: acc.balance for a, acc in world.accounts.items()}
+        self.block = world.block
+        if tx.delay:
+            self.block = BlockCtx(self.block.timestamp + tx.delay, self.block.number)
+        self.balances = world.accounts
         self.overlays: dict[int, dict[int, int]] = {}
         self.segments: list[tuple[int, tuple[int, ...]]] = []
         self.ext: list[dict] = []
         self.logs: list[tuple[int, int, tuple, bytes]] = []
         self.sha: list[tuple[bytes, bytes]] = []
-        self.gas = gas
-        self.moved = False  # whether any value changed hands
+        self.gas = tx.gas
+        if tx.value and not self.transfer(tx.source, tx.destination, tx.value):
+            raise InsufficientBalance(
+                f"0x{tx.source:040x} holds {self.balances.get(tx.source, 0)}, "
+                f"needs {tx.value}"
+            )
 
     def transfer(self, frm: int, to: int, value: int) -> bool:
         """Move value from frm to to; False, moving nothing, when frm
         holds less than value."""
-        if self.balances.get(frm, 0) < value:
+        balances = self.balances
+        if balances.get(frm, 0) < value:
             return False
-        self.balances[frm] -= value
-        self.balances[to] = self.balances.get(to, 0) + value
-        self.moved = True
+        if balances is self.world.accounts:
+            balances = self.balances = dict(balances)
+        balances[frm] -= value
+        balances[to] = balances.get(to, 0) + value
         return True
 
     def overlay(self, addr: int) -> dict[int, int]:
@@ -172,25 +184,17 @@ def _resolve_call(
 def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
     """Deterministic interpretation of tx against world.
 
-    Worlds are values: the input world is never changed, and the result
-    world shares every storage map and Account the transaction left
-    unchanged, and its deployed map.  A contract's storage map is
+    Worlds are values (EvmWorld): the input world is never changed, and
+    the result world shares with it every storage map the transaction
+    left unchanged and its deployed map.  A contract's storage map is
     replaced only when the transaction leaves it with other contents
     (writing a slot's own value back changes nothing), and only then
-    does the result get a fresh storage dict.  It shares the input's
-    BlockCtx when tx.delay is 0 and gets a fresh one otherwise, and it
-    shares the input's accounts dict unless value changed hands, when it
-    gets a fresh one with a new Account for each balance that changed.
-    When no storage map changed, no value moved and tx.delay is 0 (an
-    OUT_OF_GAS rollback changes nothing), the result world is the input
-    world itself.  So a caller must never mutate a world's maps,
-    accounts or block in place; EvmWorld.copy() gives a deep copy to
-    edit.
+    does the result get a fresh storage dict.  The result gets a fresh
+    BlockCtx when tx.delay is nonzero, and a fresh accounts dict when
+    value changed hands.  When no storage map changed, no value moved
+    and tx.delay is 0 (an OUT_OF_GAS rollback changes nothing), the
+    result world is the input world itself.
     """
-    block = world.block
-    if tx.delay:
-        block = BlockCtx(block.timestamp + tx.delay, block.number)
-
     bundle = world.deployed.get(tx.destination)
     if bundle is None:
         raise UnknownDestination(f"0x{tx.destination:040x} has no code")
@@ -206,13 +210,7 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
     if len(calldata) < 4:
         raise MalformedCalldata(f"calldata is {len(calldata)} bytes, need >= 4")
 
-    ctx = _TxCtx(world, block, tx.gas)
-    if tx.value and not ctx.transfer(tx.source, tx.destination, tx.value):
-        raise InsufficientBalance(
-            f"0x{tx.source:040x} holds {ctx.balances.get(tx.source, 0)}, "
-            f"needs {tx.value}"
-        )
-
+    ctx = _TxCtx(world, tx)
     kind, data = _run_call(
         ctx, bundle.image, tx.destination, tx.destination, tx.source,
         tx.value, calldata, False, 0, _route(bundle, calldata),
@@ -227,13 +225,7 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
                 if storage is world.storage:
                     storage = dict(storage)
                 storage[addr] = ov
-        if ctx.moved:
-            accounts = dict(accounts)
-            for addr in sorted(ctx.balances):
-                bal = ctx.balances[addr]
-                acc = accounts.get(addr)
-                if acc is None or acc.balance != bal:
-                    accounts[addr] = Account(addr, bal)
+        accounts = ctx.balances
 
     result = ExecResult(  # positional, in field order: the cheapest build
         halt,
@@ -247,9 +239,9 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
     if (
         storage is not world.storage
         or accounts is not world.accounts
-        or block is not world.block
+        or ctx.block is not world.block
     ):
-        world = EvmWorld(accounts, world.deployed, storage, block)
+        world = EvmWorld(accounts, world.deployed, storage, ctx.block)
     return world, result
 
 

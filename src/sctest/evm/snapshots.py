@@ -9,7 +9,6 @@ caller that asks with that same world; any other base is a miss.
 """
 
 import json
-import threading
 from collections import OrderedDict
 
 from .._kernels import keccak256
@@ -49,7 +48,6 @@ class SnapshotCache:
     """LRU cache of the worlds after prefixes, at most MAX_WORLDS."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         # prefix_key -> (base world, world after the prefix)
         self._entries: OrderedDict[bytes, tuple[EvmWorld, EvmWorld]] = OrderedDict()
         self.hits = 0
@@ -62,17 +60,15 @@ class SnapshotCache:
         """The world after prefix run from world.  On a miss the prefix
         runs (world stays as it was) and its result is cached."""
         key = prefix_key(prefix)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] is world:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return entry[1]
-            self.misses += 1
-        after, _ = execute_sequence(world, list(prefix))
-        with self._lock:
-            self._entries[key] = (world, after)
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] is world:
             self._entries.move_to_end(key)
-            while len(self._entries) > MAX_WORLDS:
-                self._entries.popitem(last=False)
+            self.hits += 1
+            return entry[1]
+        self.misses += 1
+        after, _ = execute_sequence(world, list(prefix))
+        self._entries[key] = (world, after)
+        self._entries.move_to_end(key)
+        while len(self._entries) > MAX_WORLDS:
+            self._entries.popitem(last=False)
         return after

@@ -1,6 +1,5 @@
 """Core value types for the execution environment."""
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 DEFAULT_TIMESTAMP = 1_000_000
@@ -14,14 +13,7 @@ def parse_addr(text: str | int) -> int:
     return int(text, 16) & ADDR_MASK
 
 
-@dataclass
-class Account:
-    address: int  # 160-bit
-    balance: int  # WEI
-
-
-@dataclass
-class BlockCtx:
+class BlockCtx(NamedTuple):
     timestamp: int = DEFAULT_TIMESTAMP
     number: int = 1
 

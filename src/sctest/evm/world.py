@@ -5,35 +5,26 @@ from dataclasses import dataclass, field
 
 from ..errors import AddressInUse, DuplicateAddress
 from .bundle import ContractBundle, genesis_config
-from .types import DEFAULT_TIMESTAMP, Account, BlockCtx
+from .types import DEFAULT_TIMESTAMP, BlockCtx
 
 
 @dataclass
 class EvmWorld:
-    """A world is a value.  execute_tx and deploy return a new world and
-    leave their input as it was, and execute_tx shares with its input
-    every storage map and Account the transaction did not change, the
-    accounts dict itself when no value changed hands, and the BlockCtx
-    when the transaction has no delay.  So never mutate a world's maps,
-    accounts or block in place: take copy(), a deep copy that shares only
-    the immutable bundles, and edit that."""
+    """A world is a value: no one writes into it once it is built.
+    Balances are ints and the block is a BlockCtx named tuple, so the
+    per-contract storage maps are its only mutable leaves, and no one
+    writes into one either.  execute_tx and deploy leave their input as
+    it was and return a world that shares every map, bundle and block
+    they did not change; to change a world, build new dicts around the
+    parts that stay (as deploy does)."""
 
-    accounts: dict[int, Account] = field(default_factory=dict)
+    accounts: dict[int, int] = field(default_factory=dict)  # address -> balance
     deployed: dict[int, ContractBundle] = field(default_factory=dict)
     storage: dict[int, dict[int, int]] = field(default_factory=dict)
     block: BlockCtx = field(default_factory=BlockCtx)
 
-    def copy(self) -> "EvmWorld":
-        return EvmWorld(
-            accounts={a: Account(acc.address, acc.balance) for a, acc in self.accounts.items()},
-            deployed=dict(self.deployed),  # bundles are immutable, share refs
-            storage={a: dict(slots) for a, slots in self.storage.items()},
-            block=BlockCtx(self.block.timestamp, self.block.number),
-        )
-
     def balance(self, address: int) -> int:
-        acc = self.accounts.get(address)
-        return acc.balance if acc else 0
+        return self.accounts.get(address, 0)
 
     def storage_view(self) -> dict[int, dict[int, int]]:
         """Storage restricted to live (nonempty) contract maps, for
@@ -42,30 +33,37 @@ class EvmWorld:
 
 
 def new_world(
-    accounts: list[Account] | list[tuple[int, int]],
+    accounts: list[tuple[int, int]],
     timestamp: int = DEFAULT_TIMESTAMP,
     number: int = 1,
 ) -> EvmWorld:
+    """Genesis world holding the (address, balance) accounts, in order
+    (the first is every harness's default sender), and no code."""
     if not accounts:
         raise ValueError("genesis needs at least one account")
     world = EvmWorld(block=BlockCtx(timestamp, number))
-    for entry in accounts:
-        acc = entry if isinstance(entry, Account) else Account(entry[0], entry[1])
-        if acc.address in world.accounts:
-            raise DuplicateAddress(f"account 0x{acc.address:040x} listed twice")
-        world.accounts[acc.address] = Account(acc.address, acc.balance)
+    for address, balance in accounts:
+        if address in world.accounts:
+            raise DuplicateAddress(f"account 0x{address:040x} listed twice")
+        world.accounts[address] = balance
     return world
 
 
 def deploy(world: EvmWorld, contract: ContractBundle, at: int) -> EvmWorld:
+    """A new world with contract deployed at `at` on empty storage, and
+    an account there with balance 0 unless one exists (appended, so the
+    first account stays first).  The input world stays as it was; the
+    result shares its block, its bundles and its other storage maps."""
     if at in world.deployed:
         raise AddressInUse(f"0x{at:040x} already has code")
-    w = world.copy()
-    w.deployed[at] = contract
-    w.storage[at] = {}
-    if at not in w.accounts:
-        w.accounts[at] = Account(at, 0)
-    return w
+    accounts = dict(world.accounts)
+    accounts.setdefault(at, 0)
+    return EvmWorld(
+        accounts,
+        {**world.deployed, at: contract},
+        {**world.storage, at: {}},
+        world.block,
+    )
 
 
 def make_world(bundle: ContractBundle) -> tuple[EvmWorld, int]:

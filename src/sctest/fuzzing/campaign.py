@@ -64,7 +64,6 @@ Bug detection applies two rules to each executed candidate:
 """
 
 import random
-import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
@@ -88,7 +87,7 @@ _ZERO_WORD = b"\x00" * 32
 
 
 def _detect_asserts(
-    txs: list[Transaction | None],
+    txs: list[Transaction],
     results: list[ExecResult],
     world,
 ) -> list[tuple[str, int, str, str]]:
@@ -101,7 +100,7 @@ def _detect_asserts(
         bundle = world.deployed.get(addr)
         sig = bundle.function_at(off) if bundle is not None else None
         fn = sig.name if sig is not None else None
-        if fn is None and tx is not None and tx.function_call:
+        if fn is None and tx.function_call:
             fn = tx.function_call
         fn = fn or "fallback"
         out.append(
@@ -145,20 +144,17 @@ def detect_bugs(
     results: list[ExecResult],
     world_after,
     abi: list[FunctionSig],
-    txs: list[Transaction] | None = None,
+    txs: list[Transaction],
     destination: int | None = None,
-    sender: int | None = None,
 ) -> list[tuple[str, int, str, str]]:
-    """Apply both detection rules to an executed sequence.
+    """Apply both detection rules to the executed sequence `txs`.
 
     Returns (kind, pc, function, message) tuples: one assert_failure per
     INVALID halt in `results`, plus one property_violation for every
     property function in `abi` that reverts or returns the zero word
-    when probed against `world_after`.
+    when probed against `world_after` from its first account.
     """
-    padded: list[Transaction | None] = list(txs or [])
-    padded += [None] * (len(results) - len(padded))
-    out = _detect_asserts(padded, results, world_after)
+    out = _detect_asserts(txs, results, world_after)
     props = [s for s in abi if s.is_property]
     if props:
         if destination is None:
@@ -169,8 +165,7 @@ def detect_bugs(
                     " an explicit destination"
                 )
             destination = deployed[0]
-        if sender is None:
-            sender = next(iter(world_after.accounts))
+        sender = next(iter(world_after.accounts))
         out += _probe_properties(world_after, props, sender, destination)
     return out
 
@@ -191,7 +186,6 @@ class Campaign:
     world: object
     target: FuzzTarget
     rng_seed: int
-    destination: int | None = None
 
     coverage: CoverageMap = field(default_factory=CoverageMap)
     corpus: Corpus = field(default_factory=Corpus)
@@ -199,25 +193,20 @@ class Campaign:
     executions: int = 0
 
     def __post_init__(self):
-        if self.destination is None:
-            deployed = sorted(self.world.deployed)
-            if len(deployed) != 1:
-                raise SctestError(
-                    "campaign needs a single deployed contract or an"
-                    " explicit destination"
-                )
-            self.destination = deployed[0]
-        self.bundle = self.world.deployed[self.destination]
-        self.abi = self.bundle.resolved_abi
-        self._props = [s for s in self.abi if s.is_property]
+        deployed = sorted(self.world.deployed)
+        if len(deployed) != 1:
+            raise SctestError("campaign needs a single deployed contract")
+        self.destination = deployed[0]
+        abi = self.world.deployed[self.destination].resolved_abi
+        self._props = [s for s in abi if s.is_property]
         self.default_sender = next(iter(self.world.accounts))
-        self.pool = tuple(
+        pool = tuple(
             sorted(
                 set(self.world.accounts) | set(self.target.address_aliases.values())
             )
         )
         self.rng = random.Random(self.rng_seed)
-        self._plan = mutation_plan(self.target, self.abi, self.pool)
+        self._plan = mutation_plan(self.target, abi, pool)
         self._cands: list[Candidate] = []
         self._blocks: list[set[tuple[int, int]]] = []  # per-entry block starts
         self._cum_weights: list[int] | None = None  # None: rescore on next pick
@@ -244,7 +233,6 @@ class Campaign:
         )
         for res in setup_results:
             merge_result(self.coverage, res, self.snapshot)
-        self.setup_failed = any(r.failed for r in setup_results)
         # findings surfaced by setup alone attach to the first test case
         self._pending = _detect_asserts(
             self._setup_txs, setup_results, self.snapshot
@@ -456,20 +444,15 @@ def run_campaign(
 ) -> tuple[CoverageMap, Corpus, BugReport]:
     """One-shot campaign: run to the budget, minimize, report.
 
-    budget = {"execs": int, "seconds": float | None}.  The seconds bound
-    is checked between scheduling chunks, so results are reproducible
-    whenever the execution budget binds first.
+    budget = {"execs": int}, run in scheduling chunks of CHUNK, so a
+    fixed rng_seed gives the same results on every run.
     """
     camp = Campaign(world, target, rng_seed)
     remaining = int(budget["execs"])
-    seconds = budget.get("seconds")
-    deadline = time.monotonic() + seconds if seconds else None
     while remaining > 0:
         chunk = min(CHUNK, remaining)
         camp.run(chunk)
         remaining -= chunk
-        if deadline is not None and time.monotonic() >= deadline:
-            break
     camp.finalize()
     return camp.coverage, camp.corpus, camp.report
 

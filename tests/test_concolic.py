@@ -38,8 +38,8 @@ from sctest.concolic.drive import pin_all_but_one, resize_dynamic, rewrite_hashe
 from sctest.concolic.symexpr import UNOPS, _shr_over_disjoint, atom_value, conjuncts
 from sctest.concolic.shadow import ArgLayout, _shadow_frame
 from sctest.coverage import CoverageMap, merge_result
-from sctest.errors import SctestError
-from sctest.evm import CodeImage, Transaction, execute_sequence, make_world
+from sctest.errors import InsufficientBalance, SctestError
+from sctest.evm import CodeImage, Transaction, execute_sequence, execute_tx, make_world
 from sctest.fuzzing import (
     ASSERT_FAILURE,
     Corpus,
@@ -329,6 +329,18 @@ def test_delayed_shadow_runs_leave_the_cached_world_alone(pool):
         assert (cached.block.timestamp, cached.block.number) == block
         assert cached.storage_view() == storage
     assert (cache.hits, cache.misses) == (2, 1)
+
+
+def test_shadow_run_refuses_a_value_the_sender_cannot_pay(pool):
+    # the shadow starts its transaction as the engine does, so neither
+    # runs a call whose sender holds less than the value it sends
+    world, at = make_world(pool)
+    tx = Transaction(function_call="mintDyad", args=(0, 0), source=ACCT_A,
+                     destination=at, value=world.balance(ACCT_A) + 1)
+    with pytest.raises(InsufficientBalance):
+        execute_tx(world, tx)
+    with pytest.raises(InsufficientBalance):
+        shadow_run(world, [], tx)
 
 
 def test_shadow_run_with_empty_prefix_skips_the_cache(pool):

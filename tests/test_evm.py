@@ -400,13 +400,18 @@ def test_out_of_gas_rolls_back_storage():
 
 
 def test_out_of_gas_rolls_back_balances():
-    # CALL(gas 0, to 0x2222, value 100, ...) then loop forever
+    # tx.value 50 in, CALL(gas 0, to 0x2222, value 100, ...), then loop
+    # forever: the rollback returns the input world, untouched
     hx = ("6000" * 2 + "6000" * 2 + "6064" + "612222" + "6000" + "f1" + "50"
           + "5b" + "610011" + "56")
     w = world_with(bundle_from_hex(hx), accounts=[(ACCT, 10**18), (AT, 500)])
+    before = dict(w.accounts)
     w2, res = execute_tx(w, Transaction(function_call="raw", call_data=RAW4,
-                                        gas=4000, source=ACCT, destination=AT))
+                                        value=50, gas=4000, source=ACCT,
+                                        destination=AT))
     assert res.halt == "OUT_OF_GAS"
+    assert w2 is w
+    assert w.accounts == before
     assert w2.balance(AT) == 500
     assert w2.balance(0x2222) == 0
 
@@ -443,14 +448,20 @@ def test_committed_storage_is_independent_of_input_and_other_runs():
 
 
 def test_value_transfer_moves_balance():
-    w, res = run_raw("00", value=250, accounts=[(ACCT, 1000)])
-    assert w.balance(ACCT) == 750
-    assert w.balance(AT) == 250
+    # into a new accounts dict of int balances; the input's stays as it was
+    w = world_with(bundle_from_hex("00"), accounts=[(ACCT, 1000)])
+    before = dict(w.accounts)
+    w2, _ = execute_tx(w, Transaction(function_call="raw", call_data=RAW4,
+                                      value=250, source=ACCT, destination=AT))
+    assert w2.accounts == {ACCT: 750, AT: 250}
+    assert all(type(b) is int for b in w2.accounts.values())
+    assert w2.accounts is not w.accounts
+    assert w.accounts == before
 
 
 def test_balance_is_conserved():
     w, _ = run_raw("00", value=250, accounts=[(ACCT, 1000), (0x1002, 77)])
-    assert sum(a.balance for a in w.accounts.values()) == 1077
+    assert sum(w.accounts.values()) == 1077
 
 
 # -- errors --------------------------------------------------------------------
@@ -499,6 +510,30 @@ def test_duplicate_genesis_account():
 def test_empty_genesis_rejected():
     with pytest.raises(ValueError):
         new_world([])
+
+
+# -- world values ------------------------------------------------------------
+
+
+def test_deploy_leaves_its_input_and_shares_what_it_keeps():
+    w, _ = run_raw("6005600055" + "00")  # a world whose storage at AT is {0: 5}
+    accounts, deployed = dict(w.accounts), dict(w.deployed)
+    storage = {a: dict(s) for a, s in w.storage.items()}
+    other = bundle_from_hex("00", "other")
+    w2 = deploy(w, other, 0xB0B)
+    assert w.accounts == accounts and w.deployed == deployed
+    assert w.storage == storage
+    assert w2.storage[AT] is w.storage[AT]
+    assert w2.deployed[AT] is w.deployed[AT]
+    assert w2.block is w.block
+    assert w2.storage[0xB0B] == {} and w2.deployed[0xB0B] is other
+    assert list(w2.accounts.items()) == [*accounts.items(), (0xB0B, 0)]
+
+
+def test_block_ctx_is_immutable():
+    w = world_with(bundle_from_hex("00"))
+    with pytest.raises(AttributeError):
+        w.block.timestamp = 5
 
 
 # -- dispatcher, ABI args, fallback -------------------------------------------
@@ -857,7 +892,7 @@ def _toy_world():
 def _world_state(w):
     return (
         w.storage_view(),
-        {a: acc.balance for a, acc in w.accounts.items()},
+        dict(w.accounts),
         (w.block.timestamp, w.block.number),
     )
 

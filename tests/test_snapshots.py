@@ -47,7 +47,7 @@ def _bump(v: int, delay: int = 0) -> Transaction:
 
 def _state(world):
     return (
-        sorted((a, acc.balance) for a, acc in world.accounts.items()),
+        sorted(world.accounts.items()),
         world.storage_view(),
         world.block.timestamp,
         world.block.number,
