@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .abi import FunctionSig
 from .decode import Instr, decode
-from .opcodes import OPCODES, TERMINATORS, lookup
+from .opcodes import OPCODES, TERMINATORS
 
 _JUMP = 0x56
 _JUMPI = 0x57
@@ -31,8 +31,7 @@ class BasicBlock:
 
     @property
     def end(self) -> int:
-        last = self.instrs[-1]
-        return last.end
+        return self.instrs[-1].end
 
     @property
     def terminator(self) -> str:
@@ -93,7 +92,6 @@ def _const_stack_walk(instrs: tuple[Instr, ...]) -> dict[int, int | None]:
     stack: list[int | None] = []
     targets: dict[int, int | None] = {}
     for ins in instrs:
-        op = lookup(ins.code) if ins.code in OPCODES else None
         if ins.code == _JUMP or ins.code == _JUMPI:
             targets[ins.offset] = stack[-1] if stack else None
             if stack:
@@ -113,12 +111,11 @@ def _const_stack_walk(instrs: tuple[Instr, ...]) -> dict[int, int | None]:
             else:
                 stack = [None] * (n + 1 - len(stack)) + stack
                 stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
-        else:
-            info = op or OPCODES[0xFE]
-            pops = info.pops if op else 0
-            for _ in range(min(pops, len(stack))):
+        elif ins.code in OPCODES:  # an unknown byte moves nothing
+            op = OPCODES[ins.code]
+            for _ in range(min(op.pops, len(stack))):
                 stack.pop()
-            stack.extend([None] * info.pushes)
+            stack.extend([None] * op.pushes)
     return targets
 
 
@@ -135,75 +132,63 @@ def build_cfg(bytecode: bytes) -> Cfg:
             if i + 1 < len(instrs):
                 leaders.add(instrs[i + 1].offset)
 
-    # slice instruction list into blocks
-    blocks: dict[int, BasicBlock] = {}
-    order = sorted(leaders)
-    index_of = {ins.offset: i for i, ins in enumerate(instrs)}
-    starts = order + [instrs[-1].end]
+    # slice the instruction list into blocks, each led by a leader
+    bodies: dict[int, list[Instr]] = {}
     block_of: dict[int, int] = {}
+    for ins in instrs:
+        if ins.offset in leaders:
+            start = ins.offset
+            bodies[start] = []
+        bodies[start].append(ins)
+        block_of[ins.offset] = start
+    order = list(bodies)
     jump_targets: dict[int, int | None] = {}
-    for bi, start in enumerate(order):
-        stop = starts[bi + 1]
-        body = []
-        i = index_of[start]
-        while i < len(instrs) and instrs[i].offset < stop:
-            body.append(instrs[i])
-            block_of[instrs[i].offset] = start
-            i += 1
-        body_t = tuple(body)
-        jump_targets.update(_const_stack_walk(body_t))
-        blocks[start] = BasicBlock(start, body_t, ())
+    for body in bodies.values():
+        jump_targets.update(_const_stack_walk(tuple(body)))
 
     valid_dest = {ins.offset for ins in instrs if ins.code == _JUMPDEST}
 
     # successor edges
-    edges: list[tuple[int, int]] = []
+    blocks: dict[int, BasicBlock] = {}
+    preds: dict[int, list[int]] = {b: [] for b in order}
     for bi, start in enumerate(order):
-        blk = blocks[start]
-        last = blk.instrs[-1]
+        body = tuple(bodies[start])
+        last = body[-1]
         succs: list[int] = []
         unresolved = False
-        if last.code == _JUMP:
+        if last.code == _JUMP or last.code == _JUMPI:
             t = jump_targets.get(last.offset)
             if t is not None and t in valid_dest:
                 succs.append(block_of[t])
             else:
                 unresolved = True
-        elif last.code == _JUMPI:
-            t = jump_targets.get(last.offset)
-            if t is not None and t in valid_dest:
-                succs.append(block_of[t])
-            else:
-                unresolved = True
-            if bi + 1 < len(order):
-                succs.append(order[bi + 1])
-        elif last.code in TERMINATORS:
-            pass
-        else:  # fallthrough
-            if bi + 1 < len(order):
-                succs.append(order[bi + 1])
-        blocks[start] = BasicBlock(start, blk.instrs, tuple(succs), unresolved)
-        edges.extend((start, s) for s in succs)
-
-    preds: dict[int, list[int]] = {b: [] for b in order}
-    for a, b in edges:
-        preds[b].append(a)
+        falls = last.code == _JUMPI or (
+            last.code != _JUMP and last.code not in TERMINATORS
+        )
+        if falls and bi + 1 < len(order):
+            succs.append(order[bi + 1])
+        blocks[start] = BasicBlock(start, body, tuple(succs), unresolved)
+        for succ in succs:
+            preds[succ].append(start)
     preds_t = {b: tuple(ps) for b, ps in preds.items()}
 
     cfg = Cfg(blocks, order, preds_t, block_of, {}, instrs)
-    cfg.dispatch = _recover_dispatch(cfg)
+    cfg.dispatch = _recover_dispatch(cfg, jump_targets)
     return cfg
 
 
-def _recover_dispatch(cfg: Cfg) -> dict[bytes, int]:
-    """Match PUSH4 <sel> .. EQ .. JUMPI(resolved) inside each block."""
+def _recover_dispatch(
+    cfg: Cfg, jump_targets: dict[int, int | None]
+) -> dict[bytes, int]:
+    """Match PUSH4 <sel> .. EQ .. JUMPI(resolved) inside each block;
+    jump_targets is build_cfg's _const_stack_walk of every block."""
     out: dict[bytes, int] = {}
     for start in cfg.order:
         blk = cfg.blocks[start]
         last = blk.instrs[-1]
         if last.code != _JUMPI:
             continue
-        t = _const_stack_walk(blk.instrs).get(last.offset)
+        t = jump_targets.get(last.offset)
         if t is None or t not in cfg.block_of:
             continue
         sel = None

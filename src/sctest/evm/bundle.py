@@ -10,7 +10,7 @@ from ..bytecode.abi import FunctionSig, parse_abi
 from ..bytecode.cfg import Cfg, build_cfg, resolve_entries
 from ..errors import SchemaError
 from .image import CodeImage
-from .types import parse_addr
+from .types import DEFAULT_TIMESTAMP, parse_addr
 
 
 @dataclass
@@ -95,16 +95,16 @@ DEFAULT_DEPLOY_AT = 0xC0DE
 
 
 def genesis_config(bundle: ContractBundle) -> dict:
-    """Normalized genesis parameters for a bundle (world.json or defaults)."""
+    """Normalized genesis parameters for a bundle (world.json or
+    defaults): accounts, deploy_at, timestamp and number."""
     cfg = bundle.world_config or {}
     accounts = [
         (parse_addr(a["address"]), int(a["balance"]))
         for a in cfg.get("accounts", [])
     ] or list(DEFAULT_ACCOUNTS)
-    deploy_at = parse_addr(cfg.get("deploy_at", DEFAULT_DEPLOY_AT))
-    out = {"accounts": accounts, "deploy_at": deploy_at}
-    if "timestamp" in cfg:
-        out["timestamp"] = int(cfg["timestamp"])
-    if "number" in cfg:
-        out["number"] = int(cfg["number"])
-    return out
+    return {
+        "accounts": accounts,
+        "deploy_at": parse_addr(cfg.get("deploy_at", DEFAULT_DEPLOY_AT)),
+        "timestamp": int(cfg.get("timestamp", DEFAULT_TIMESTAMP)),
+        "number": int(cfg.get("number", 1)),
+    }

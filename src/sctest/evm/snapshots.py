@@ -13,33 +13,19 @@ from collections import OrderedDict
 
 from .._kernels import keccak256
 from .engine import execute_sequence
-from .types import Transaction
+from .types import Transaction, tx_doc
 from .world import EvmWorld
 
 # worlds a cache keeps, least recently used dropped first
 MAX_WORLDS = 1024
 
 
-def _tx_json(tx: Transaction) -> dict:
-    args = None
-    if tx.args is not None:
-        args = ["0x" + a.hex() if isinstance(a, bytes) else a for a in tx.args]
-    return {
-        "function": tx.function_call,
-        "args": args,
-        "call_data": tx.call_data.hex() if tx.call_data is not None else None,
-        "delay": tx.delay,
-        "gas": tx.gas,
-        "source": f"0x{tx.source:040x}",
-        "destination": f"0x{tx.destination:040x}",
-        "value": tx.value,
-    }
-
-
 def prefix_key(prefix: list[Transaction] | tuple[Transaction, ...]) -> bytes:
-    """32-byte digest of the canonical prefix serialization."""
+    """32-byte digest of the prefix's transaction documents (tx_doc),
+    each with its destination written out: two prefixes share a key
+    only when every field that changes what they do is equal."""
     doc = json.dumps(
-        [_tx_json(tx) for tx in prefix], sort_keys=True, separators=(",", ":")
+        [tx_doc(tx) for tx in prefix], sort_keys=True, separators=(",", ":")
     )
     return keccak256(doc.encode())
 

@@ -96,6 +96,40 @@ class Transaction(_TxFields):
         return tx
 
 
+def tx_doc(tx: Transaction, destination: int | None = None) -> dict:
+    """The JSON document of a transaction, the one test-case ids, saved
+    corpora and snapshot keys are all built from.
+
+    It always holds function, args, sender, value and delay; call_data
+    only when set, gas only when it is not DEFAULT_GAS, and destination
+    only when it differs from `destination`, the one the reader implies
+    (None implies none, so the key is always written)."""
+    args = []
+    for a in tx.args or ():
+        if isinstance(a, bytes):
+            args.append("0x" + a.hex())
+        elif isinstance(a, tuple):
+            args.append(list(a))
+        elif isinstance(a, bool):
+            args.append(a)
+        else:
+            args.append(int(a))
+    doc = {
+        "function": tx.function_call,
+        "args": args,
+        "sender": f"0x{tx.source:040x}",
+        "value": tx.value,
+        "delay": tx.delay,
+    }
+    if tx.call_data is not None:
+        doc["call_data"] = "0x" + tx.call_data.hex()
+    if tx.gas != DEFAULT_GAS:
+        doc["gas"] = tx.gas
+    if tx.destination != destination:
+        doc["destination"] = f"0x{tx.destination:040x}"
+    return doc
+
+
 class ExecResult(NamedTuple):
     halt: str  # STOP | RETURN | REVERT | INVALID | OUT_OF_GAS
     return_data: bytes

@@ -3,7 +3,7 @@ and block metadata."""
 
 from dataclasses import dataclass, field
 
-from ..errors import AddressInUse, DuplicateAddress
+from ..errors import AddressInUse, DuplicateAddress, SctestError
 from .bundle import ContractBundle, genesis_config
 from .types import DEFAULT_TIMESTAMP, BlockCtx
 
@@ -66,14 +66,22 @@ def deploy(world: EvmWorld, contract: ContractBundle, at: int) -> EvmWorld:
     )
 
 
+def contract_under_test(world: EvmWorld) -> int:
+    """The address of the world's one deployed contract, the contract a
+    campaign fuzzes and replay probes; raises SctestError when the world
+    holds none or several."""
+    if len(world.deployed) != 1:
+        raise SctestError(
+            f"need a single deployed contract, found {len(world.deployed)}"
+        )
+    (address,) = world.deployed
+    return address
+
+
 def make_world(bundle: ContractBundle) -> tuple[EvmWorld, int]:
     """Genesis world for a bundle per its world.json (or defaults);
     returns (world, contract address)."""
     cfg = genesis_config(bundle)
-    world = new_world(
-        cfg["accounts"],
-        timestamp=cfg.get("timestamp", DEFAULT_TIMESTAMP),
-        number=cfg.get("number", 1),
-    )
+    world = new_world(cfg["accounts"], cfg["timestamp"], cfg["number"])
     world = deploy(world, bundle, cfg["deploy_at"])
     return world, cfg["deploy_at"]

@@ -73,6 +73,7 @@ from ..coverage.covmap import CoverageMap, absorb, coverage_record, merge_result
 from ..errors import SctestError
 from ..evm.engine import execute_sequence, execute_tx
 from ..evm.types import DEFAULT_GAS, ExecResult, Transaction
+from ..evm.world import contract_under_test
 from .corpus import BugReport, Corpus, Finding, TestCase
 from .mutate import Candidate, initial_candidate, mutate, mutation_plan
 from .target import ConcreteCall, FuzzTarget
@@ -152,19 +153,15 @@ def detect_bugs(
     Returns (kind, pc, function, message) tuples: one assert_failure per
     INVALID halt in `results`, plus one property_violation for every
     property function in `abi` that reverts or returns the zero word
-    when probed against `world_after` from its first account.
+    when probed against `world_after` from its first account.  The
+    probes go to `destination`, or when it is None to the world's
+    contract_under_test, which raises unless exactly one is deployed.
     """
     out = _detect_asserts(txs, results, world_after)
     props = [s for s in abi if s.is_property]
     if props:
         if destination is None:
-            deployed = sorted(world_after.deployed)
-            if len(deployed) != 1:
-                raise SctestError(
-                    "property probes need a single deployed contract or"
-                    " an explicit destination"
-                )
-            destination = deployed[0]
+            destination = contract_under_test(world_after)
         sender = next(iter(world_after.accounts))
         out += _probe_properties(world_after, props, sender, destination)
     return out
@@ -193,10 +190,7 @@ class Campaign:
     executions: int = 0
 
     def __post_init__(self):
-        deployed = sorted(self.world.deployed)
-        if len(deployed) != 1:
-            raise SctestError("campaign needs a single deployed contract")
-        self.destination = deployed[0]
+        self.destination = contract_under_test(self.world)
         abi = self.world.deployed[self.destination].resolved_abi
         self._props = [s for s in abi if s.is_property]
         self.default_sender = next(iter(self.world.accounts))
@@ -458,43 +452,40 @@ def run_campaign(
 
 
 def _replay_entries(world, corpus: Corpus):
-    """Run each corpus entry once from genesis.
+    """Run each corpus entry once from genesis and judge it with
+    detect_bugs against the world's contract_under_test, which raises
+    unless exactly one contract is deployed.
 
     Yields (index, results, world after, raw findings) for every entry
-    that runs.  Entries naming functions the deployed contract no longer
-    exposes, or whose sequence raises, are marked stale in their delta
-    record and skipped.
+    that runs.  Entries sent to an address without code, calling by
+    name a function the contract no longer exposes, or whose sequence
+    raises, are marked stale in their delta record and skipped.
     """
-    deployed = sorted(world.deployed)
-    destination = deployed[0] if len(deployed) == 1 else None
-    props, sender = [], None
-    if destination is not None:
-        props = [s for s in world.deployed[destination].resolved_abi if s.is_property]
-        sender = next(iter(world.accounts))
+    destination = contract_under_test(world)
+    abi = world.deployed[destination].resolved_abi
 
     for i, tc in enumerate(corpus.entries):
+        txs = list(tc.txs)
         stale = any(
             world.deployed.get(tx.destination) is None
             or (
-                tx.function_call is not None
+                tx.call_data is None  # raw calldata runs whatever it names
                 and tx.function_call not in world.deployed[tx.destination].by_name
             )
-            for tx in tc.txs
+            for tx in txs
         )
-        world_after, results = world, []
         if not stale:
             try:
-                world_after, results = execute_sequence(world, list(tc.txs))
+                world_after, results = execute_sequence(world, txs)
             except SctestError:
                 stale = True
         if stale:
             if i < len(corpus.deltas):
                 corpus.deltas[i]["stale"] = True
             continue
-        raw = _detect_asserts(list(tc.txs), results, world_after)
-        if destination is not None:
-            raw += _probe_properties(world_after, props, sender, destination)
-        yield i, results, world_after, raw
+        yield i, results, world_after, detect_bugs(
+            results, world_after, abi, txs, destination
+        )
 
 
 def replay(world, corpus: Corpus) -> tuple[CoverageMap, BugReport]:
@@ -502,7 +493,8 @@ def replay(world, corpus: Corpus) -> tuple[CoverageMap, BugReport]:
 
     Entries naming functions the deployed contract no longer exposes are
     marked stale in their delta record and skipped; replay never fails
-    on them.
+    on them.  The world must hold exactly one deployed contract
+    (contract_under_test), or replay raises SctestError.
     """
     coverage = CoverageMap()
     report = BugReport()
@@ -538,7 +530,9 @@ def minimize_corpus(world, corpus: Corpus, report: BugReport) -> Corpus:
     Every entry replays from genesis on its own, so the replay of any
     subset is the union of its entries' bits and finding keys.  Each
     entry is therefore run once, and each greedy trial is a union over
-    the kept entries, not a replay; stale entries add nothing."""
+    the kept entries, not a replay; stale entries add nothing.  Like
+    replay, it raises SctestError unless the world holds exactly one
+    deployed contract (contract_under_test)."""
     protected = {f.testcase_id for f in report.findings}
     entries = list(corpus.entries)
     deltas = list(corpus.deltas)

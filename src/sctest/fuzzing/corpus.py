@@ -7,48 +7,29 @@ time.  Findings point back at the test case that produced them.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 from ..bytecode.hashing import keccak256
-from ..evm.types import Transaction
-
-
-def _tx_doc(tx: Transaction) -> dict:
-    args = []
-    for a in tx.args or ():
-        if isinstance(a, bytes):
-            args.append("0x" + a.hex())
-        elif isinstance(a, tuple):
-            args.append(list(a))
-        elif isinstance(a, bool):
-            args.append(a)
-        else:
-            args.append(int(a))
-    return {
-        "function": tx.function_call,
-        "args": args,
-        "sender": f"0x{tx.source:040x}",
-        "value": tx.value,
-        "delay": tx.delay,
-    }
+from ..evm.types import DEFAULT_GAS, Transaction, parse_addr, tx_doc
 
 
 def _tx_from_doc(doc: dict, destination: int) -> Transaction:
-    args = []
-    for a in doc["args"]:
-        if isinstance(a, str) and a.startswith("0x"):
-            args.append(bytes.fromhex(a[2:]))
-        elif isinstance(a, list):
-            args.append(tuple(int(x) for x in a))
-        else:
-            args.append(a)
+    """The transaction tx_doc wrote, sent to `destination` unless the
+    document names its own.  Transaction turns array lists to tuples."""
+    args = [bytes.fromhex(a[2:]) if isinstance(a, str) else a for a in doc["args"]]
+    call_data = doc.get("call_data")
+    if call_data is not None:
+        call_data = bytes.fromhex(call_data[2:])
     return Transaction(
         function_call=doc["function"],
-        args=tuple(args),
+        # raw calldata drives encoding; its args were written as []
+        args=None if call_data is not None and not args else args,
+        call_data=call_data,
+        gas=int(doc.get("gas", DEFAULT_GAS)),
         source=int(doc["sender"], 16),
-        destination=destination,
+        destination=parse_addr(doc.get("destination", destination)),
         value=int(doc.get("value", 0)),
         delay=int(doc.get("delay", 0)),
     )
@@ -58,22 +39,40 @@ def _tx_from_doc(doc: dict, destination: int) -> Transaction:
 class TestCase:
     """An ordered transaction list, identified by its canonical digest.
 
-    The id is computed once per instance: txs is an immutable tuple of
-    frozen transactions, so the digest cannot go stale.
+    The id is a Keccak digest of each transaction's tx_doc, which
+    implies the case's first destination: it covers function, args,
+    sender, value, delay, raw calldata, gas, and the destination of
+    every transaction that goes elsewhere than the first.  So a case
+    moved as a whole to another contract keeps its id, and any other
+    change makes a new one.  The id is computed once per instance: txs
+    is an immutable tuple of frozen transactions, so the digest cannot
+    go stale.
     """
 
     txs: tuple[Transaction, ...]
 
+    def _tx_docs(self) -> list[dict]:
+        first = self.txs[0].destination if self.txs else None
+        return [tx_doc(t, first) for t in self.txs]
+
     @cached_property
     def id(self) -> str:
-        doc = json.dumps([_tx_doc(t) for t in self.txs], sort_keys=True)
+        doc = json.dumps(self._tx_docs(), sort_keys=True)
         return keccak256(doc.encode()).hex()[:32]
 
     def to_doc(self) -> dict:
-        return {"id": self.id, "txs": [_tx_doc(t) for t in self.txs]}
+        """{"id", "txs"}, plus "destination" (the first transaction's,
+        which the tx documents imply) when the case has transactions."""
+        doc = {"id": self.id, "txs": self._tx_docs()}
+        if self.txs:
+            doc["destination"] = f"0x{self.txs[0].destination:040x}"
+        return doc
 
     @staticmethod
     def from_doc(doc: dict, destination: int) -> "TestCase":
+        """The case to_doc wrote; `destination` stands in for a document
+        that records none."""
+        destination = doc.get("destination", destination)
         return TestCase(tuple(_tx_from_doc(t, destination) for t in doc["txs"]))
 
 
@@ -86,13 +85,7 @@ class Finding:
     message: str
 
     def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "pc": self.pc,
-            "function": self.function,
-            "testcase_id": self.testcase_id,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -121,7 +114,9 @@ class Corpus:
         return len(self.entries)
 
     def save(self, directory: str | Path) -> None:
-        """One JSON file per entry, named by id; stable across runs."""
+        """One JSON file per entry, named <index>_<id>.json; stable
+        across runs.  A file holds the case's to_doc ("id", "txs" and
+        "destination") and its "coverage_delta"."""
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         for i, (tc, delta) in enumerate(zip(self.entries, self.deltas)):
@@ -132,6 +127,9 @@ class Corpus:
 
     @staticmethod
     def load(directory: str | Path, destination: int) -> "Corpus":
+        """The corpus save wrote, in file-name order.  Each case goes to
+        the destination its file records; `destination` is for files
+        that record none."""
         corpus = Corpus()
         for path in sorted(Path(directory).glob("*.json")):
             doc = json.loads(path.read_text())

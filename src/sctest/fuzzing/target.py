@@ -181,9 +181,7 @@ class _LineParser:
 
     def _parse_tail(self, tail: str, line: int, base_col: int):
         sender, value, delay = None, 0, 0
-        consumed = []
         for m in _TAIL_RE.finditer(tail):
-            consumed.append((m.start(), m.end()))
             word, tok = m.group(1), m.group(2)
             col = base_col + m.start(2) + 1
             if word == "from":
@@ -204,13 +202,10 @@ class _LineParser:
                     value = v
                 else:
                     delay = v
-        leftover = tail
-        for s, e in reversed(consumed):
-            leftover = leftover[:s] + leftover[e:]
-        if leftover.strip():
+        leftover = _TAIL_RE.sub("", tail).strip()  # what no clause matched
+        if leftover:
             self.error(
-                "E000", line, base_col + 1,
-                f"unexpected trailing text {leftover.strip()!r}",
+                "E000", line, base_col + 1, f"unexpected trailing text {leftover!r}"
             )
         return sender, value, delay
 

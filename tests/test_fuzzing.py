@@ -1,12 +1,13 @@
 """Fuzz-target DSL, mutation, campaign, corpus, and replay tests."""
 
+import json
 import random
 from dataclasses import replace
 from itertools import accumulate
 
 import pytest
 
-from sctest.bytecode.abi import AbiType, FunctionSig
+from sctest.bytecode.abi import AbiType, FunctionSig, encode_call
 from sctest.bytecode.asm import Asm, dispatcher
 from sctest.coverage import (
     PARTIALLY_COVERED,
@@ -17,7 +18,8 @@ from sctest.coverage import (
 from sctest.evm.bundle import ContractBundle, load_bundle
 from sctest.evm.engine import execute_sequence as engine_execute_sequence
 from sctest.evm.types import DEFAULT_GAS, Transaction
-from sctest.evm.world import make_world
+from sctest.errors import SctestError
+from sctest.evm.world import contract_under_test, deploy, make_world
 from sctest.fuzzing import (
     ASSERT_FAILURE,
     PROPERTY_VIOLATION,
@@ -404,6 +406,48 @@ def test_testcase_id_is_canonical():
     assert len(tc.id) == 32 and int(tc.id, 16) >= 0
     other = FuzzCase(tuple(camp._setup_txs[:1]))
     assert other.id != tc.id
+    assert len(FuzzCase(()).id) == 32  # drive keys position-0 prefixes by it
+
+
+def _id_tx(**fields) -> Transaction:
+    return Transaction(
+        **{"function_call": "f", "args": (1,), "source": 0x1001,
+           "destination": 0xC0DE, **fields}
+    )
+
+
+def _raw_tx(hex_data: str, **fields) -> Transaction:
+    return _id_tx(function_call=None, args=None,
+                  call_data=bytes.fromhex(hex_data), **fields)
+
+
+@pytest.mark.parametrize(
+    "one, other",
+    [
+        ((_raw_tx("deadbeef"),), (_raw_tx("12345678"),)),
+        ((_id_tx(), _id_tx()), (_id_tx(), _id_tx(destination=0xB0B))),
+        ((_id_tx(),), (_id_tx(gas=50_000),)),
+        ((_id_tx(args=(True,)),), (_id_tx(args=(1,)),)),
+        ((_id_tx(),), (_id_tx(value=1),)),
+        ((_id_tx(),), (_id_tx(delay=1),)),
+        ((_id_tx(),), (_id_tx(source=0x1002),)),
+    ],
+    ids=["call_data", "destination", "gas", "bool_vs_int", "value", "delay",
+         "sender"],
+)
+def test_testcase_id_covers_every_field(one, other):
+    assert FuzzCase(one).id != FuzzCase(other).id
+
+
+def test_testcase_id_implies_the_first_destination():
+    # a case moved whole to another contract keeps its id: the id names
+    # what the case does to its contract under test
+    here = (_id_tx(), _id_tx(args=(2,)))
+    there = tuple(tx._replace(destination=0xB0B) for tx in here)
+    assert FuzzCase(here).id == FuzzCase(there).id
+    assert FuzzCase(here).to_doc()["destination"] != FuzzCase(there).to_doc()[
+        "destination"
+    ]
 
 
 def test_campaign_transactions_match_keyword_built_ones():
@@ -451,14 +495,29 @@ def test_corpus_save_load_roundtrip(tmp_path):
     t = parse_target(POOL_TARGET, bundle.resolved_abi)
     _, corpus, _ = run_campaign(world, t, {"execs": 300}, rng_seed=42)
     assert len(corpus) >= 1
+    # raw calldata, a gas limit and a second destination round-trip too
+    raw = Transaction(None, call_data=bytes.fromhex("deadbeef"), source=0x1001,
+                      destination=at, gas=50_000)
+    call = Transaction("f", (1, b"\x01", (2, 3), True), source=0x1002,
+                       destination=0xB0B, value=5, delay=7)
+    corpus.add(FuzzCase((raw, call)), {"new_instructions": 1, "new_paths": 1})
+    corpus.add(FuzzCase((call, raw)), {"new_instructions": 2, "new_paths": 0})
     corpus.save(tmp_path / "corpus")
     files = sorted((tmp_path / "corpus").glob("*.json"))
     assert len(files) == len(corpus)
     for i, (f, tc) in enumerate(zip(files, corpus.entries)):
         assert f.name == f"{i:04d}_{tc.id}.json"
-    loaded = Corpus.load(tmp_path / "corpus", destination=at)
+    loaded = Corpus.load(tmp_path / "corpus", destination=0xF00)
     assert [e.id for e in loaded.entries] == [e.id for e in corpus.entries]
+    assert [e.txs for e in loaded.entries] == [e.txs for e in corpus.entries]
     assert loaded.deltas == corpus.deltas
+    # a file that records no destination falls back to load's argument
+    # for every transaction that does not name its own
+    doc = json.loads(files[-2].read_text())
+    del doc["destination"]
+    files[-2].write_text(json.dumps(doc))
+    legacy = Corpus.load(tmp_path / "corpus", destination=0xF00).entries[-2]
+    assert [tx.destination for tx in legacy.txs] == [0xF00, 0xB0B]
 
 
 # -- campaign -----------------------------------------------------------------
@@ -1102,6 +1161,46 @@ def test_replay_marks_stale_entries_nonfatally():
     cov, report = replay(gate_world, corpus)
     assert cov.bits == {} and report.findings == []
     assert all(d.get("stale") for d in corpus.deltas)
+
+    # raw calldata runs whatever function name it carries
+    raw = Transaction("notInTheAbi", call_data=encode_call(gate.abi[0], (11,)),
+                      source=0x1001, destination=at)
+    raw_corpus = Corpus([FuzzCase((raw,))], [{}])
+    _, report = replay(gate_world, raw_corpus)
+    assert raw_corpus.deltas == [{}]
+    assert [(f.kind, f.function) for f in report.findings] == [(ASSERT_FAILURE, "poke")]
+
+
+def test_replay_needs_a_single_contract_under_test():
+    pool = load_bundle(FIXTURES / "pool")
+    world, at = make_world(pool)
+    tc = FuzzCase(
+        (
+            Transaction("mintDyad", (0, 7), source=0x1001, destination=at),
+            Transaction("redeemable", (0, 7), source=0x1002, destination=at),
+            Transaction("deposit", (0x1002, 0, 7), source=0x1001, destination=at),
+        )
+    )
+    corpus = Corpus([tc], [{}])
+    _, report = replay(world, corpus)
+    assert [(f.kind, f.function) for f in report.findings] == [
+        (PROPERTY_VIOLATION, "prop_balanced")
+    ]
+    assert contract_under_test(world) == at
+    two = deploy(world, load_bundle(FIXTURES / "ballot"), 0xB0B)
+    with pytest.raises(SctestError, match="found 2"):
+        replay(two, corpus)
+    with pytest.raises(SctestError, match="found 2"):
+        minimize_corpus(two, corpus, report)
+    with pytest.raises(SctestError, match="found 2"):
+        Campaign(two, seed_initial_target(pool.resolved_abi), rng_seed=0)
+    after, results = engine_execute_sequence(two, list(tc.txs))
+    with pytest.raises(SctestError, match="found 2"):
+        detect_bugs(results, after, pool.resolved_abi, list(tc.txs))
+    # an explicit destination still probes that contract
+    found = detect_bugs(results, after, pool.resolved_abi, list(tc.txs), at)
+    assert [(k, fn) for k, _, fn, _ in found] == [(PROPERTY_VIOLATION, "prop_balanced")]
+    assert corpus.deltas == [{}]  # nothing was marked stale
 
 
 def test_minimize_drops_duplicate_entries():

@@ -63,10 +63,22 @@ def test_prefix_key_is_32_bytes_and_stable():
 
 def test_prefix_key_sensitive_to_order_args_and_delay():
     base = prefix_key([_bump(1), _bump(2)])
-    assert prefix_key([_bump(2), _bump(1)]) != base
-    assert prefix_key([_bump(1), _bump(3)]) != base
-    assert prefix_key([_bump(1), _bump(2, delay=1)]) != base
-    assert prefix_key([_bump(1)]) != base
+    variants = [
+        [_bump(2), _bump(1)],
+        [_bump(1), _bump(3)],
+        [_bump(1), _bump(2, delay=1)],
+        [_bump(1)],
+        [_bump(1), _bump(2)._replace(value=1)],
+        [_bump(1), _bump(2)._replace(gas=50_000)],
+        [_bump(1), _bump(2)._replace(destination=0xB0B)],
+        [_bump(1), _bump(2)._replace(call_data=bytes.fromhex("deadbeef"))],
+        [_bump(1), _bump(2)._replace(source=0x1002)],
+        # a moved first transaction: the key implies no destination
+        [_bump(1)._replace(destination=0xB0B), _bump(2)._replace(destination=0xB0B)],
+    ]
+    keys = [base] + [prefix_key(v) for v in variants]
+    assert len(set(keys)) == len(keys)
+    assert prefix_key([_bump(True)]) != prefix_key([_bump(1)])
 
 
 def test_cached_world_then_suffix_equals_direct_execution():
