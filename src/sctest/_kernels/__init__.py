@@ -11,9 +11,11 @@ interp_py runs one call frame in pure Python over a CodeImage
 (sctest.evm.image), a straight-line run at a time: it charges gas,
 records the trace and checks the stack once per run from the image's
 run table, and steps single instructions only where a run's gas or
-stack bounds do not hold.  It reads every table it needs from the image,
-so it imports nothing from sctest.bytecode (whose hashing module imports
-this package).  It inlines the two-operand arithmetic that
+stack bounds do not hold.  It holds no opcode facts of its own: gas,
+stack effects and the bytes that end a run come from
+sctest.bytecode.opcodes through the image's tables, so it imports
+nothing from sctest.bytecode (whose hashing module imports this
+package).  It inlines the two-operand arithmetic that
 sctest.bytecode.opcodes.BINOP defines; tests/test_evm.py holds the two
 to each other, and tests/test_concolic.py holds the kernel to the
 one-instruction-at-a-time shadow interpreter.  BACKEND names the frame

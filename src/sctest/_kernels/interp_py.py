@@ -10,7 +10,7 @@ module's own binding.
 The frame runs a straight-line run at a time.  The image's run table
 gives, for each instruction offset, the run from there to the next
 jump, halt, pause, SHA3 or GAS, with its summed static gas and the stack
-depth it needs and rises by (folded from the pops and pushes in
+depth it needs and rises by (folded from the gas, pops and pushes in
 sctest.bytecode.opcodes.OPCODES).  When the gas left covers the run and
 the stack depth is within its bounds, the kernel charges the run's gas
 and records its offsets in the trace once, and the handlers run with no
@@ -24,7 +24,8 @@ for the rest of the run and cuts the rest from the trace.
 
 Conventions:
 - all arithmetic is modulo 2^256; DIV/MOD by zero yield 0
-- gas is a flat per-instruction table (see _GAS); SHA3 adds 6 per word
+- gas is a flat per-instruction schedule, read from the image's tables
+  (Opcode.gas in sctest.bytecode.opcodes); SHA3 adds 6 per word
 - memory is a flat bytearray capped at 1 MiB; exceeding the cap is
   treated as resource exhaustion (out_of_gas halt)
 - stack underflow, stack overflow past 1024 words, bad jump targets,
@@ -46,17 +47,6 @@ MASK256 = (1 << 256) - 1
 ADDR_MASK = (1 << 160) - 1
 MEM_LIMIT = 1 << 20
 STACK_LIMIT = 1024
-
-# flat gas schedule: 3 default, 20 memory, 100 SLOAD, 200 SSTORE,
-# 30 (+6/word) SHA3, 500 call-class
-_GAS = [3] * 256
-for _c in (0x51, 0x52, 0x53, 0x37):
-    _GAS[_c] = 20
-_GAS[0x54] = 100
-_GAS[0x55] = 200
-_GAS[0x20] = 30
-for _c in (0xF0, 0xF1, 0xF4, 0xF5, 0xFA, 0xFF):
-    _GAS[_c] = 500
 
 
 def _ensure(memory: bytearray, end: int) -> bool:

@@ -1,9 +1,12 @@
 """Control-flow graph recovery from stack-machine bytecode.
 
-Blocks are led by offset 0, JUMPDESTs, and fall-through points after
-branches/terminators.  Jump targets are resolved only when the target is
-a constant pushed within the same block (the standard compiled-dispatch
-pattern); anything else is recorded as an unresolved edge.  Function
+Blocks are led by offset 0, JUMPDESTs, and the instruction after each
+block end: a jump or a byte that ends the frame (opcodes.BLOCK_ENDS,
+where the frame kernel's runs end too, so a halting or unknown byte
+never sits inside a block).  Jump targets are resolved only when the
+target is a constant pushed within the same block (the standard
+compiled-dispatch pattern); anything else is recorded as an unresolved
+edge.  Function
 entries come from the manifest or from matching the dispatcher pattern
 (PUSH4 selector / EQ / JUMPI); body ranges absent from the manifest are
 inferred as the dominator closure of the entry block.
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .abi import FunctionSig
 from .decode import Instr, decode
-from .opcodes import OPCODES, TERMINATORS
+from .opcodes import BLOCK_ENDS, lookup
 
 _JUMP = 0x56
 _JUMPI = 0x57
@@ -45,7 +48,7 @@ class Cfg:
     preds: dict[int, tuple[int, ...]]
     block_of: dict[int, int]  # instruction offset -> block start
     dispatch: dict[bytes, int]  # selector bytes -> entry offset
-    instrs: list[Instr] = field(default_factory=list)
+    instrs: list[Instr] = field(default_factory=list)  # every instruction, by offset
 
     def dominated_by(self, entry_block: int) -> list[int]:
         """Blocks (starts) whose every path from the CFG entry passes
@@ -111,8 +114,8 @@ def _const_stack_walk(instrs: tuple[Instr, ...]) -> dict[int, int | None]:
             else:
                 stack = [None] * (n + 1 - len(stack)) + stack
                 stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
-        elif ins.code in OPCODES:  # an unknown byte moves nothing
-            op = OPCODES[ins.code]
+        else:
+            op = lookup(ins.code)
             for _ in range(min(op.pops, len(stack))):
                 stack.pop()
             stack.extend([None] * op.pushes)
@@ -128,9 +131,8 @@ def build_cfg(bytecode: bytes) -> Cfg:
     for i, ins in enumerate(instrs):
         if ins.code == _JUMPDEST:
             leaders.add(ins.offset)
-        if ins.code in (_JUMP, _JUMPI) or ins.code in TERMINATORS:
-            if i + 1 < len(instrs):
-                leaders.add(instrs[i + 1].offset)
+        if ins.code in BLOCK_ENDS and i + 1 < len(instrs):
+            leaders.add(instrs[i + 1].offset)
 
     # slice the instruction list into blocks, each led by a leader
     bodies: dict[int, list[Instr]] = {}
@@ -162,9 +164,7 @@ def build_cfg(bytecode: bytes) -> Cfg:
                 succs.append(block_of[t])
             else:
                 unresolved = True
-        falls = last.code == _JUMPI or (
-            last.code != _JUMP and last.code not in TERMINATORS
-        )
+        falls = last.code == _JUMPI or last.code not in BLOCK_ENDS
         if falls and bi + 1 < len(order):
             succs.append(order[bi + 1])
         blocks[start] = BasicBlock(start, body, tuple(succs), unresolved)

@@ -213,14 +213,15 @@ def drive(
         for buf, digest in pairs:
             preimages.setdefault(int.from_bytes(digest, "big"), bytes(buf))
 
-    def instr_count() -> int:
-        return sum(b.bit_count() for b in coverage.bits.values())
-
-    def engine_run(txs) -> None:
+    def engine_run(txs) -> int:
+        """Run txs from the base world into the coverage; returns how
+        many instructions they covered for the first time."""
         after, results = execute_sequence(world, list(txs))
+        new = 0
         for r in results:
-            merge_result(coverage, r, after)
+            new += merge_result(coverage, r, after)
             harvest(r.sha_preimages)
+        return new
 
     def enqueue_flips(txs: tuple, position: int, run: ShadowRun) -> None:
         harvest(run.sha_preimages)
@@ -430,9 +431,7 @@ def drive(
                 continue
             pinned_tx = seed_tx._replace(args=resize_dynamic(seed_tx.args, pin))
             case_txs = tuple(prefix) + (pinned_tx,)
-            before = instr_count()
-            engine_run(case_txs)
-            gained = instr_count() > before
+            gained = engine_run(case_txs) > 0
             try:
                 run = shadow_run(world, list(prefix), pinned_tx, cache=cache)
             except SctestError:

@@ -15,16 +15,19 @@ the kernel makes when it steps, before the handler runs.  SHA3 charges
 its words in its handler, and memory grows through the kernel's own
 helper under the same cap.
 
-Symbolic values enter through call data only.  The argument layout maps
-ABI-encoded regions to Input atoms: static arguments are whole-word
-atoms, array elements are per-element atoms, bytes arguments are per-byte
-atoms, and each dynamic argument's length word is a "length" atom
-(head-word offsets stay concrete).  Reads that assemble several
-symbolic bytes into one word build shift-and-add trees that
-symexpr.simplify folds back to single atoms when the code later
-isolates a byte.
+Symbolic values enter through call data only, and only when it is
+encoded from structured args: raw call data (Transaction.call_data)
+runs with every word concrete, as the engine runs it.  The argument
+layout maps ABI-encoded regions to Input atoms: static arguments are
+whole-word atoms, array elements are per-element atoms, bytes arguments
+are per-byte atoms, and each dynamic argument's length word is a
+"length" atom (head-word offsets stay concrete).  Reads that assemble
+several symbolic bytes into one word build shift-and-add trees that
+symexpr.simplify folds back to single atoms when the code later isolates
+a byte.
 
-Execution stops collecting at the first CALL-class instruction: cross-
+Execution stops collecting at the first CALL-class instruction
+(opcodes.CALL_CLASS; SELFDESTRUCT halts as "selfdestruct"): cross-
 contract data flow stays concrete (the engine handles it when the
 materialized input is replayed).
 
@@ -51,8 +54,8 @@ from dataclasses import dataclass
 from .._kernels import keccak256
 from .._kernels.interp_py import STACK_LIMIT, _ensure
 from ..bytecode.abi import encode_call
-from ..bytecode.opcodes import BINOP, OPCODES
-from ..errors import SctestError, UnknownDestination
+from ..bytecode.opcodes import BINOP, CALL_CLASS, OPCODES
+from ..errors import MalformedCalldata, SctestError, UnknownDestination
 from ..evm.engine import _route, _TxCtx, execute_sequence
 from ..evm.snapshots import SnapshotCache
 from ..evm.types import Transaction
@@ -480,10 +483,10 @@ def _shadow_frame(
             del tags[len(tags) - n - 2 :]
             if size and not _ensure(memory, off + size):
                 return halt("out_of_gas")
-        elif op in (0xF0, 0xF1, 0xF4, 0xF5, 0xFA):  # CALL-class / CREATE
-            return halt("external_call")
-        elif op == 0xFF:  # SELFDESTRUCT
+        elif op == 0xFF:  # SELFDESTRUCT, ahead of the rest of CALL_CLASS
             return halt("selfdestruct")
+        elif op in CALL_CLASS:  # CALL-class / CREATE
+            return halt("external_call")
         elif op == 0x00:  # STOP
             return halt("stop")
         elif op in (0xF3, 0xFD):  # RETURN / REVERT
@@ -510,11 +513,15 @@ def shadow_run(
     cache: SnapshotCache | None = None,
 ) -> ShadowRun:
     """Execute tx with symbolic call-data shadowing after a concrete
-    prefix.  tx must carry structured args (the concrete seed values for
-    every symbolic parameter).  With a cache, a prefix seen before from
-    the same world starts from the cached world instead of being run
-    again.  The transaction starts as the engine starts it (_TxCtx), so
-    a source that cannot pay tx.value raises InsufficientBalance."""
+    prefix.  The calldata is the engine's: tx.call_data when set, run
+    with no Input atoms (nothing symbolic) and whatever tx.function_call
+    says; otherwise tx.args encoded for tx.function_call, which must be
+    in the ABI, each argument's seed value shadowed by its atoms.
+    Calldata under 4 bytes raises MalformedCalldata.  With a cache, a
+    prefix seen before from the same world starts from the cached world
+    instead of being run again.  The transaction starts as the engine
+    starts it (_TxCtx), so a source that cannot pay tx.value raises
+    InsufficientBalance."""
     prefix = list(prefix)
     if not prefix:
         base = world
@@ -525,12 +532,16 @@ def shadow_run(
     bundle = base.deployed.get(tx.destination)
     if bundle is None:
         raise UnknownDestination(f"0x{tx.destination:040x} has no code")
-    sig = bundle.by_name.get(tx.function_call)
-    if sig is None:
-        raise SctestError(f"function {tx.function_call!r} not in {bundle.name} ABI")
-    args = tx.args if tx.args is not None else ()
-    calldata = encode_call(sig, args)
-    layout = ArgLayout(sig, args)
+    calldata, layout = tx.call_data, None
+    if calldata is None:
+        sig = bundle.by_name.get(tx.function_call)
+        if sig is None:
+            raise SctestError(f"function {tx.function_call!r} not in {bundle.name} ABI")
+        args = tx.args if tx.args is not None else ()
+        calldata = encode_call(sig, args)
+        layout = ArgLayout(sig, args)
+    if len(calldata) < 4:
+        raise MalformedCalldata(f"calldata is {len(calldata)} bytes, need >= 4")
 
     ctx = _TxCtx(base, tx)  # the engine's block, value transfer and storage
     return _shadow_frame(

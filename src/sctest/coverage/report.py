@@ -24,7 +24,7 @@ class CoverageReport:
 def disassembly_lines(bundle: ContractBundle) -> list[tuple[int, str]]:
     """One line per instruction: (offset, rendered text)."""
     out = []
-    for ins in bundle.image.instrs:
+    for ins in bundle.cfg.instrs:
         if ins.imm_len:
             text = f"{ins.offset:#06x} {ins.name} {ins.imm:#x}"
         else:
@@ -37,7 +37,7 @@ def render_report(bundle: ContractBundle, map_: CoverageMap) -> CoverageReport:
     address = genesis_config(bundle)["deploy_at"]
     bits = map_.bits.get(address, 0)
     covered = bits.bit_count()
-    total = bundle.image.n_instr
+    total = len(bundle.cfg.instrs)
 
     lines: list[str] = [f"COVERAGE v1 {covered}/{total}"]
     if bundle.source is not None and bundle.linemap:

@@ -47,7 +47,7 @@ def extract_uncovered_functions(
         if sig.body_range is None:
             raise MissingBodyRange(sig.name)
         lo, hi = sig.body_range
-        body = [off for off in bundle.image.offsets if lo <= off < hi]
+        body = [i.offset for i in bundle.cfg.instrs if lo <= i.offset < hi]
         missed = tuple(off for off in body if not (bits >> off) & 1)
         if not missed:
             continue

@@ -1,30 +1,29 @@
-"""Preprocessed code arrays consumed by the frame interpreter kernels."""
+"""Preprocessed code arrays consumed by the frame interpreter kernels.
+
+Every per-opcode figure here (gas, pops, pushes, and the bytes that end
+a block) comes from sctest.bytecode.opcodes; this module only folds
+them into the run and step tables that run_frame and the shadow read.
+The instruction list itself is the CFG's (Cfg.instrs).
+"""
 
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .._kernels.interp_py import _GAS
-from ..bytecode.decode import Instr, decode
-from ..bytecode.opcodes import OPCODES, by_name
+from ..bytecode.decode import decode
+from ..bytecode.opcodes import BLOCK_ENDS, by_name, lookup
 
-# A run ends at every instruction that leaves the straight line, pauses
-# the frame, or needs the exact gas meter: SHA3 charges its per-word gas
-# in its handler and GAS reads the meter, so each must be last.
-RUN_ENDS = frozenset(
-    by_name(n).code
-    for n in (
-        "JUMP", "JUMPI", "STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT",
-        "CALL", "DELEGATECALL", "STATICCALL", "SHA3", "GAS",
-    )
-) | frozenset(range(256)).difference(OPCODES)  # an unknown byte halts
+# A run ends where a basic block does, at the calls that pause the frame
+# for the driver, and where a handler needs the exact gas meter: SHA3
+# charges its per-word gas itself and GAS reads the meter.
+RUN_ENDS = BLOCK_ENDS | {
+    by_name(n).code for n in ("CALL", "DELEGATECALL", "STATICCALL", "SHA3", "GAS")
+}
 
-# (pops, pushes - pops) per byte; an unknown byte halts before either
-_STACK = [(0, 0)] * 256
-for _op in OPCODES.values():
-    _STACK[_op.code] = (_op.pops, _op.pushes - _op.pops)
-
-# (gas, need, rise) of each byte taken as one instruction
-STEPS = tuple((_GAS[b], p, max(g, 0)) for b, (p, g) in enumerate(_STACK))
+# (gas, need, rise) of each byte taken as one instruction; a byte outside
+# the table is INVALID, which halts before its stack effect
+STEPS = tuple(
+    (op.gas, op.pops, max(op.pushes - op.pops, 0)) for op in map(lookup, range(256))
+)
 
 # the run entry at an offset inside a PUSH immediate: no gas left or
 # stack depth fits it, so the kernel steps the byte there
@@ -45,49 +44,35 @@ class CodeImage:
     kernel steps there."""
 
     code: bytes
-    instrs: tuple[Instr, ...]
     imm: tuple  # push immediate (int) at push offsets, None elsewhere
     nxt: tuple[int, ...]  # offset of the next instruction, per offset
     is_jumpdest: bytes  # 1 at JUMPDEST offsets
-    offsets: tuple[int, ...]  # instruction start offsets
     runs: tuple  # per offset: (offsets, gas, need, rise) to the run end
     steps: ClassVar[tuple] = STEPS  # per opcode: (gas, need, rise)
 
-    @property
-    def n_instr(self) -> int:
-        return len(self.offsets)
-
     @staticmethod
     def from_bytecode(code: bytes) -> "CodeImage":
-        instrs = decode(code)
         n = len(code)
         imm: list = [None] * n
         nxt = [0] * n
         jd = bytearray(n)
         runs: list = [_NEVER] * n
         run = None  # the run from the instruction after the current one
-        for ins in reversed(instrs):
+        for ins in reversed(decode(code)):
             nxt[ins.offset] = ins.end
             if ins.imm_len:
                 imm[ins.offset] = ins.imm
             if ins.code == 0x5B:
                 jd[ins.offset] = 1
-            pops, grow = _STACK[ins.code]
             gas, need, rise = STEPS[ins.code]
             offs = (ins.offset,)
             if run is not None and ins.code not in RUN_ENDS:
                 # the rest of the run starts `grow` above this one's start
+                op = lookup(ins.code)
+                grow = op.pushes - op.pops
                 offs += run[0]
                 gas += run[1]
-                need = max(pops, run[2] - grow)
+                need = max(op.pops, run[2] - grow)
                 rise = max(grow + run[3], 0)
             runs[ins.offset] = run = (offs, gas, need, rise)
-        return CodeImage(
-            code,
-            tuple(instrs),
-            tuple(imm),
-            tuple(nxt),
-            bytes(jd),
-            tuple(i.offset for i in instrs),
-            tuple(runs),
-        )
+        return CodeImage(code, tuple(imm), tuple(nxt), bytes(jd), tuple(runs))

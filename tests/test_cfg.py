@@ -1,6 +1,14 @@
+"""CFG recovery: blocks, edges, dispatch and body ranges, and the block
+ends the frame kernel's runs share."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from sctest.bytecode import build_cfg, parse_abi
 from sctest.bytecode.asm import Asm, dispatcher
 from sctest.bytecode.cfg import resolve_entries
+from sctest.bytecode.opcodes import OPCODES, TERMINATORS, by_name
+from sctest.evm.image import RUN_ENDS, CodeImage
 
 
 def test_straight_line_single_block():
@@ -46,6 +54,67 @@ def test_block_partition_properties():
         if blk.terminator in ("STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"):
             assert blk.succs == ()
         assert len(blk.succs) <= 2
+
+
+def test_a_byte_outside_the_table_ends_its_block_as_invalid_does():
+    # PUSH1 1; <byte>; PUSH1 2; STOP: the kernel halts at the byte
+    def shape(mid):
+        cfg = build_cfg(bytes([0x60, 1, mid, 0x60, 2, 0x00]))
+        return [
+            (start, [i.offset for i in blk.instrs], blk.succs)
+            for start, blk in cfg.blocks.items()
+        ]
+
+    assert shape(0x0C) == shape(by_name("INVALID").code) == [
+        (0, [0, 2], ()),
+        (3, [3, 5], ()),
+    ]
+
+
+# spelled out here, not read from TERMINATORS, which the test checks
+_LEAVES = {
+    by_name(n).code
+    for n in ("JUMP", "JUMPI", "STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT")
+}
+_OUTSIDE = sorted(set(range(256)).difference(OPCODES))
+
+
+def _leaves(code: int) -> bool:
+    """The instruction jumps or ends the frame, so nothing runs after it
+    in the same straight line."""
+    return code in _LEAVES or code not in OPCODES
+
+
+def _one_byte(names) -> st.SearchStrategy:
+    return st.sampled_from([bytes([by_name(n).code]) for n in names])
+
+
+_PIECES = st.one_of(
+    _one_byte(["JUMP", "JUMPI", "JUMPDEST"]),
+    st.integers(0, 48).map(lambda v: bytes([0x60, v])),  # PUSH1, often a target
+    st.integers(0, 0xFFFF).map(lambda v: b"\x61" + v.to_bytes(2, "big")),
+    _one_byte(["STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"]),
+    _one_byte(["CALL", "DELEGATECALL", "STATICCALL", "CREATE", "CREATE2"]),
+    st.sampled_from([bytes([c]) for c in _OUTSIDE]),
+    _one_byte(["ADD", "SHA3", "GAS", "DUP1", "SWAP1"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(code=st.lists(_PIECES, max_size=24).map(b"".join))
+def test_blocks_and_kernel_runs_end_at_the_same_bytes(code):
+    cfg = build_cfg(code)
+    image = CodeImage.from_bytecode(code)
+    for blk in cfg.blocks.values():
+        assert not any(_leaves(i.code) for i in blk.instrs[:-1]), code.hex()
+        last = blk.instrs[-1]
+        if _leaves(last.code):
+            assert image.runs[last.offset][0] == (last.offset,), code.hex()
+    for ins in cfg.instrs:
+        run = image.runs[ins.offset][0]
+        assert not any(_leaves(code[o]) for o in run[:-1]), code.hex()
+    for c in _OUTSIDE:  # a byte outside the table executes as INVALID
+        assert c in TERMINATORS and c in RUN_ENDS
 
 
 def three_fn_bundle():

@@ -13,6 +13,7 @@ import sctest.evm
 from sctest._kernels import keccak256, run_frame
 from sctest._kernels.interp_py import MEM_LIMIT
 from sctest.bytecode.abi import FunctionSig, encode_call
+from sctest.bytecode.cfg import build_cfg
 from sctest.bytecode.opcodes import BINOP, CALL_CLASS, OPCODES, by_name
 from sctest.concolic import (
     Binop,
@@ -38,7 +39,7 @@ from sctest.concolic.drive import pin_all_but_one, resize_dynamic, rewrite_hashe
 from sctest.concolic.symexpr import UNOPS, _shr_over_disjoint, atom_value, conjuncts
 from sctest.concolic.shadow import ArgLayout, _shadow_frame
 from sctest.coverage import CoverageMap, merge_result
-from sctest.errors import InsufficientBalance, SctestError
+from sctest.errors import InsufficientBalance, MalformedCalldata, SctestError
 from sctest.evm import CodeImage, Transaction, execute_sequence, execute_tx, make_world
 from sctest.fuzzing import (
     ASSERT_FAILURE,
@@ -350,6 +351,31 @@ def test_shadow_run_with_empty_prefix_skips_the_cache(pool):
     assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
 
+def test_shadow_run_runs_raw_calldata_as_the_engine_does(pool):
+    # raw calldata wins over the args beside it, and its label need not
+    # name an ABI function; the shadow sees the bytes the engine runs
+    world, at = make_world(pool)
+    mint = pool.by_name["mintDyad"]
+    storages = []
+    for tx in (
+        Transaction("mintDyad", (1, 5), call_data=encode_call(mint, (2, 9))),
+        Transaction("notInAbi", call_data=encode_call(mint, (2, 9))),
+        Transaction("notInAbi", call_data=bytes.fromhex("deadbeef")),
+    ):
+        tx = tx._replace(source=ACCT_A, destination=at)
+        after, res = execute_tx(world, tx)
+        run = shadow_run(world, [], tx)
+        assert run.halt.upper() == res.halt
+        assert ((at, run.trace),) == res.trace
+        assert run.storage == after.storage.get(at, {})
+        assert not run.constraints  # raw bytes carry no Input atoms
+        storages.append(run.storage)
+    assert set(storages[0].values()) == {9}  # mintDyad(2, 9), not (1, 5)
+    short = Transaction("notInAbi", call_data=b"\x01", source=ACCT_A, destination=at)
+    with pytest.raises(MalformedCalldata):
+        shadow_run(world, [], short)
+
+
 def test_shadow_and_kernel_agree_on_selfdestruct():
     # PUSH1 0xAA, SELFDESTRUCT
     image = CodeImage.from_bytecode(bytes.fromhex("60aaff"))
@@ -606,9 +632,8 @@ def test_shadow_and_kernel_agree_when_gas_runs_out_anywhere_in_a_run():
 
 def test_shadow_and_kernel_agree_when_gas_runs_out_on_sha3_words():
     items = [*BASE, ("apply", MSTORE, [0, 7]), ("apply", SHA3, [0, 64])]
-    image = CodeImage.from_bytecode(_assemble(items))
-    sha_at = next(i.offset for i in image.instrs if i.code == SHA3)
-    before = image.offsets.index(sha_at)
+    instrs = build_cfg(_assemble(items)).instrs
+    before, sha_at = next((k, i.offset) for k, i in enumerate(instrs) if i.code == SHA3)
     runs = _gas_sweep(items)
     assert runs[-1].halt == "stop"
     stuck = [r for r in runs if r.halt == "out_of_gas" and len(r.trace) == before]

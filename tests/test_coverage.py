@@ -69,7 +69,7 @@ def body_bits(bundle, map_, sig):
     bits = map_.bits.get(address, 0)
     lo, hi = sig.body_range
     return sum(
-        1 for off in bundle.image.offsets if lo <= off < hi and (bits >> off) & 1
+        1 for i in bundle.cfg.instrs if lo <= i.offset < hi and (bits >> i.offset) & 1
     )
 
 
@@ -337,11 +337,11 @@ FUZZ_SHAPE_BALLOT = [
 def test_report_empty_map(ballot):
     rep = render_report(ballot, CoverageMap())
     lines = rep.text.splitlines()
-    assert lines[0] == f"COVERAGE v1 0/{ballot.image.n_instr}"
+    assert lines[0] == f"COVERAGE v1 0/{len(ballot.cfg.instrs)}"
     assert not any(line.startswith("* ") for line in lines[1:])
     assert rep.summary == {
         "instructions_covered": 0,
-        "instructions_total": ballot.image.n_instr,
+        "instructions_total": len(ballot.cfg.instrs),
         "paths_seen": 0,
     }
 
@@ -400,7 +400,7 @@ def test_report_without_source_uses_disassembly(cubic):
     lines = rep.text.splitlines()
     assert lines[0].startswith("COVERAGE v1 ")
     # one line per instruction, each carrying its offset
-    assert len(lines) - 1 == cubic.image.n_instr
+    assert len(lines) - 1 == len(cubic.cfg.instrs)
     assert any(line.startswith("* 0x0000") for line in lines[1:])
 
 
@@ -438,7 +438,7 @@ def test_gap_extraction_agrees_with_direct_bit_counting(bundles):
         gaps = {u.sig: u for u in extract_uncovered_functions(bundle, map_)}
         for fn in bundle.resolved_abi:
             lo, hi = fn.body_range
-            total = sum(1 for off in bundle.image.offsets if lo <= off < hi)
+            total = sum(1 for i in bundle.cfg.instrs if lo <= i.offset < hi)
             got = body_bits(bundle, map_, fn)
             if got == total:
                 assert fn.signature not in gaps, fn.signature

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sctest._kernels import keccak256, run_frame
-from sctest._kernels.interp_py import _GAS
 from sctest.bytecode.abi import FunctionSig, parse_abi
 from sctest.bytecode.asm import Asm, dispatcher
-from sctest.bytecode.opcodes import BINOP, OPCODES, by_name
+from sctest.bytecode.cfg import build_cfg
+from sctest.bytecode.opcodes import BINOP, by_name, lookup
 from sctest.coverage import CoverageMap, merge_result
 from sctest.errors import (
     AddressInUse,
@@ -219,12 +219,11 @@ def fold_run(image: CodeImage, pc: int) -> tuple:
     offsets, gas, need, depth, rise = [], 0, 0, 0, 0
     while pc < len(image.code):
         op = image.code[pc]
-        info = OPCODES.get(op)
-        pops, pushes = (info.pops, info.pushes) if info else (0, 0)
+        info = lookup(op)
         offsets.append(pc)
-        gas += _GAS[op]
-        need = max(need, pops - depth)
-        depth += pushes - pops
+        gas += info.gas
+        need = max(need, info.pops - depth)
+        depth += info.pushes - info.pops
         rise = max(rise, depth)
         if op in RUN_ENDS:
             break
@@ -241,15 +240,31 @@ def test_run_table_matches_a_per_instruction_fold(bundles):
     ]
     for code in codes:
         image = CodeImage.from_bytecode(code)
+        starts = {i.offset for i in build_cfg(code).instrs}
         for pc in range(len(code)):
-            if pc in image.offsets:
+            if pc in starts:
                 assert image.runs[pc] == fold_run(image, pc), (code.hex(), pc)
             else:  # inside a PUSH immediate: never run whole
                 assert image.runs[pc][1] == float("inf")
     for op in range(256):  # each opcode alone, with its immediate
-        info = OPCODES.get(op)
-        alone = CodeImage.from_bytecode(bytes([op]) + bytes(info.immediate_len if info else 0))
+        alone = CodeImage.from_bytecode(bytes([op]) + bytes(lookup(op).immediate_len))
         assert alone.steps[op] == fold_run(alone, 0)[1:]
+
+
+def test_step_table_charges_the_flat_gas_schedule():
+    # the run table and fold_run both read Opcode.gas, so the schedule is
+    # pinned here by value: 3 unless listed, bytes outside the table too
+    want = [3] * 256
+    for names, gas in [
+        (("CALLDATACOPY", "MLOAD", "MSTORE", "MSTORE8"), 20),
+        (("SLOAD",), 100),
+        (("SSTORE",), 200),
+        (("SHA3",), 30),
+        (("CREATE", "CALL", "DELEGATECALL", "CREATE2", "STATICCALL", "SELFDESTRUCT"), 500),
+    ]:
+        for name in names:
+            want[by_name(name).code] = gas
+    assert [gas for gas, _, _ in CodeImage.steps] == want
 
 
 # -- environment opcodes -----------------------------------------------------
@@ -721,7 +736,7 @@ def test_static_write_in_the_middle_of_a_run_charges_and_traces_up_to_it():
         (AT, (14, 16, 17, 19, 21)),
     )
     code = {AT: caller_code, CALLEE_AT: callee_code}
-    assert res.gas_used == sum(_GAS[code[a][pc]] for a, seg in res.trace for pc in seg)
+    assert res.gas_used == sum(lookup(code[a][pc]).gas for a, seg in res.trace for pc in seg)
     assert res.gas_used == 756
 
 

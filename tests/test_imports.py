@@ -30,6 +30,22 @@ UNREAD_ALLOWED = {
     ),
 }
 
+# (importing module, imported module, name) -> why a `_`-private name
+# crosses from one subpackage into another
+PRIVATE_ALLOWED = {
+    ("sctest.concolic.shadow", "sctest._kernels.interp_py", "_ensure"): (
+        "the shadow grows memory through the kernel's own helper, so the"
+        " two share one memory cap"
+    ),
+    ("sctest.concolic.shadow", "sctest.evm.engine", "_route"): (
+        "the shadow enters a frame at the pc the engine's fallback rule picks"
+    ),
+    ("sctest.concolic.shadow", "sctest.evm.engine", "_TxCtx"): (
+        "the shadow starts its transaction as the engine does: block, value"
+        " transfer and storage overlay"
+    ),
+}
+
 
 @pytest.mark.parametrize(
     "module", ["sctest.coverage", "sctest.concolic", "sctest.fuzzing", "sctest.evm"]
@@ -87,6 +103,36 @@ def test_every_module_level_import_is_read():
     assert unread - UNREAD_ALLOWED.keys() == set()
     # an entry whose name is read now, or no longer imported, must go
     assert UNREAD_ALLOWED.keys() <= unread
+
+
+def _subpackage(module: str) -> str:
+    """sctest.<subpackage> of a dotted module name (a top-level module
+    such as sctest.errors is its own)."""
+    return ".".join(module.split(".")[:2])
+
+
+def test_no_module_imports_a_private_name_from_another_subpackage():
+    crossing = set()
+    for path in sorted((SRC / "sctest").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        module = ".".join(parts[:-1] if path.name == "__init__.py" else parts)
+        package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), package
+            )
+            crossing |= {
+                (module, source, alias.name)
+                for alias in node.names
+                if alias.name.startswith("_")
+                and not alias.name.startswith("__")
+                and _subpackage(source) != _subpackage(module)
+            }
+    assert crossing - PRIVATE_ALLOWED.keys() == set()
+    # an entry no longer imported must go
+    assert PRIVATE_ALLOWED.keys() <= crossing
 
 
 def _project_scripts() -> dict[str, str]:
