@@ -1,4 +1,8 @@
-"""Keccak-256 and function selectors (backend-selected kernel)."""
+"""Keccak-256 and function selectors.
+
+keccak256 is the package's one compiled sponge (sctest._kernels.keccak);
+there is no other implementation to select.
+"""
 
 from .._kernels import keccak256
 

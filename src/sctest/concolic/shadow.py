@@ -1,13 +1,14 @@
 """Lockstep concrete + symbolic frame execution.
 
 Runs the same bytecode subset as the concrete kernel while carrying a
-parallel shadow stack of symbolic expressions (None marks a concrete
-slot).  At every JUMPI whose condition is symbolic it records a
-PathConstraint carrying the branch offset and the concretely taken
-direction.  The concrete half reproduces the kernel's semantics
-instruction for instruction, so the recorded trace matches what the
-engine would produce for the same transaction; generated inputs are
-nevertheless always re-validated through the engine before being kept.
+shadow for every word: on a shadow stack beside the concrete one, in a
+map of memory words and in a map of stored slots.  At every JUMPI whose
+condition is symbolic it records a PathConstraint carrying the branch
+offset and the concretely taken direction.  The concrete half
+reproduces the kernel's semantics instruction for instruction, so the
+recorded trace matches what the engine would produce for the same
+transaction; generated inputs are nevertheless always re-validated
+through the engine before being kept.
 Each instruction's gas and stack bounds come from the image's step
 table (CodeImage.steps), the table the kernel steps from: the shadow
 charges the gas, traces the instruction and makes the one stack check
@@ -31,15 +32,17 @@ Execution stops collecting at the first CALL-class instruction
 contract data flow stays concrete (the engine handles it when the
 materialized input is replayed).
 
-Beside the shadow stack and the symbolic memory words the run carries a
-slot record: for each word, the pre-transaction storage slots whose
-concrete values flowed into it.  An SLOAD sets a word's slots (the slot
-it read, or what the transaction stored there), two-operand arithmetic
-and SHA3 join them, and DUP, SWAP, MSTORE, MLOAD and SSTORE move them;
-every other word carries none.  ShadowRun.reads keeps, per JUMPI
-offset, the slots that reached its condition on any of its executions:
-the storage a branch depends on even where its predicate holds only
-the concrete words.
+A word's shadow is one pair: its symbolic expression (None when the
+word is concrete) and its slot record, the pre-transaction storage
+slots whose concrete values flowed into it.  A plain word's shadow is
+(None, frozenset()).  The pair moves as one: DUP, SWAP, MSTORE, MLOAD,
+SSTORE and SLOAD carry both halves together, a memory write drops the
+shadow of every word it overlaps, and an SLOAD of a slot the
+transaction has not written shadows as that slot alone.  Two-operand
+arithmetic and SHA3 join the slots of their inputs; every other word is
+plain.  ShadowRun.reads keeps, per JUMPI offset, the slots that reached
+its condition on any of its executions: the storage a branch depends on
+even where its predicate holds only the concrete words.
 
 The two-operand arithmetic reads sctest.bytecode.opcodes.BINOP, the
 table symexpr evaluates with, so a folded constant and the concrete
@@ -76,6 +79,8 @@ ADDR_MASK = (1 << 160) - 1
 
 _BIN_NAME = {code: o.mnemonic for code, o in OPCODES.items() if o.mnemonic in BINOP}
 _NO_SLOTS: frozenset[int] = frozenset()
+Shadow = tuple[SymExpr | None, frozenset[int]]  # (expression, slot record)
+_PLAIN: Shadow = (None, _NO_SLOTS)
 
 
 @dataclass(frozen=True)
@@ -194,13 +199,10 @@ def _shadow_frame(
     code_len = len(ops)
 
     stack: list[int] = []
-    sym: list[SymExpr | None] = []
-    tags: list[frozenset[int]] = []  # the slot record beside sym
+    shadow: list[Shadow] = []  # one per stack word
     memory = bytearray()
-    mem_sym: dict[int, SymExpr] = {}
-    mem_tag: dict[int, frozenset[int]] = {}
-    sto_sym: dict[int, SymExpr] = {}
-    sto_tag: dict[int, frozenset[int]] = {}
+    mem_shadow: dict[int, Shadow] = {}  # word offset -> shadow; plain words absent
+    sto_shadow: dict[int, Shadow] = {}  # slot -> shadow of what the tx stored there
     reads: dict[int, frozenset[int]] = {}
     trace: list[int] = []
     constraints: list[PathConstraint] = []
@@ -219,24 +221,9 @@ def _shadow_frame(
             reads,
         )
 
-    def mem_invalidate(lo: int, hi: int, keep: int | None = None):
-        for words in (mem_sym, mem_tag):
-            for off in [o for o in words if o < hi and o + 32 > lo]:
-                if off != keep:
-                    del words[off]
-
-    def binop(op: str) -> SymExpr | None:
-        sa = sym.pop()
-        sb = sym[-1]
-        if sa is None and sb is None:
-            return None
-        return simplify(
-            Binop(
-                op,
-                sa if sa is not None else Const(a_snap),
-                sb if sb is not None else Const(b_snap),
-            )
-        )
+    def mem_invalidate(lo: int, hi: int):
+        for off in [o for o in mem_shadow if o < hi and o + 32 > lo]:
+            del mem_shadow[off]
 
     gas0 = gas
     while True:
@@ -253,40 +240,40 @@ def _shadow_frame(
 
         if 0x60 <= op <= 0x7F:  # PUSH
             stack.append(imm[pc])
-            sym.append(None)
-            tags.append(_NO_SLOTS)
+            shadow.append(_PLAIN)
         elif 0x80 <= op <= 0x8F:  # DUP
             stack.append(stack[0x7F - op])
-            sym.append(sym[0x7F - op])
-            tags.append(tags[0x7F - op])
+            shadow.append(shadow[0x7F - op])
         elif 0x90 <= op <= 0x9F:  # SWAP
             n = op - 0x8F
             stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
-            sym[-1], sym[-n - 1] = sym[-n - 1], sym[-1]
-            tags[-1], tags[-n - 1] = tags[-n - 1], tags[-1]
+            shadow[-1], shadow[-n - 1] = shadow[-n - 1], shadow[-1]
         elif op in _BIN_NAME:  # two-operand arithmetic
             name = _BIN_NAME[op]
-            a_snap = stack.pop()
-            b_snap = stack[-1]
-            stack[-1] = BINOP[name](a_snap, b_snap)
-            sym[-1] = binop(name)
-            a_tag = tags.pop()
-            if a_tag:
-                tags[-1] = a_tag | tags[-1]
+            a = stack.pop()
+            b = stack[-1]
+            stack[-1] = BINOP[name](a, b)
+            (ea, sa), (eb, sb) = shadow.pop(), shadow[-1]
+            if ea is not None or eb is not None:
+                ea = Const(a) if ea is None else ea
+                eb = Const(b) if eb is None else eb
+                shadow[-1] = (simplify(Binop(name, ea, eb)), sa | sb)
+            elif sa:
+                shadow[-1] = (None, sa | sb)
         elif op == 0x15:  # ISZERO
             stack[-1] = 1 if stack[-1] == 0 else 0
-            if sym[-1] is not None:
-                sym[-1] = simplify(Unop("ISZERO", sym[-1]))
+            e, s = shadow[-1]
+            if e is not None:
+                shadow[-1] = (simplify(Unop("ISZERO", e)), s)
         elif op == 0x19:  # NOT
             stack[-1] = stack[-1] ^ MASK256
-            if sym[-1] is not None:
-                sym[-1] = simplify(Unop("NOT", sym[-1]))
+            e, s = shadow[-1]
+            if e is not None:
+                shadow[-1] = (simplify(Unop("NOT", e)), s)
         elif op == 0x20:  # SHA3: charge the words here
             off = stack.pop()
             size = stack.pop()
-            sym.pop()
-            sym.pop()
-            del tags[-2:]
+            del shadow[-2:]
             gas -= 6 * ((size + 31) // 32)
             if gas < 0:
                 trace.pop()  # out of gas before it ran: not traced
@@ -300,46 +287,40 @@ def _shadow_frame(
             digest = keccak256(buf)
             sha_seen.append((buf, digest))
             stack.append(int.from_bytes(digest, "big"))
-            shadow = None
+            e = None
             if size and size % 32 == 0 and off % 32 == 0:
                 parts = []
                 symbolic = False
                 for w in range(off, off + size, 32):
-                    e = mem_sym.get(w)
-                    if e is None:
-                        parts.append(Const(int.from_bytes(memory[w : w + 32], "big")))
+                    part = mem_shadow.get(w, _PLAIN)[0]
+                    if part is None:
+                        part = Const(int.from_bytes(memory[w : w + 32], "big"))
                     else:
-                        parts.append(e)
                         symbolic = True
+                    parts.append(part)
                 if symbolic:
-                    shadow = Keccak(tuple(parts), size)
-            sym.append(shadow)
-            tags.append(
-                frozenset().union(
-                    *(t for w, t in mem_tag.items() if w < off + size and w + 32 > off)
+                    e = Keccak(tuple(parts), size)
+            slots = _NO_SLOTS
+            if size:
+                hi = off + size
+                slots = slots.union(
+                    *(s for w, (_, s) in mem_shadow.items() if w < hi and w + 32 > off)
                 )
-                if size
-                else _NO_SLOTS
-            )
+            shadow.append((e, slots))
         elif op == 0x30:  # ADDRESS
             stack.append(self_addr)
-            sym.append(None)
-            tags.append(_NO_SLOTS)
+            shadow.append(_PLAIN)
         elif op == 0x31:  # BALANCE
             stack[-1] = balances.get(stack[-1] & ADDR_MASK, 0)
-            sym[-1] = None
-            tags[-1] = _NO_SLOTS
+            shadow[-1] = _PLAIN
         elif op == 0x33:  # CALLER
             stack.append(caller)
-            sym.append(None)
-            tags.append(_NO_SLOTS)
+            shadow.append(_PLAIN)
         elif op == 0x34:  # CALLVALUE
             stack.append(callvalue)
-            sym.append(None)
-            tags.append(_NO_SLOTS)
+            shadow.append(_PLAIN)
         elif op == 0x35:  # CALLDATALOAD
             i = stack[-1]
-            i_sym = sym[-1]
             if i >= len(calldata):
                 stack[-1] = 0
             else:
@@ -347,21 +328,18 @@ def _shadow_frame(
                 stack[-1] = int.from_bytes(chunk.ljust(32, b"\x00"), "big")
             # a symbolic load position would need an array theory; the
             # concrete value stands in for it
-            if i_sym is not None or layout is None:
-                sym[-1] = None
-            else:
-                sym[-1] = layout.word_at(i, calldata)
-            tags[-1] = _NO_SLOTS
+            e = None
+            if shadow[-1][0] is None and layout is not None:
+                e = layout.word_at(i, calldata)
+            shadow[-1] = (e, _NO_SLOTS)
         elif op == 0x36:  # CALLDATASIZE
             stack.append(len(calldata))
-            sym.append(None)
-            tags.append(_NO_SLOTS)
+            shadow.append(_PLAIN)
         elif op == 0x37:  # CALLDATACOPY
             dst = stack.pop()
             src = stack.pop()
             size = stack.pop()
-            del sym[-3:]
-            del tags[-3:]
+            del shadow[-3:]
             if size:
                 if not _ensure(memory, dst + size):
                     return halt("out_of_gas")
@@ -372,50 +350,37 @@ def _shadow_frame(
                     for w in range(0, size, 32):
                         e = layout.word_at(src + w, calldata)
                         if e is not None:
-                            mem_sym[dst + w] = e
+                            mem_shadow[dst + w] = (e, _NO_SLOTS)
         elif op == 0x42:  # TIMESTAMP
             stack.append(timestamp)
-            sym.append(None)
-            tags.append(_NO_SLOTS)
+            shadow.append(_PLAIN)
         elif op == 0x43:  # NUMBER
             stack.append(number)
-            sym.append(None)
-            tags.append(_NO_SLOTS)
+            shadow.append(_PLAIN)
         elif op == 0x50:  # POP
             stack.pop()
-            sym.pop()
-            tags.pop()
+            shadow.pop()
         elif op == 0x51:  # MLOAD
             off = stack[-1]
             if not _ensure(memory, off + 32):
                 return halt("out_of_gas")
             stack[-1] = int.from_bytes(memory[off : off + 32], "big")
-            sym[-1] = mem_sym.get(off)
-            tags[-1] = mem_tag.get(off, _NO_SLOTS)
+            shadow[-1] = mem_shadow.get(off, _PLAIN)
         elif op == 0x52:  # MSTORE
             off = stack.pop()
             val = stack.pop()
-            sym.pop()  # offset shadow: the concrete offset is authoritative
-            vsym = sym.pop()
-            tags.pop()
-            vtag = tags.pop()
+            word = shadow[-2]  # the concrete offset is authoritative
+            del shadow[-2:]
             if not _ensure(memory, off + 32):
                 return halt("out_of_gas")
             memory[off : off + 32] = val.to_bytes(32, "big")
-            mem_invalidate(off, off + 32, keep=off)
-            if vsym is None:
-                mem_sym.pop(off, None)
-            else:
-                mem_sym[off] = vsym
-            if vtag:
-                mem_tag[off] = vtag
-            else:
-                mem_tag.pop(off, None)
+            mem_invalidate(off, off + 32)
+            if word != _PLAIN:
+                mem_shadow[off] = word
         elif op == 0x53:  # MSTORE8
             off = stack.pop()
             val = stack.pop()
-            del sym[-2:]
-            del tags[-2:]
+            del shadow[-2:]
             if not _ensure(memory, off + 1):
                 return halt("out_of_gas")
             memory[off] = val & 0xFF
@@ -423,27 +388,19 @@ def _shadow_frame(
         elif op == 0x54:  # SLOAD
             slot = stack[-1]
             stack[-1] = storage.get(slot, 0)
-            sym[-1] = sto_sym.get(slot)
-            tags[-1] = sto_tag[slot] if slot in sto_tag else frozenset((slot,))
+            shadow[-1] = sto_shadow.get(slot) or (None, frozenset((slot,)))
         elif op == 0x55:  # SSTORE
             slot = stack.pop()
             val = stack.pop()
-            sym.pop()  # slot shadow: keyed by the concrete slot
-            vsym = sym.pop()
-            tags.pop()
-            sto_tag[slot] = tags.pop()
+            sto_shadow[slot] = shadow[-2]  # keyed by the concrete slot
+            del shadow[-2:]
             if val:
                 storage[slot] = val
             else:
                 storage.pop(slot, None)
-            if vsym is None:
-                sto_sym.pop(slot, None)
-            else:
-                sto_sym[slot] = vsym
         elif op == 0x56:  # JUMP
             dest = stack.pop()
-            sym.pop()
-            tags.pop()
+            shadow.pop()
             if dest >= code_len or not is_jumpdest[dest]:
                 return halt("invalid")
             pc = dest
@@ -451,14 +408,12 @@ def _shadow_frame(
         elif op == 0x57:  # JUMPI
             dest = stack.pop()
             cond = stack.pop()
-            sym.pop()
-            csym = sym.pop()
-            if csym is not None:
-                constraints.append(PathConstraint(csym, pc, bool(cond)))
-            tags.pop()
-            ctag = tags.pop()
-            if ctag:
-                reads[pc] = reads.get(pc, _NO_SLOTS) | ctag
+            e, s = shadow[-2]
+            del shadow[-2:]
+            if e is not None:
+                constraints.append(PathConstraint(e, pc, bool(cond)))
+            if s:
+                reads[pc] = reads.get(pc, _NO_SLOTS) | s
             if cond:
                 if dest >= code_len or not is_jumpdest[dest]:
                     return halt("invalid")
@@ -466,12 +421,10 @@ def _shadow_frame(
                 continue
         elif op == 0x58:  # PC
             stack.append(pc)
-            sym.append(None)
-            tags.append(_NO_SLOTS)
+            shadow.append(_PLAIN)
         elif op == 0x5A:  # GAS
             stack.append(gas)
-            sym.append(None)
-            tags.append(_NO_SLOTS)
+            shadow.append(_PLAIN)
         elif op == 0x5B:  # JUMPDEST
             pass
         elif 0xA0 <= op <= 0xA4:  # LOG0..4
@@ -479,8 +432,7 @@ def _shadow_frame(
             off = stack.pop()
             size = stack.pop()
             del stack[len(stack) - n :]
-            del sym[len(sym) - n - 2 :]
-            del tags[len(tags) - n - 2 :]
+            del shadow[len(shadow) - n - 2 :]
             if size and not _ensure(memory, off + size):
                 return halt("out_of_gas")
         elif op == 0xFF:  # SELFDESTRUCT, ahead of the rest of CALL_CLASS
@@ -492,7 +444,6 @@ def _shadow_frame(
         elif op in (0xF3, 0xFD):  # RETURN / REVERT
             off = stack.pop()
             size = stack.pop()
-            del sym[-2:]
             if size:
                 if not _ensure(memory, off + size):
                     return halt("out_of_gas")

@@ -64,14 +64,6 @@ class CoverageMap:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "CoverageMap":
-        doc = json.loads(text)
-        return CoverageMap(
-            bits={int(a, 16): int(b, 16) for a, b in doc["bits"].items()},
-            path_set={int(p, 16) for p in doc["paths"]},
-        )
-
 
 def _path_hash(entries: list[tuple[int, int]]) -> int:
     """Hash a sequence of (address, block_start) entries."""

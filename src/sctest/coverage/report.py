@@ -16,10 +16,6 @@ class CoverageReport:
     text: str  # full .cov content, header line included
     summary: dict
 
-    @property
-    def starred_lines(self) -> int:
-        return sum(1 for line in self.text.splitlines()[1:] if line.startswith("* "))
-
 
 def disassembly_lines(bundle: ContractBundle) -> list[tuple[int, str]]:
     """One line per instruction: (offset, rendered text)."""

@@ -24,7 +24,8 @@ class TruncatedImmediate(DecodeError):
 
 
 class SchemaError(SctestError):
-    """Malformed abi.json; `path` is a JSON-path-ish location string."""
+    """Malformed abi.json or world.json; `path` is a JSON-path-ish
+    location string within the file."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")

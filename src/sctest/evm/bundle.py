@@ -85,9 +85,14 @@ def load_bundle(path: str | Path) -> ContractBundle:
     world_config = None
     wc_path = p / "world.json"
     if wc_path.exists():
-        world_config = json.loads(wc_path.read_text())
+        try:
+            world_config = json.loads(wc_path.read_text())
+        except json.JSONDecodeError as e:
+            raise SchemaError("$", f"world.json is not valid JSON: {e}") from None
 
-    return ContractBundle(p.name, bytecode, abi, source, linemap, world_config)
+    bundle = ContractBundle(p.name, bytecode, abi, source, linemap, world_config)
+    genesis_config(bundle)  # a malformed world.json fails here, as abi.json does
+    return bundle
 
 
 DEFAULT_ACCOUNTS = [(0x1001, 10**18), (0x1002, 10**18)]
@@ -96,15 +101,37 @@ DEFAULT_DEPLOY_AT = 0xC0DE
 
 def genesis_config(bundle: ContractBundle) -> dict:
     """Normalized genesis parameters for a bundle (world.json or
-    defaults): accounts, deploy_at, timestamp and number."""
+    defaults): accounts, deploy_at, timestamp and number.  A malformed
+    world.json raises SchemaError naming the field."""
     cfg = bundle.world_config or {}
-    accounts = [
-        (parse_addr(a["address"]), int(a["balance"]))
-        for a in cfg.get("accounts", [])
-    ] or list(DEFAULT_ACCOUNTS)
+    if not isinstance(cfg, dict):
+        raise SchemaError("$", "expected an object")
+    listed = cfg.get("accounts") or []
+    if not isinstance(listed, list):
+        raise SchemaError("$.accounts", "expected a list")
+    accounts = []
+    for i, a in enumerate(listed):
+        path = f"$.accounts[{i}]"
+        if not isinstance(a, dict):
+            raise SchemaError(path, "expected an object")
+        address = _read(a, path, "address", parse_addr)
+        accounts.append((address, _read(a, path, "balance", int)))
     return {
-        "accounts": accounts,
-        "deploy_at": parse_addr(cfg.get("deploy_at", DEFAULT_DEPLOY_AT)),
-        "timestamp": int(cfg.get("timestamp", DEFAULT_TIMESTAMP)),
-        "number": int(cfg.get("number", 1)),
+        "accounts": accounts or list(DEFAULT_ACCOUNTS),
+        "deploy_at": _read(cfg, "$", "deploy_at", parse_addr, DEFAULT_DEPLOY_AT),
+        "timestamp": _read(cfg, "$", "timestamp", int, DEFAULT_TIMESTAMP),
+        "number": _read(cfg, "$", "number", int, 1),
     }
+
+
+def _read(obj: dict, path: str, key: str, parse, default: int | None = None) -> int:
+    """parse(obj[key]), or default when key is absent and default is not
+    None; SchemaError at path.key otherwise."""
+    if key not in obj:
+        if default is None:
+            raise SchemaError(f"{path}.{key}", "missing")
+        return default
+    try:
+        return parse(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{path}.{key}", f"cannot read {obj[key]!r}") from None

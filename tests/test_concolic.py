@@ -663,26 +663,58 @@ def _branch_on(code: str) -> CodeImage:
 
 
 @pytest.mark.parametrize(
-    "code,slots",
+    "code,params,slots",
     [
-        ("600554600052600051", {5}),  # SLOAD 5, MSTORE at 0, MLOAD at 0
-        ("6005546006549050", {6}),  # SLOAD 5, SLOAD 6, SWAP1, POP
-        ("60055460065401", {5, 6}),  # SLOAD 5 + SLOAD 6
-        ("6005546000526020600020", {5}),  # SLOAD 5, MSTORE at 0, SHA3 of it
-        ("600554600955600954", {5}),  # SLOAD 5 stored at 9, then SLOAD 9
-        ("6001600555600554", set()),  # SLOAD 5 after the call wrote 1 there
-        ("600435", set()),  # CALLDATALOAD 4
+        ("600554600052600051", (), {5}),  # SLOAD 5, MSTORE at 0, MLOAD at 0
+        ("6005546006549050", (), {6}),  # SLOAD 5, SLOAD 6, SWAP1, POP
+        ("60055460065401", (), {5, 6}),  # SLOAD 5 + SLOAD 6
+        ("6005546000526020600020", (), {5}),  # SLOAD 5, MSTORE at 0, SHA3 of it
+        ("600554600955600954", (), {5}),  # SLOAD 5 stored at 9, then SLOAD 9
+        ("6001600555600554", (), set()),  # SLOAD 5 after the call wrote 1 there
+        ("600435", ("a",), set()),  # CALLDATALOAD 4
+        # a + SLOAD 5, stored at 9, then SLOAD 9
+        ("60043560055401600955600954", ("a",), {5}),
+        # a + SLOAD 5, MSTORE at 0, MSTORE8 at 5, MLOAD at 0
+        ("600435600554016000526001600553600051", (), set()),
+        # a + SLOAD 5, MSTORE at 0, MSTORE 0 at 16, MLOAD at 0
+        ("600435600554016000526000601052600051", (), set()),
+        # CALLDATACOPY of a to 0, MLOAD at 0
+        ("60206004600037600051", ("a",), set()),
+        # a + SLOAD 5, MSTORE at 0, SHA3 of it
+        ("600435600554016000526020600020", ("a",), {5}),
     ],
-    ids=["mload", "swap", "add", "sha3", "sstore", "overwritten", "calldata"],
+    ids=[
+        "mload", "swap", "add", "sha3", "sstore", "overwritten", "calldata",
+        "sstore_sum", "mstore8_over_sum", "mstore_over_sum", "calldatacopy",
+        "sha3_of_sum",
+    ],
 )
-def test_slot_record_names_the_slots_a_condition_read(code, slots):
+def test_slot_record_names_the_slots_a_condition_read(code, params, slots):
     calldata, layout = ABI_CALL
     run = _shadow_frame(
         _branch_on(code), calldata, layout, {5: 3, 6: 4, 9: 1}, {},
         SELF, CALLER, 0, 1, 1, 100_000,
     )
+    at = len(code) // 2 + 2
     assert run.halt == "stop"
-    assert run.reads.get(len(code) // 2 + 2, frozenset()) == slots
+    assert run.reads.get(at, frozenset()) == slots
+    # the parameters of the constraint recorded at the branch
+    assert tuple(
+        i.param for c in run.constraints if c.branch_offset == at
+        for i in inputs_of(c.predicate)
+    ) == params
+
+
+def test_sha3_of_a_symbolic_word_is_a_keccak_over_its_shadow():
+    # a + SLOAD 5 (3 in storage), MSTORE at 0, SHA3 of those 32 bytes
+    calldata, layout = ABI_CALL
+    run = _shadow_frame(
+        _branch_on("600435600554016000526020600020"), calldata, layout, {5: 3}, {},
+        SELF, CALLER, 0, 1, 1, 100_000,
+    )
+    (c,) = run.constraints
+    assert c.predicate == Keccak((simplify(Binop("ADD", Const(3), Input("a"))),), 32)
+    assert run.reads == {c.branch_offset: frozenset({5})}
 
 
 def test_slot_record_sits_beside_a_symbolic_constraint():

@@ -15,6 +15,7 @@ from sctest.errors import (
     DuplicateAddress,
     InsufficientBalance,
     MalformedCalldata,
+    SchemaError,
     SctestError,
     UnknownDestination,
 )
@@ -25,6 +26,9 @@ from sctest.evm import (
     deploy,
     execute_sequence,
     execute_tx,
+    genesis_config,
+    load_bundle,
+    make_world,
     new_world,
 )
 from sctest.evm.image import RUN_ENDS
@@ -525,6 +529,61 @@ def test_duplicate_genesis_account():
 def test_empty_genesis_rejected():
     with pytest.raises(ValueError):
         new_world([])
+
+
+def _bundle_dir(tmp_path, world_json: str):
+    (tmp_path / "contract.hex").write_text("00")
+    (tmp_path / "abi.json").write_text('{"functions": []}')
+    (tmp_path / "world.json").write_text(world_json)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "world_json,path",
+    [
+        ('{"accounts": [{"balance": 1}]}', "$.accounts[0].address"),
+        ('{"accounts": [{"address": "0x1001"}]}', "$.accounts[0].balance"),
+        ('{"accounts": [{"address": "0x1001", "balance": "lots"}]}', "$.accounts[0].balance"),
+        ('{"accounts": [{"address": "nowhere", "balance": 1}]}', "$.accounts[0].address"),
+        ('{"accounts": ["0x1001"]}', "$.accounts[0]"),
+        ('{"accounts": "0x1001"}', "$.accounts"),
+        ('{"deploy_at": 1.5}', "$.deploy_at"),
+        ('{"timestamp": "soon"}', "$.timestamp"),
+        ('{"number": [1]}', "$.number"),
+        ("[1]", "$"),
+        ('{"accounts": [', "$"),
+    ],
+)
+def test_a_malformed_world_json_is_a_schema_error_naming_the_field(
+    tmp_path, world_json, path
+):
+    with pytest.raises(SchemaError) as e:
+        load_bundle(_bundle_dir(tmp_path, world_json))
+    assert e.value.path == path
+
+
+def test_make_world_raises_a_schema_error_for_a_malformed_world_config():
+    bundle = ContractBundle("t", b"\x00", [], world_config={"timestamp": "soon"})
+    with pytest.raises(SchemaError) as e:
+        make_world(bundle)
+    assert e.value.path == "$.timestamp"
+
+
+@pytest.mark.parametrize(
+    "world_json,want",
+    [
+        ("{}", ([(0x1001, 10**18), (0x1002, 10**18)], 0xC0DE, 1_000_000, 1)),
+        ('{"accounts": []}', ([(0x1001, 10**18), (0x1002, 10**18)], 0xC0DE, 1_000_000, 1)),
+        (
+            '{"accounts": [{"address": 4097, "balance": "7"}], "deploy_at": "0xbeef",'
+            ' "timestamp": "5", "number": 2.0}',
+            ([(0x1001, 7)], 0xBEEF, 5, 2),
+        ),
+    ],
+)
+def test_a_well_formed_world_json_gives_its_genesis(tmp_path, world_json, want):
+    cfg = genesis_config(load_bundle(_bundle_dir(tmp_path, world_json)))
+    assert (cfg["accounts"], cfg["deploy_at"], cfg["timestamp"], cfg["number"]) == want
 
 
 # -- world values ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Import hygiene: subpackages load in any order, every module-level
-import is read, every console script resolves, and every binding the
-traced benchmark wraps exists.
+import is read, every definition is read or kept on purpose, every
+console script resolves, and every binding the traced benchmark wraps
+exists.
 
 coverage.bottleneck imports concolic.shadow, and the concolic package
 imports drive, which imports coverage.covmap.  That works only while
@@ -27,6 +28,38 @@ UNREAD_ALLOWED = {
     ("sctest.concolic.solve", "keccak256"): (
         "perfbench/layers.py counts Keccak calls per binding site and"
         " wraps this binding in every traced round"
+    ),
+}
+
+# (module, definition) -> why a top-level function or class, or a method,
+# that nothing in src/, perfbench/ or scripts/ reads stays
+UNCALLED_ALLOWED = {
+    ("sctest.coverage.report", "render_report"): (
+        "ROADMAP item 4: `sctest run` writes coverage.cov through it"
+    ),
+    ("sctest.coverage.uncovered", "extract_uncovered_functions"): (
+        "ROADMAP item 2: the router reads which functions stay uncovered"
+    ),
+    ("sctest.evm.world", "EvmWorld.storage_view"): (
+        "ROADMAP item 3: the slots a call writes are a storage diff around it"
+    ),
+    ("sctest.fuzzing.campaign", "run_campaign"): (
+        "README's example: one campaign to a budget, minimized and reported"
+    ),
+    ("sctest.fuzzing.corpus", "Corpus.save"): (
+        "ROADMAP item 4: `sctest run` writes corpus/ through it"
+    ),
+    ("sctest.fuzzing.corpus", "Corpus.load"): (
+        "ROADMAP item 4: `sctest replay` reads a saved corpus through it"
+    ),
+    ("sctest.fuzzing.target", "CompileError.render"): (
+        "ROADMAP item 4: each repair step of item 3 is logged with its E-code"
+    ),
+    ("sctest.fuzzing.target", "parse_target"): (
+        "the public .ft entry point; ROADMAP item 3's repair loop parses with it"
+    ),
+    ("sctest.fuzzing.target", "render_target"): (
+        "ROADMAP item 3: prints proposed targets"
     ),
 }
 
@@ -83,18 +116,29 @@ def _exported(tree) -> set[str]:
     return set()
 
 
+def _modules(root: Path) -> list[Path]:
+    """The .py files under root, package __init__.py files left out."""
+    return [p for p in sorted(root.rglob("*.py")) if p.name != "__init__.py"]
+
+
+def _module_name(path: Path) -> str:
+    return ".".join(path.relative_to(SRC).with_suffix("").parts)
+
+
+def _names_read(tree) -> set[str]:
+    return {
+        n.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+
+
 def test_every_module_level_import_is_read():
     unread = set()
-    for path in sorted((SRC / "sctest").rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+    for path in _modules(SRC / "sctest"):
+        module = _module_name(path)
         tree = ast.parse(path.read_text(), str(path))
-        read = _exported(tree) | {
-            n.id
-            for n in ast.walk(tree)
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-        }
+        read = _exported(tree) | _names_read(tree)
         unread |= {
             (module, name)
             for name in _module_level_imports(tree.body)
@@ -103,6 +147,45 @@ def test_every_module_level_import_is_read():
     assert unread - UNREAD_ALLOWED.keys() == set()
     # an entry whose name is read now, or no longer imported, must go
     assert UNREAD_ALLOWED.keys() <= unread
+
+
+def _definitions(tree):
+    """(qualified name, name) of each top-level function and class, and
+    of each method of a top-level class that is not a dunder."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, defs[:2]) and not (
+                    m.name.startswith("__") and m.name.endswith("__")
+                ):
+                    yield f"{node.name}.{m.name}", m.name
+
+
+def test_every_definition_is_read_or_kept_on_purpose():
+    # a name counts as read where it is loaded as a name or an attribute
+    read = set()
+    for path in [p for d in ("src", "perfbench", "scripts") for p in _modules(ROOT / d)]:
+        tree = ast.parse(path.read_text(), str(path))
+        read |= _names_read(tree) | {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    uncalled = set()
+    for path in _modules(SRC / "sctest"):
+        tree = ast.parse(path.read_text(), str(path))
+        uncalled |= {
+            (_module_name(path), qualified)
+            for qualified, name in _definitions(tree)
+            if name not in read
+        }
+    assert uncalled - UNCALLED_ALLOWED.keys() == set()
+    # an entry that something reads now, or that no longer exists, must go
+    assert UNCALLED_ALLOWED.keys() <= uncalled
 
 
 def _subpackage(module: str) -> str:
