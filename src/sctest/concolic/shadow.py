@@ -47,9 +47,10 @@ even where its predicate holds only the concrete words.
 The two-operand arithmetic reads sctest.bytecode.opcodes.BINOP, the
 table symexpr evaluates with, so a folded constant and the concrete
 word agree by construction.  The world after a transaction prefix comes
-from the engine, or from a sctest.evm.snapshots.SnapshotCache when the
-caller passes one; either way the shadow starts from that world value
-and leaves it as it was.
+from the engine, or from the store of worlds after a prefix
+(sctest.evm.snapshots.SnapshotCache, a campaign's prefixes among them)
+when the caller passes one; either way the shadow starts from that
+world value and leaves it as it was.
 """
 
 from dataclasses import dataclass
@@ -468,11 +469,11 @@ def shadow_run(
     with no Input atoms (nothing symbolic) and whatever tx.function_call
     says; otherwise tx.args encoded for tx.function_call, which must be
     in the ABI, each argument's seed value shadowed by its atoms.
-    Calldata under 4 bytes raises MalformedCalldata.  With a cache, a
-    prefix seen before from the same world starts from the cached world
-    instead of being run again.  The transaction starts as the engine
-    starts it (_TxCtx), so a source that cannot pay tx.value raises
-    InsufficientBalance."""
+    Calldata under 4 bytes raises MalformedCalldata.  With a cache, the
+    prefix runs only past the longest part of it the cache keeps from
+    the same world, and the worlds after it are kept.  The transaction
+    starts as the engine starts it (_TxCtx), so a source that cannot pay
+    tx.value raises InsufficientBalance."""
     prefix = list(prefix)
     if not prefix:
         base = world

@@ -1,7 +1,7 @@
 """Coverage accounting: bitmaps, reports, gaps, and branch bottlenecks."""
 
 from .bottleneck import BranchConstraintInfo, extract_bottlenecks
-from .covmap import CoverageMap, absorb, coverage_record, merge_result
+from .covmap import CoverageMap, merge_result
 from .report import CoverageReport, disassembly_lines, render_report
 from .uncovered import (
     FULLY_UNCOVERED,
@@ -19,8 +19,6 @@ __all__ = [
     "MissingBodyRange",
     "PARTIALLY_COVERED",
     "UncoveredFunction",
-    "absorb",
-    "coverage_record",
     "disassembly_lines",
     "extract_bottlenecks",
     "extract_uncovered_functions",

@@ -5,11 +5,9 @@ contract address plus a set of 64-bit path hashes.  A path is the
 sequence of basic-block entries a transaction makes, hashed with FNV-1a
 and truncated at PATH_BLOCK_LIMIT blocks so the monitor stays O(trace).
 
-There is one fold.  coverage_record turns a transaction's trace,
-segment by segment, into (address, instruction mask) pairs plus a path
-hash; absorb ORs such a record into a map; merge_result is the two in a
-row.  A campaign keeps the records of what it ran and absorbs them
-again instead of folding the same trace twice.
+There is one fold, merge_result.  It turns a transaction's trace,
+segment by segment, into a record, (address, instruction mask) pairs
+plus a path hash, and ORs the record into a map.
 
 A fuzzing campaign takes the same few traces over and over, so there is
 one memo, `_RECORDS`: a trace maps to its record and to the CFG each
@@ -84,15 +82,9 @@ def _segment(offsets: tuple[int, ...], cfg: Cfg) -> tuple[int, tuple[int, ...]]:
     return mask, tuple(off for off in offsets if off in blocks)
 
 
-def coverage_record(result: ExecResult, world) -> tuple:
-    """What a transaction's (possibly interleaved) trace adds to a map:
-    ((address, instruction bitmask) per trace segment, ...) and its path
-    hash.
-
-    Block entries from every deployed contract the trace touched land in
-    one path hash, so call interleavings count as distinct paths.
-    Segments of addresses with no deployed code are skipped.
-    """
+def _record(result: ExecResult, world) -> tuple:
+    """What a transaction's trace adds to a map: ((address, instruction
+    bitmask) per trace segment, ...) and its path hash."""
     global _records_size
     trace = result.trace
     deployed = world.deployed
@@ -128,10 +120,15 @@ def coverage_record(result: ExecResult, world) -> tuple:
     return record
 
 
-def absorb(map_: CoverageMap, record: tuple) -> int:
-    """OR a coverage_record into the map; returns how many instructions
-    it covered for the first time."""
-    masks, path = record
+def merge_result(map_: CoverageMap, result: ExecResult, world) -> int:
+    """Fold a transaction's (possibly interleaved) trace into the map
+    and return how many instructions it covered for the first time.
+
+    Block entries from every deployed contract the trace touched land in
+    one path hash, so call interleavings count as distinct paths.
+    Segments of addresses with no deployed code are skipped.
+    """
+    masks, path = _record(result, world)
     new = 0
     bits_of = map_.bits
     for address, mask in masks:
@@ -140,9 +137,3 @@ def absorb(map_: CoverageMap, record: tuple) -> int:
         bits_of[address] = bits | mask
     map_.path_set.add(path)
     return new
-
-
-def merge_result(map_: CoverageMap, result: ExecResult, world) -> int:
-    """Fold a transaction's trace into the map and return how many
-    instructions it covered for the first time (see coverage_record)."""
-    return absorb(map_, coverage_record(result, world))

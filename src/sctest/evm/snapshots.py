@@ -1,60 +1,68 @@
-"""Worlds after a transaction prefix, cached by prefix.
+"""Worlds after a transaction prefix, kept in a trie per base world.
 
-A cache entry is the world after a prefix of transactions, run from one
-base world.  Worlds are values (sctest.evm.world), so executing a suffix
-from a cached world leaves it as it was and equals executing prefix +
-suffix from the base world: the cache is a pure speedup for
-sequence-heavy loops.  The entry keeps its base world and serves only a
-caller that asks with that same world; any other base is a miss.
+One store holds the world after every transaction prefix its owner ran
+from a base world: a campaign's inserted candidates (Campaign.prefixes),
+one drive call, or one extract_bottlenecks call.  There is one trie per
+base world, matched by identity, keyed by Transaction; each step maps a
+transaction to (world after, ExecResult, next steps).  Worlds are values
+(sctest.evm.world), so executing a suffix from a kept world leaves it as
+it was and equals executing prefix + suffix from the base world: the
+store is a pure speedup for sequence-heavy loops.  Nothing is evicted; a
+store lives as long as its owner.
+
+A Transaction holding True or 1.0 compares equal to one holding 1, but
+the engine refuses a bool or a float where the ABI wants an integer.  So
+get_or_build runs a prefix with a top-level argument other than an int,
+bytes or tuple as the engine runs it, and keeps none of it.
 """
 
-import json
-from collections import OrderedDict
-
+# not called here: perfbench/layers.py counts Keccak calls per binding
+# site and wraps this module's keccak256 in every traced round
 from .._kernels import keccak256
 from .engine import execute_sequence
-from .types import Transaction, tx_doc
 from .world import EvmWorld
 
-# worlds a cache keeps, least recently used dropped first
-MAX_WORLDS = 1024
-
-
-def prefix_key(prefix: list[Transaction] | tuple[Transaction, ...]) -> bytes:
-    """32-byte digest of the prefix's transaction documents (tx_doc),
-    each with its destination written out: two prefixes share a key
-    only when every field that changes what they do is equal."""
-    doc = json.dumps(
-        [tx_doc(tx) for tx in prefix], sort_keys=True, separators=(",", ":")
-    )
-    return keccak256(doc.encode())
+_KEYED = (int, bytes, tuple)  # argument types that key a step exactly
 
 
 class SnapshotCache:
-    """LRU cache of the worlds after prefixes, at most MAX_WORLDS."""
+    """The worlds after the prefixes run from each base world."""
 
     def __init__(self):
-        # prefix_key -> (base world, world after the prefix)
-        self._entries: OrderedDict[bytes, tuple[EvmWorld, EvmWorld]] = OrderedDict()
+        # id(base world) -> (base world, its trie); the value holds the
+        # world, so its id is not reused while the entry lives
+        self._tries: dict[int, tuple[EvmWorld, dict]] = {}
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def trie(self, world: EvmWorld) -> dict:
+        """The steps kept from `world`: Transaction -> (world after,
+        ExecResult, next steps)."""
+        entry = self._tries.get(id(world))
+        if entry is None:
+            entry = self._tries[id(world)] = (world, {})
+        return entry[1]
 
     def get_or_build(self, world: EvmWorld, prefix) -> EvmWorld:
-        """The world after prefix run from world.  On a miss the prefix
-        runs (world stays as it was) and its result is cached."""
-        key = prefix_key(prefix)
-        entry = self._entries.get(key)
-        if entry is not None and entry[0] is world:
-            self._entries.move_to_end(key)
+        """The world after prefix run from world.  On a miss only the
+        transactions past the longest kept prefix run (world stays as it
+        was), and each is kept."""
+        prefix = list(prefix)
+        if any(type(a) not in _KEYED for tx in prefix for a in tx.args or ()):
+            self.misses += 1
+            return execute_sequence(world, prefix)[0]
+        node = self.trie(world)
+        for n, tx in enumerate(prefix):
+            step = node.get(tx)
+            if step is None:
+                break
+            world, _, node = step
+        else:
             self.hits += 1
-            return entry[1]
+            return world
         self.misses += 1
-        after, _ = execute_sequence(world, list(prefix))
-        self._entries[key] = (world, after)
-        self._entries.move_to_end(key)
-        while len(self._entries) > MAX_WORLDS:
-            self._entries.popitem(last=False)
-        return after
+        for tx in prefix[n:]:
+            world, (res,) = execute_sequence(world, [tx])
+            step = node[tx] = (world, res, {})
+            node = step[2]
+        return world

@@ -2,6 +2,8 @@
 
 from typing import NamedTuple
 
+from ..errors import TypeMismatch
+
 DEFAULT_TIMESTAMP = 1_000_000
 DEFAULT_GAS = 10_000_000
 ADDR_MASK = (1 << 160) - 1
@@ -97,23 +99,29 @@ class Transaction(_TxFields):
 
 
 def tx_doc(tx: Transaction, destination: int | None = None) -> dict:
-    """The JSON document of a transaction, the one test-case ids, saved
-    corpora and snapshot keys are all built from.
+    """The JSON document of a transaction, the one test-case ids and
+    saved corpora are both built from.
 
     It always holds function, args, sender, value and delay; call_data
     only when set, gas only when it is not DEFAULT_GAS, and destination
     only when it differs from `destination`, the one the reader implies
-    (None implies none, so the key is always written)."""
+    (None implies none, so the key is always written).  An argument
+    that is not an int, bool, bytes or tuple raises TypeMismatch, so no
+    transaction the engine refuses shares a document with one it runs."""
     args = []
-    for a in tx.args or ():
+    for i, a in enumerate(tx.args or ()):
         if isinstance(a, bytes):
             args.append("0x" + a.hex())
         elif isinstance(a, tuple):
             args.append(list(a))
         elif isinstance(a, bool):
             args.append(a)
-        else:
+        elif isinstance(a, int):
             args.append(int(a))
+        else:
+            raise TypeMismatch(
+                f"argument {i} of {tx.function_call} is a {type(a).__name__}"
+            )
     doc = {
         "function": tx.function_call,
         "args": args,

@@ -28,22 +28,20 @@ starts by checking that the map, replaced or not, still holds every bit
 and path it held when the last run() ended, and empties the table if it
 does not.
 
-A candidate that does run resumes from its longest stored prefix.  For
-every candidate inserted into the corpus the campaign keeps, after each
-of its transactions, the world, the ExecResult, the Transaction and its
-coverage_record, keyed by the executed rows ((fuzz-call index, args),
-...) so far; the call index fixes function, sender, value and delay, so
-within a campaign the rows fully determine the transactions.  A new
-candidate walks the stored rows as far as they match and runs only the
-rest, one transaction at a time (the world after each is what the store
-keeps).  Execution is a pure function of the world and the transaction,
-so the stored results and records are exactly what re-running the
-prefix would give (no transaction changes which contracts are
-deployed); every record, stored or new, is absorbed into the coverage
-map and detection runs on the whole sequence as before, so outputs stay
-byte-identical even when the caller replaces the coverage map between
-runs.  The store grows only with the corpus (at most entries x target
-length steps).
+A candidate that does run resumes from its longest kept prefix.  The
+campaign keeps every inserted candidate's steps in its store,
+Campaign.prefixes (sctest.evm.snapshots.SnapshotCache): a trie rooted
+at the snapshot, keyed by Transaction, each step holding the world
+after and the ExecResult.  A new candidate walks the trie as far as its
+transactions match and runs only the rest, one transaction at a time.
+Execution is a pure function of the world and the transaction, so the
+kept results are what re-running the prefix would give (no transaction
+changes which contracts are deployed); every result, kept or new, is
+folded into the coverage map with merge_result (whose memo makes a kept
+trace a dict hit) and detection runs on the whole sequence, so outputs
+stay byte-identical even when the caller replaces the coverage map
+between runs.  The store grows only with the corpus (at most entries x
+target length steps); shadow_run takes it as its cache.
 
 A kept world is probed once.  The property probe is a pure function of
 the world it runs on (sender, destination and properties are fixed for
@@ -69,9 +67,10 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
 from ..bytecode.abi import FunctionSig
-from ..coverage.covmap import CoverageMap, absorb, coverage_record, merge_result
+from ..coverage.covmap import CoverageMap, merge_result
 from ..errors import SctestError
 from ..evm.engine import execute_sequence, execute_tx
+from ..evm.snapshots import SnapshotCache
 from ..evm.types import DEFAULT_GAS, ExecResult, Transaction
 from ..evm.world import contract_under_test
 from .corpus import BugReport, Corpus, Finding, TestCase
@@ -206,12 +205,8 @@ class Campaign:
         self._cum_weights: list[int] | None = None  # None: rescore on next pick
         self._finding_keys: set[tuple[str, int, str]] = set()
         self._started = False
-        # trie of the inserted candidates' executed rows: each step maps
-        # a (fuzz-call index, args) row to (world after, result, tx,
-        # coverage record, next)
-        self._prefixes: dict = {}
         # id(world) -> (world, property findings) for the snapshot and
-        # the worlds in _prefixes that were probed; the value holds the
+        # the worlds in prefixes that were probed; the value holds the
         # world, so its id is not reused while the entry lives
         self._probes: dict[int, tuple] = {}
         self._ran: dict[Candidate, None] = {}  # executed, oldest first
@@ -225,6 +220,9 @@ class Campaign:
         self.snapshot, setup_results = execute_sequence(
             self.world, self._setup_txs
         )
+        # the inserted candidates' steps, walked from the snapshot's trie
+        self.prefixes = SnapshotCache()
+        self._trie = self.prefixes.trie(self.snapshot)
         for res in setup_results:
             merge_result(self.coverage, res, self.snapshot)
         # findings surfaced by setup alone attach to the first test case
@@ -252,45 +250,30 @@ class Campaign:
             function, args, None, delay, DEFAULT_GAS, source, self.destination, value
         )
 
-    def _resume(self, rows: list[tuple]) -> list[tuple]:
-        """The steps (world after, result, tx, coverage record, next)
-        stored for the longest prefix of `rows` an inserted candidate
-        already ran."""
+    def _execute(self, cand: Candidate) -> tuple[list, list, object]:
+        """Run `cand` from its longest kept prefix.  Returns its
+        transactions, one step (world after, result, next steps) per
+        call (next is None for a call that ran now), and the world it
+        resumed from."""
+        txs = [self._tx(self._fixed[i], cand.args[i]) for i in cand.order]
         steps = []
-        node = self._prefixes
-        for row in rows:
-            step = node.get(row)
+        node = self._trie
+        for tx in txs:
+            step = node.get(tx)
             if step is None:
                 break
             steps.append(step)
-            node = step[4]
-        return steps
-
-    def _execute(self, cand: Candidate) -> tuple[list, list, object]:
-        """Run `cand` from its longest stored prefix.  Returns its rows,
-        one step per call, shaped as _resume's (next is None for a call
-        that ran now), and the world it resumed from."""
-        rows = [(i, cand.args[i]) for i in cand.order]
-        steps = self._resume(rows)
+            node = step[2]
         world = start = steps[-1][0] if steps else self.snapshot
-        for i, args in rows[len(steps) :]:
-            tx = self._tx(self._fixed[i], args)
+        for tx in txs[len(steps) :]:
             world, (res,) = execute_sequence(world, [tx])
-            steps.append((world, res, tx, coverage_record(res, world), None))
-        return rows, steps, start
-
-    def _store(self, rows, steps) -> None:
-        node = self._prefixes
-        for row, step in zip(rows, steps):
-            stored = node.get(row)
-            if stored is None:
-                stored = node[row] = (*step[:4], {})
-            node = stored[4]
+            steps.append((world, res, None))
+        return txs, steps, start
 
     def _probe(self, world, held: bool) -> list[tuple[str, int, str, str]]:
         """_probe_properties of `world`, from the cache when the world
         was probed before; the result is kept when `held` (the world is
-        the snapshot or in _prefixes, so it lives as long as the
+        the snapshot or in prefixes, so it lives as long as the
         campaign)."""
         hit = self._probes.get(id(world))
         if hit is not None:
@@ -373,17 +356,17 @@ class Campaign:
             if cand in ran:
                 stats.repeats += 1
                 continue
-            rows, steps, start = self._execute(cand)
+            txs, steps, start = self._execute(cand)
             if steps:
-                worlds, results, txs, records, _ = zip(*steps)
+                worlds, results, _ = zip(*steps)
                 world_after = worlds[-1]
             else:  # a target without fuzz calls
-                world_after, results, txs, records = self.snapshot, (), (), ()
+                world_after, worlds, results = self.snapshot, (), ()
             paths = self.coverage.path_set
             before_paths = len(paths)
             gained = 0
-            for record in records:
-                gained += absorb(self.coverage, record)
+            for world, res in zip(worlds, results):
+                gained += merge_result(self.coverage, res, world)
             new_paths = len(paths) - before_paths
             if len(ran) >= _RAN_CAP:
                 # keep the newer half: one pass per _RAN_CAP // 2
@@ -406,14 +389,16 @@ class Campaign:
             ]
 
             if gained > 0 or fresh or force_insert:
-                tc = TestCase(tuple(self._setup_txs) + txs)
+                tc = TestCase((*self._setup_txs, *txs))
                 self.corpus.add(
                     tc, {"new_instructions": gained, "new_paths": new_paths}
                 )
                 self._cands.append(cand)
                 self._blocks.append(self._trace_blocks(results))
-                self._store(rows, steps)
-                if self._props:  # world_after is in _prefixes now
+                node = self._trie  # resumed steps are kept already
+                for tx, step in zip(txs, steps):
+                    node = node.setdefault(tx, step[:2] + ({},))[2]
+                if self._props:  # world_after is in prefixes now
                     self._probes[id(world_after)] = (world_after, found)
                 self._cum_weights = None
                 for kind, pc, fn, msg in fresh:

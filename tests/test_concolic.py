@@ -348,7 +348,7 @@ def test_shadow_run_with_empty_prefix_skips_the_cache(pool):
     world, _, tx = _pool_case(pool)
     cache = SnapshotCache()
     shadow_run(world, [], tx, cache=cache)
-    assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+    assert (cache.hits, cache.misses, cache.trie(world)) == (0, 0, {})
 
 
 def test_shadow_run_runs_raw_calldata_as_the_engine_does(pool):

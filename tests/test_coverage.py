@@ -19,8 +19,7 @@ from sctest.coverage import (
     PARTIALLY_COVERED,
     CoverageMap,
     MissingBodyRange,
-    absorb,
-    coverage_record,
+    disassembly_lines,
     extract_bottlenecks,
     extract_uncovered_functions,
     merge_result,
@@ -217,16 +216,6 @@ def test_merge_result_matches_the_per_offset_walk(monkeypatch, merge_cases):
         _check_merge(map_, ref, result, world)
 
 
-def test_merge_result_is_absorb_of_its_coverage_record(merge_cases):
-    merged, absorbed = CoverageMap(), CoverageMap()
-    for _ in range(2):  # the second pass covers nothing new
-        for result, world in merge_cases:
-            record = coverage_record(result, world)
-            assert coverage_record(result, world) == record
-            assert merge_result(merged, result, world) == absorb(absorbed, record)
-            assert merged == absorbed
-
-
 def test_record_memo_keeps_entries_per_cfg(monkeypatch):
     # the same offsets (0, 2, 4, 5, 6) under two CFGs: offset 5 is a
     # JUMPDEST, so a block entry, in one and a PC in the other
@@ -371,14 +360,42 @@ def test_report_ballot_guard_never_passes(ballot):
     assert gaps[0].sig.startswith("castVote(")
 
 
+def _starred(lines: list[str], plain: list[str]) -> set[int]:
+    """The 1-based numbers of report lines that are their plain text
+    starred; every other line must be its plain text as it is."""
+    assert len(lines) == len(plain)
+    starred = set()
+    for i, (line, text) in enumerate(zip(lines, plain), start=1):
+        if line == f"* {text}":
+            starred.add(i)
+        else:
+            assert line == text
+    return starred
+
+
 def test_report_starred_never_exceeds_total(bundles):
+    """The starred lines are exactly the covered ones, and the header
+    counts the covered instructions against all of them."""
     for bundle in bundles.values():
         fn = bundle.resolved_abi[0]
         args = tuple(t.default() for t in fn.params)
         map_ = run_cover(bundle, [(fn.name, args)])
-        rep = render_report(bundle, map_)
-        lines = rep.text.splitlines()[1:]
-        assert sum(line.startswith("* ") for line in lines) <= len(lines)
+        bits = map_.bits[genesis_config(bundle)["deploy_at"]]
+        covered = [i.offset for i in bundle.cfg.instrs if bits >> i.offset & 1]
+        lines = render_report(bundle, map_).text.splitlines()
+        assert lines[0] == f"COVERAGE v1 {len(covered)}/{len(bundle.cfg.instrs)}"
+        source = bundle.source.splitlines()
+        starred = _starred(lines[1:], source)
+        assert starred == {bundle.linemap[off] for off in covered}
+        assert 0 < len(starred) < len(source)
+        # without source, one disassembly line per instruction
+        bare = ContractBundle("bare", bundle.bytecode, bundle.abi)
+        lines = render_report(bare, map_).text.splitlines()
+        assert lines[0] == f"COVERAGE v1 {len(covered)}/{len(bundle.cfg.instrs)}"
+        texts = [text for _, text in disassembly_lines(bare)]
+        offsets = [off for off, _ in disassembly_lines(bare)]
+        starred = _starred(lines[1:], texts)
+        assert {offsets[i - 1] for i in starred} == set(covered)
 
 
 def test_report_full_coverage_stars_every_source_line(cubic):

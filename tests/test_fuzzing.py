@@ -18,7 +18,7 @@ from sctest.coverage import (
 from sctest.evm.bundle import ContractBundle, load_bundle
 from sctest.evm.engine import execute_sequence as engine_execute_sequence
 from sctest.evm.types import DEFAULT_GAS, Transaction
-from sctest.errors import SctestError
+from sctest.errors import SctestError, TypeMismatch
 from sctest.evm.world import contract_under_test, deploy, make_world
 from sctest.fuzzing import (
     ASSERT_FAILURE,
@@ -439,6 +439,16 @@ def test_testcase_id_covers_every_field(one, other):
     assert FuzzCase(one).id != FuzzCase(other).id
 
 
+@pytest.mark.parametrize("arg", [1.5, 1.0, "7", None])
+def test_an_arg_the_engine_refuses_has_no_id(arg):
+    # tx_doc wrote int(arg), so 1.5 and "7" took the id of 1 and 7
+    tc = FuzzCase((_id_tx(args=(2, arg)),))
+    with pytest.raises(TypeMismatch, match=f"argument 1 of f is a {type(arg).__name__}"):
+        tc.id
+    with pytest.raises(TypeMismatch):
+        tc.to_doc()
+
+
 def test_testcase_id_implies_the_first_destination():
     # a case moved whole to another contract keeps its id: the id names
     # what the case does to its contract under test
@@ -763,12 +773,20 @@ def test_skipped_repeats_leave_outputs_unchanged(name, monkeypatch):
     assert chunked == single == ref
 
 
+class _Unkept(dict):
+    """A trie node whose lookup always misses."""
+
+    def get(self, key, default=None):
+        return default
+
+
 class FullRerunCampaign(Campaign):
-    """The campaign before prefixes were stored: the lookup always
+    """The campaign before prefixes were kept: the store's lookup always
     misses, so every candidate runs all its calls from the snapshot."""
 
-    def _resume(self, rows):
-        return []
+    def __post_init__(self):
+        super().__post_init__()
+        self._trie = _Unkept()
 
 
 @pytest.mark.parametrize("seed", [42, 77])

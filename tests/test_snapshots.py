@@ -1,12 +1,17 @@
-"""Snapshot keys, suffixes run from cached worlds, and the LRU cache."""
+"""The store of worlds after a prefix: suffixes run from kept worlds,
+misses that resume from the longest kept prefix, and the campaign's
+store serving the shadow."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sctest.bytecode.abi import FunctionSig, parse_abi
 from sctest.bytecode.asm import Asm, dispatcher
+from sctest.concolic import shadow_run
+from sctest.errors import TypeMismatch
 from sctest.evm import snapshots
 from sctest.evm import (
     ContractBundle,
@@ -14,9 +19,10 @@ from sctest.evm import (
     Transaction,
     deploy,
     execute_sequence,
+    make_world,
     new_world,
-    prefix_key,
 )
+from sctest.fuzzing import Campaign, seed_initial_target
 
 ACCT = 0x1001
 AT = 0xC0DE
@@ -54,15 +60,39 @@ def _state(world):
     )
 
 
-def test_prefix_key_is_32_bytes_and_stable():
-    seq = [_bump(1), _bump(2, delay=3)]
-    k1, k2 = prefix_key(seq), prefix_key(seq)
-    assert k1 == k2
-    assert len(k1) == 32
+def _count_runs(monkeypatch, module) -> list:
+    """Record the length of every sequence `module` executes."""
+    runs = []
+    execute = module.execute_sequence
+
+    def counting(world, txs):
+        runs.append(len(txs))
+        return execute(world, txs)
+
+    monkeypatch.setattr(module, "execute_sequence", counting)
+    return runs
 
 
-def test_prefix_key_sensitive_to_order_args_and_delay():
-    base = prefix_key([_bump(1), _bump(2)])
+def test_a_miss_resumes_from_the_longest_kept_prefix(monkeypatch):
+    w = _world()
+    runs = _count_runs(monkeypatch, snapshots)
+    cache = SnapshotCache()
+    first = cache.get_or_build(w, [_bump(1)])
+    got = cache.get_or_build(w, [_bump(1), _bump(2)])
+    assert runs == [1, 1]  # bump(2) alone ran on the second call
+    assert _state(got) == _state(execute_sequence(w, [_bump(1), _bump(2)])[0])
+    assert (cache.hits, cache.misses) == (0, 2)
+    # both prefixes are kept now
+    assert cache.get_or_build(w, [_bump(1)]) is first
+    assert cache.get_or_build(w, [_bump(1), _bump(2)]) is got
+    assert runs == [1, 1] and (cache.hits, cache.misses) == (2, 2)
+
+
+def test_a_world_is_served_only_for_equal_transactions():
+    # every variant of the kept [bump(1), bump(2)] is a miss served the
+    # engine's world, but its own first step, which the trie keeps too
+    w = deploy(_world(), _counter_bundle(), 0xB0B)
+    kept = [_bump(1), _bump(2)]
     variants = [
         [_bump(2), _bump(1)],
         [_bump(1), _bump(3)],
@@ -73,12 +103,31 @@ def test_prefix_key_sensitive_to_order_args_and_delay():
         [_bump(1), _bump(2)._replace(destination=0xB0B)],
         [_bump(1), _bump(2)._replace(call_data=bytes.fromhex("deadbeef"))],
         [_bump(1), _bump(2)._replace(source=0x1002)],
-        # a moved first transaction: the key implies no destination
+        # a moved first transaction
         [_bump(1)._replace(destination=0xB0B), _bump(2)._replace(destination=0xB0B)],
     ]
-    keys = [base] + [prefix_key(v) for v in variants]
-    assert len(set(keys)) == len(keys)
-    assert prefix_key([_bump(True)]) != prefix_key([_bump(1)])
+    for variant in variants:
+        cache = SnapshotCache()
+        cache.get_or_build(w, kept)
+        got = cache.get_or_build(w, variant)
+        want = (1, 1) if variant == kept[:1] else (0, 2)
+        assert (cache.hits, cache.misses) == want, variant
+        assert _state(got) == _state(execute_sequence(w, variant)[0]), variant
+
+
+@pytest.mark.parametrize("arg", [True, 1.0], ids=["bool", "float"])
+def test_an_arg_the_engine_refuses_is_refused_after_an_equal_prefix(arg):
+    # a bump holding True or 1.0 equals bump(1) as a Transaction, but
+    # the engine wants an integer
+    w = _world()
+    cache = SnapshotCache()
+    cache.get_or_build(w, [_bump(1)])
+    assert [_bump(arg)] == [_bump(1)]
+    with pytest.raises(TypeMismatch):
+        execute_sequence(w, [_bump(arg)])
+    with pytest.raises(TypeMismatch):
+        cache.get_or_build(w, [_bump(arg)])
+    assert cache.hits == 0
 
 
 def test_cached_world_then_suffix_equals_direct_execution():
@@ -125,22 +174,6 @@ def test_cache_hit_returns_same_snapshot():
     assert cache.hits == 1 and cache.misses == 1
 
 
-def test_cache_miss_captures_the_prefix_run_and_hashes_once(monkeypatch):
-    w = _world()
-    prefix = [_bump(5), _bump(7, delay=2)]
-    want, _ = execute_sequence(w, prefix)
-    keyed = []
-
-    def counting_key(p):
-        keyed.append(len(p))
-        return prefix_key(p)
-
-    monkeypatch.setattr(snapshots, "prefix_key", counting_key)
-    got = SnapshotCache().get_or_build(w, prefix)
-    assert _state(got) == _state(want)
-    assert keyed == [2]
-
-
 def test_cache_serves_a_world_only_for_its_own_base():
     a = _world()
     b, _ = execute_sequence(a, [_bump(100)])
@@ -153,41 +186,27 @@ def test_cache_serves_a_world_only_for_its_own_base():
     assert (cache.hits, cache.misses) == (0, 2)
 
 
-def test_cache_evicts_least_recently_used(monkeypatch):
-    monkeypatch.setattr(snapshots, "MAX_WORLDS", 3)
-    w = _world()
-    cache = SnapshotCache()
-    s1 = cache.get_or_build(w, [_bump(1)])
-    cache.get_or_build(w, [_bump(2)])
-    s3 = cache.get_or_build(w, [_bump(3)])
-    assert len(cache) == 3
-    assert cache.get_or_build(w, [_bump(1)]) is s1  # refresh s1; bump(2) becomes LRU
-    s4 = cache.get_or_build(w, [_bump(4)])
-    assert len(cache) == 3
-    assert cache.hits == 1
-    # bump(2) was evicted; the other three are still held
-    assert cache.get_or_build(w, [_bump(3)]) is s3
-    assert cache.get_or_build(w, [_bump(1)]) is s1
-    assert cache.get_or_build(w, [_bump(4)]) is s4
-    assert (cache.hits, cache.misses) == (4, 4)
-    cache.get_or_build(w, [_bump(2)])
-    assert (cache.hits, cache.misses) == (4, 5)
-
-
-def test_cache_keeps_at_least_one_entry(monkeypatch):
-    monkeypatch.setattr(snapshots, "MAX_WORLDS", 1)
-    w = _world()
-    cache = SnapshotCache()
-    cache.get_or_build(w, [_bump(1)])
-    kept = cache.get_or_build(w, [_bump(2)])
-    assert len(cache) == 1
-    assert cache.get_or_build(w, [_bump(2)]) is kept
-    assert (cache.hits, cache.misses) == (1, 2)
-
-
 def test_cache_build_leaves_base_world_untouched():
     w = _world()
     before = _state(w)
     random.seed(0)
     SnapshotCache().get_or_build(w, [_bump(6), _bump(8)])
     assert _state(w) == before
+
+
+def test_the_campaign_store_serves_the_shadow(pool, monkeypatch):
+    world, _ = make_world(pool)
+    camp = Campaign(world, seed_initial_target(pool.resolved_abi), 42)
+    camp.run(300)
+    cache = camp.prefixes
+    runs = _count_runs(monkeypatch, snapshots)
+    asked = 0
+    for tc in camp.corpus.entries:
+        for k in range(1, len(tc.txs)):
+            prefix, tx = tc.txs[:k], tc.txs[k]
+            cached = shadow_run(camp.snapshot, prefix, tx, cache=cache)
+            assert cached == shadow_run(camp.snapshot, prefix, tx)
+            asked += 1
+    assert asked > 0
+    assert runs == []  # no prefix transaction ran
+    assert (cache.hits, cache.misses) == (asked, 0)
