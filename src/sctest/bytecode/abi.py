@@ -59,7 +59,7 @@ class AbiType:
         return 1 if self.kind == "bool" else self.bits
 
     def default(self):
-        return {"uint": 0, "address": 0, "bool": False, "bytes": b"", "array": []}[
+        return {"uint": 0, "address": 0, "bool": False, "bytes": b"", "array": ()}[
             self.kind
         ]
 
@@ -73,7 +73,7 @@ class AbiType:
             if not 0 <= value < limit:
                 raise ValueOutOfRange(f"{value} out of range for {self.canonical()}")
         elif k == "bool":
-            if not isinstance(value, bool) and value not in (0, 1):
+            if not isinstance(value, int) or value not in (0, 1):
                 raise TypeMismatch("bool needs true/false")
         elif k == "bytes":
             if not isinstance(value, (bytes, bytearray)):

@@ -38,11 +38,11 @@ from .symexpr import (
     UNINTERPRETED,
     Binop,
     Const,
-    Input,
     Keccak,
     PathConstraint,
     SymExpr,
     Unop,
+    assign_atoms,
     atom_value,
     conjuncts,
     evaluate_atoms,
@@ -149,10 +149,10 @@ def resize_dynamic(args: tuple, n: int) -> tuple:
     items; static arguments as they are."""
     out = []
     for v in args:
-        if isinstance(v, (bytes, bytearray)):
-            v = bytes(v[:n]).ljust(n, b"\0")
-        elif isinstance(v, (list, tuple)):
-            v = tuple(v[:n]) + (0,) * (n - len(v))
+        if isinstance(v, bytes):
+            v = v[:n].ljust(n, b"\0")
+        elif isinstance(v, tuple):
+            v = v[:n] + (0,) * (n - len(v))
         out.append(v)
     return tuple(out)
 
@@ -226,14 +226,9 @@ def drive(
     def enqueue_flips(txs: tuple, position: int, run: ShadowRun) -> None:
         harvest(run.sha_preimages)
         decisions = run.decisions
-        prefix_id = TestCase(txs[:position]).id
+        prefix = txs[:position]
         for j, c in enumerate(run.constraints):
-            key = (
-                position,
-                prefix_id,
-                decisions[:j],
-                (c.branch_offset, not c.taken),
-            )
+            key = (position, prefix, decisions[:j], (c.branch_offset, not c.taken))
             if key in seen_flips:
                 continue
             seen_flips.add(key)
@@ -295,40 +290,6 @@ def drive(
 
     # -- solving ------------------------------------------------------------
 
-    def atom_env(sig, args, preds) -> dict:
-        names = dict(zip(sig.param_names, args))
-        env: dict[Input, int] = {}
-        for p in preds:
-            for a in inputs_of(p):
-                if a not in env:
-                    env[a] = atom_value(a, names)
-        return env
-
-    def apply_model(sig, args: tuple, model: dict) -> tuple:
-        out = list(args)
-        index = {name: i for i, name in enumerate(sig.param_names)}
-        for atom, value in model.items():
-            i = index.get(atom.param)
-            if i is None or atom.kind == "length":
-                continue
-            t = sig.params[i]
-            if t.kind == "bytes":
-                buf = bytearray(out[i])
-                if atom.offset < len(buf):
-                    buf[atom.offset] = value & 0xFF
-                out[i] = bytes(buf)
-            elif t.kind == "array":
-                elems = list(out[i])
-                k = atom.offset // 32
-                if k < len(elems):
-                    elems[k] = value
-                out[i] = tuple(elems)
-            elif t.kind == "bool":
-                out[i] = bool(value)
-            else:
-                out[i] = value
-        return tuple(out)
-
     def verify_model(original, env, model) -> bool:
         """The solved values, with unsolved atoms at seed defaults, must
         satisfy the pre-rewrite conjunction; hash terms are left to the
@@ -347,7 +308,8 @@ def drive(
         conj = [c.observed() for c in constraints[:j]] + [
             constraints[j].negated()
         ]
-        env = atom_env(sig, run_tx.args, conj)
+        names = dict(zip(sig.param_names, run_tx.args))
+        env = {a: atom_value(a, names) for p in conj for a in inputs_of(p)}
         lengths = {a: v for a, v in env.items() if a.kind == "length"}
         conj = [substitute(p, lengths) for p in conj]
         conj = [q for p in conj for q in conjuncts(rewrite_hashes(p, preimages))]
@@ -387,8 +349,8 @@ def drive(
 
     def _finish(sig, prefix, run_tx, constraints, j, env, model):
         """Materialize a model, check faithfulness, emit and enqueue."""
-        new_args = apply_model(sig, run_tx.args, model)
-        new_tx = run_tx._replace(args=new_args)
+        args = assign_atoms(dict(zip(sig.param_names, run_tx.args)), model)
+        new_tx = run_tx._replace(args=tuple(args[name] for name in sig.param_names))
         case_txs = tuple(prefix) + (new_tx,)
         predicted = tuple(
             (c.branch_offset, c.taken) for c in constraints[:j]
@@ -408,9 +370,7 @@ def drive(
     def attempt(state: ConcolicState) -> None:
         prefix = state.input[: state.position]
         seed_tx = state.input[state.position]
-        sig = bundle.by_name.get(seed_tx.function_call)
-        if sig is None:
-            return
+        sig = bundle.by_name[seed_tx.function_call]
         target_pair = (state.phi_target.branch_offset, state.phi_target.taken)
         dynamic = any(t.is_dynamic for t in sig.params)
 
@@ -422,9 +382,7 @@ def drive(
             return
 
         lengths = [
-            max(1, len(v))
-            for v in seed_tx.args
-            if isinstance(v, (bytes, bytearray, list, tuple))
+            max(1, len(v)) for v in seed_tx.args if isinstance(v, (bytes, tuple))
         ]
         for pin in _PIN_LADDER:
             if all(n == pin for n in lengths):

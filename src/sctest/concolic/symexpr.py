@@ -14,7 +14,9 @@ Input atoms name a position inside one decoded argument:
   kind "byte"    data byte `offset` of a bytes argument
   kind "length"  the length word of a dynamic argument
 `bits` bounds the atom's value range as declared by the ABI (a byte atom
-is 8 bits, an address 160); solvers use it as the search domain.
+is 8 bits, an address 160, a bool 1); solvers use it as the search
+domain.  atom_value reads an atom's word from {param name: value} and
+assign_atoms writes words back, the one map between atoms and values.
 
 The node forms are the ones the shadow interpreter
 (sctest.concolic.shadow) builds: Const, Input, Unop (NOT, ISZERO), Binop
@@ -89,9 +91,31 @@ def atom_value(atom: Input, env: dict) -> int:
     if isinstance(v, (list, tuple)):
         i = atom.offset // 32
         return int(v[i]) & MASK256 if i < len(v) else 0
-    if isinstance(v, bool):
-        return 1 if v else 0
     return int(v) & MASK256
+
+
+def assign_atoms(env: dict, model: dict) -> dict:
+    """env ({param name: value}, arrays as tuples, as Transaction holds
+    them) with each atom of model ({Input: word}) written back, the
+    inverse of atom_value: a byte or an element sets that item, a word
+    the value (a bool when 1 bit wide).  A length atom, an item past the
+    value's end and an unknown param are left alone."""
+    out = dict(env)
+    for atom, w in model.items():
+        v = out.get(atom.param)
+        if v is None or atom.kind == "length":
+            continue
+        if atom.kind == "word":
+            out[atom.param] = bool(w) if atom.bits == 1 else w
+        elif atom.kind == "byte":
+            i = atom.offset
+            if i < len(v):
+                out[atom.param] = v[:i] + bytes((w & 0xFF,)) + v[i + 1 :]
+        else:  # elem
+            i = atom.offset // 32
+            if i < len(v):
+                out[atom.param] = v[:i] + (w,) + v[i + 1 :]
+    return out
 
 
 def _unop(op: str, x: int) -> int:

@@ -3,7 +3,8 @@
 Every per-opcode figure here (gas, pops, pushes, and the bytes that end
 a block) comes from sctest.bytecode.opcodes; this module only folds
 them into the run and step tables that run_frame and the shadow read.
-The instruction list itself is the CFG's (Cfg.instrs).
+CodeImage.from_bytecode decodes the bytecode itself, with the decoder
+build_cfg uses for its instruction list (Cfg.instrs).
 """
 
 from dataclasses import dataclass

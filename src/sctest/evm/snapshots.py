@@ -10,10 +10,9 @@ it was and equals executing prefix + suffix from the base world: the
 store is a pure speedup for sequence-heavy loops.  Nothing is evicted; a
 store lives as long as its owner.
 
-A Transaction holding True or 1.0 compares equal to one holding 1, but
-the engine refuses a bool or a float where the ABI wants an integer.  So
-get_or_build runs a prefix with a top-level argument other than an int,
-bytes or tuple as the engine runs it, and keeps none of it.
+A Transaction holding True equals one holding 1, but the engine refuses
+a bool where the ABI wants an integer, so get_or_build runs a prefix
+holding a bool as the engine runs it and keeps none of it.
 """
 
 # not called here: perfbench/layers.py counts Keccak calls per binding
@@ -21,8 +20,6 @@ bytes or tuple as the engine runs it, and keeps none of it.
 from .._kernels import keccak256
 from .engine import execute_sequence
 from .world import EvmWorld
-
-_KEYED = (int, bytes, tuple)  # argument types that key a step exactly
 
 
 class SnapshotCache:
@@ -48,7 +45,7 @@ class SnapshotCache:
         transactions past the longest kept prefix run (world stays as it
         was), and each is kept."""
         prefix = list(prefix)
-        if any(type(a) not in _KEYED for tx in prefix for a in tx.args or ()):
+        if any(type(a) is bool for tx in prefix for a in tx.args or ()):
             self.misses += 1
             return execute_sequence(world, prefix)[0]
         node = self.trie(world)

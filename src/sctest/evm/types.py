@@ -20,11 +20,15 @@ class BlockCtx(NamedTuple):
     number: int = 1
 
 
-def normalize_args(args) -> tuple:
-    """Make an argument list hashable and canonical (lists -> tuples).
+def normalize_args(args, function: str) -> tuple:
+    """The canonical, hashable form of function's arguments, and the one
+    gate for what an argument may hold.
 
-    A tuple that is canonical already (no list or bytearray, arrays as
-    tuples of plain ints) comes back as the same object."""
+    An argument must be one some ABI type can encode: an int (a bool
+    stays one, another int subclass becomes its int), bytes (from a
+    bytearray too) or a list or tuple of ints that are not bools (made a
+    tuple of ints).  Anything else raises TypeMismatch naming its index
+    and the function.  A canonical tuple comes back as the same object."""
     if type(args) is tuple:
         for a in args:
             t = type(a)
@@ -37,18 +41,31 @@ def normalize_args(args) -> tuple:
                 else:
                     continue
                 break
-            if isinstance(a, (list, tuple, bytearray)):
+            if t is not bytes and t is not bool:
                 break
         else:
             return args
     out = []
-    for a in args:
-        if isinstance(a, (list, tuple)):
-            out.append(tuple(int(x) for x in a))
-        elif isinstance(a, bytearray):
-            out.append(bytes(a))
+    for i, a in enumerate(args):
+        if isinstance(a, int):
+            a = a if type(a) is bool else int(a)
+        elif isinstance(a, (bytes, bytearray)):
+            a = bytes(a)
+        elif isinstance(a, (list, tuple)):
+            elems = []
+            for x in a:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise TypeMismatch(
+                        f"argument {i} of {function} is a {type(a).__name__}"
+                        f" holding a {type(x).__name__}"
+                    )
+                elems.append(int(x))
+            a = tuple(elems)
         else:
-            out.append(a)
+            raise TypeMismatch(
+                f"argument {i} of {function} is a {type(a).__name__}"
+            )
+        out.append(a)
     return tuple(out)
 
 
@@ -69,7 +86,9 @@ class Transaction(_TxFields):
     Exactly one of (args, call_data) drives encoding: structured args are
     ABI-encoded at execution time via the destination's manifest; raw
     call_data is passed through untouched.  A named tuple, so building
-    one is cheap; args are normalised on the way in, by _replace too.
+    one is cheap; args pass normalize_args on the way in, by _replace
+    too, so a transaction holding an argument no ABI type can encode is
+    refused when built.
     """
 
     __slots__ = ()
@@ -86,7 +105,7 @@ class Transaction(_TxFields):
         value: int = 0,
     ):
         if args is not None:
-            args = normalize_args(args)
+            args = normalize_args(args, function_call)
         return tuple.__new__(
             cls, (function_call, args, call_data, delay, gas, source, destination, value)
         )
@@ -105,26 +124,15 @@ def tx_doc(tx: Transaction, destination: int | None = None) -> dict:
     It always holds function, args, sender, value and delay; call_data
     only when set, gas only when it is not DEFAULT_GAS, and destination
     only when it differs from `destination`, the one the reader implies
-    (None implies none, so the key is always written).  An argument
-    that is not an int, bool, bytes or tuple raises TypeMismatch, so no
-    transaction the engine refuses shares a document with one it runs."""
-    args = []
-    for i, a in enumerate(tx.args or ()):
-        if isinstance(a, bytes):
-            args.append("0x" + a.hex())
-        elif isinstance(a, tuple):
-            args.append(list(a))
-        elif isinstance(a, bool):
-            args.append(a)
-        elif isinstance(a, int):
-            args.append(int(a))
-        else:
-            raise TypeMismatch(
-                f"argument {i} of {tx.function_call} is a {type(a).__name__}"
-            )
+    (None implies none, so the key is always written).  Arguments passed
+    Transaction's gate, so each is an int, a bool, bytes or a tuple."""
     doc = {
         "function": tx.function_call,
-        "args": args,
+        "args": [
+            "0x" + a.hex() if isinstance(a, bytes) else
+            list(a) if isinstance(a, tuple) else a
+            for a in tx.args or ()
+        ],
         "sender": f"0x{tx.source:040x}",
         "value": tx.value,
         "delay": tx.delay,

@@ -59,7 +59,7 @@ class ConcreteCall:
     delay: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "args", normalize_args(self.args))
+        object.__setattr__(self, "args", normalize_args(self.args, self.function))
 
 
 @dataclass(frozen=True)
@@ -398,10 +398,7 @@ def seed_initial_target(abi: list[FunctionSig]) -> FuzzTarget:
         raise EmptyAbi("no callable functions to fuzz")
     calls = []
     for sig in actions:
-        seeds = tuple(
-            tuple(t.default()) if t.kind == "array" else t.default()
-            for t in sig.params
-        )
+        seeds = tuple(t.default() for t in sig.params)
         calls.append(FuzzCall(sig.name, seeds, None, 0, 0, sig.param_names))
     return FuzzTarget("seed", {}, (), tuple(calls), "shuffle")
 

@@ -129,7 +129,7 @@ def _reference_validate(t, value):
         if not 0 <= value < limit:
             raise ValueOutOfRange(f"{value} out of range for {t.canonical()}")
     elif k == "bool":
-        if not isinstance(value, bool) and value not in (0, 1):
+        if not isinstance(value, int) or value not in (0, 1):
             raise TypeMismatch("bool needs true/false")
     elif k == "bytes":
         if not isinstance(value, (bytes, bytearray)):
@@ -270,6 +270,7 @@ def test_encode_args_matches_the_two_pass_reference(fault, data):
         (("uint16[]",), ([-1],), ValueOutOfRange),
         (("uint8[]",), ([1, True],), TypeMismatch),
         (("bool",), (2,), TypeMismatch),
+        (("bool",), (1.0,), TypeMismatch),
     ],
 )
 def test_encode_args_errors_match_the_reference(types, args, error):

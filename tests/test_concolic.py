@@ -36,7 +36,14 @@ from sctest.concolic import (
     solve,
 )
 from sctest.concolic.drive import pin_all_but_one, resize_dynamic, rewrite_hashes
-from sctest.concolic.symexpr import UNOPS, _shr_over_disjoint, atom_value, conjuncts
+from sctest.concolic.symexpr import (
+    UNOPS,
+    PathConstraint,
+    _shr_over_disjoint,
+    assign_atoms,
+    atom_value,
+    conjuncts,
+)
 from sctest.concolic.shadow import ArgLayout, _shadow_frame
 from sctest.coverage import CoverageMap, merge_result
 from sctest.errors import InsufficientBalance, MalformedCalldata, SctestError
@@ -558,6 +565,7 @@ ISZERO, POP, CALLDATALOAD, ADD, MUL, MSTORE, MSTORE8, MLOAD, SHA3, DUP1 = (
     )
 )
 CREATE, CALL, STATICCALL = (by_name(n).code for n in ("CREATE", "CALL", "STATICCALL"))
+NOT, JUMP, RETURN, REVERT = (by_name(n).code for n in ("NOT", "JUMP", "RETURN", "REVERT"))
 ABI_ARGS = (7, (1, 2), b"xyz")
 ABI_CALL = (encode_call(DIFF_SIG, ABI_ARGS), ArgLayout(DIFF_SIG, ABI_ARGS))
 NO_CALL = (b"", None)
@@ -649,6 +657,121 @@ def test_shadow_and_kernel_agree_when_gas_runs_out_stepping():
     assert {len(r.trace) for r in runs if r.halt == "out_of_gas"} == set(
         range(len(runs[-1].trace))
     )
+
+
+def _shadow_and_kernel(code: bytes, call=NO_CALL, gas=20000):
+    """The shadow's run of code and the kernel's (its result and trace),
+    from the same inputs."""
+    image = CodeImage.from_bytecode(code)
+    calldata, layout = call
+    balances = {SELF: 7, CALLER: 1000}
+    run = _shadow_frame(
+        image, calldata, layout, {}, dict(balances), SELF, CALLER, 0, 1, 1, gas
+    )
+    trace: list[int] = []
+    kernel = run_frame(
+        image, calldata, {}, dict(balances), SELF, CALLER, 0, 1, 1,
+        gas, False, trace, [], [], [],
+    )
+    return run, kernel, trace
+
+
+# WORD stored at 0, then its bytes 3..42 (the last 11 past the word) returned
+_RETURNED = WORD.to_bytes(32, "big")[3:] + bytes(11)
+
+
+@pytest.mark.parametrize(
+    "code,halt,data",
+    [
+        (_push(WORD) + _push(0) + bytes([MSTORE]) + _push(40) + _push(3)
+         + bytes([RETURN]), "return", _RETURNED),
+        (_push(WORD) + _push(0) + bytes([MSTORE]) + _push(40) + _push(3)
+         + bytes([REVERT]), "revert", _RETURNED),
+        # offset 0 holds the PUSH, not a JUMPDEST
+        (_push(0) + bytes([JUMP]), "invalid", b""),
+        (_push(2**256 - 1) + bytes([JUMP]), "invalid", b""),
+    ],
+    ids=["return-memory", "revert-memory", "jump-to-a-push", "jump-past-the-code"],
+)
+def test_shadow_halts_as_the_kernel_does(code, halt, data):
+    run, kernel, trace = _shadow_and_kernel(code)
+    assert kernel[:3] == ("halt", halt, data)
+    assert (run.halt, run.return_data) == (halt, data)
+    assert run.gas_used == 20000 - kernel[3]
+    assert list(run.trace) == trace
+
+
+def test_shadow_stops_at_a_call_where_the_kernel_pauses():
+    run, kernel, trace = _shadow_and_kernel(_push(0) * 7 + bytes([CALL]))
+    assert kernel[:2] == ("call", "call")
+    assert run.halt == "external_call"
+    assert run.gas_used == 20000 - kernel[5] == 521
+    assert list(run.trace) == trace == [0, 2, 4, 6, 8, 10, 12, 14]
+
+
+def test_a_branch_on_not_of_an_argument_records_its_complement():
+    # CALLDATALOAD 4, NOT, then a JUMPI on it at offset 6 (taken: a is 7)
+    run, kernel, trace = _shadow_and_kernel(_branch_on("60043519").code, ABI_CALL)
+    assert kernel[:2] == ("halt", "stop")
+    assert run.halt == "stop" and run.gas_used == 20000 - kernel[3]
+    assert list(run.trace) == trace
+    assert run.constraints == (PathConstraint(Unop("NOT", A), 6, True),)
+    assert format_expr(run.constraints[0].predicate) == "~a"
+
+
+# -- the atom map -------------------------------------------------------------
+
+FLAGS_SIG = FunctionSig("g", ("bool", "address", "uint8"), param_names=("b", "who", "n"))
+ATOM_ARGS = {
+    DIFF_SIG: st.tuples(
+        st.integers(0, 2**256 - 1),
+        st.lists(st.integers(0, 255), max_size=3).map(tuple),
+        st.binary(max_size=40),
+    ),
+    FLAGS_SIG: st.tuples(st.booleans(), st.integers(0, 2**160 - 1), st.integers(0, 255)),
+}
+
+
+def _layout_atoms(sig, args) -> list:
+    """Every atom ArgLayout names in some calldata window of the call."""
+    layout, calldata = ArgLayout(sig, args), encode_call(sig, args)
+    atoms: dict = {}
+    for p in range(4, len(calldata)):
+        e = layout.word_at(p, calldata)
+        if e is not None:
+            atoms.update(dict.fromkeys(inputs_of(e)))
+    return list(atoms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_assign_atoms_writes_back_the_word_atom_value_reads(data):
+    sig = data.draw(st.sampled_from((DIFF_SIG, FLAGS_SIG)))
+    args = data.draw(ATOM_ARGS[sig])
+    env = dict(zip(sig.param_names, args))
+    kept = dict(env)
+    model = {}
+    atoms = _layout_atoms(sig, args)
+    for a in atoms:
+        w = model[a] = data.draw(st.integers(0, (1 << a.bits) - 1))
+        got = assign_atoms(env, {a: w})
+        if a.kind == "length":
+            assert got == env
+            continue
+        assert atom_value(a, got) == w
+        assert type(got[a.param]) is type(env[a.param])
+        # every other atom, the length included, reads as before
+        assert all(atom_value(b, got) == atom_value(b, env) for b in atoms if b != a)
+        assert {k: v for k, v in got.items() if k != a.param} == {
+            k: v for k, v in env.items() if k != a.param
+        }
+        # still a canonical argument of its ABI type
+        values = tuple(got[n] for n in sig.param_names)
+        assert Transaction(sig.name, values).args is values
+        encode_call(sig, values)
+    assert env == kept
+    got = assign_atoms(env, model)
+    assert all(atom_value(a, got) == w for a, w in model.items() if a.kind != "length")
 
 
 # -- the slot record ----------------------------------------------------------
@@ -872,6 +995,48 @@ def test_drive_skips_a_shadow_run_that_raises_a_package_error(monkeypatch, pool)
 def test_drive_propagates_an_engine_bug(monkeypatch, pool):
     with pytest.raises(RuntimeError):
         _drive_with_shadow_raising(monkeypatch, pool, RuntimeError("bug"))
+
+
+def _drive_with_models(monkeypatch, bundle, model_of):
+    """drive with every solve answering Sat(model_of(predicates)); the
+    predicates asked and the sequences the engine ran come back too."""
+    module = importlib.import_module("sctest.concolic.drive")
+    asked, ran = [], []
+    engine = module.execute_sequence
+
+    def solving(preds):
+        asked.append(preds)
+        return Sat(model_of(preds))
+
+    def running(world, txs):
+        ran.append(tuple(txs))
+        return engine(world, txs)
+
+    monkeypatch.setattr(module, "solve", solving)
+    monkeypatch.setattr(module, "execute_sequence", running)
+    emitted = drive(bundle, Corpus(), CoverageMap(), DriveBudget(iterations=5))
+    return emitted, asked, ran
+
+
+@pytest.mark.parametrize(
+    "model_of",
+    [
+        # each model rebuilds the seed call, which takes its recorded branch
+        lambda preds: {},
+        # a word no ABI type holds: the model's call cannot be encoded
+        lambda preds: {a: 2**256 for p in preds for a in inputs_of(p)},
+    ],
+    ids=["seed-again", "unencodable"],
+)
+def test_drive_drops_a_model_whose_run_diverges(monkeypatch, ballot, model_of):
+    seeds = [
+        tc.txs for tc in drive(ballot, Corpus(), CoverageMap(), DriveBudget(iterations=0))
+    ]
+    assert len(drive(ballot, Corpus(), CoverageMap(), DriveBudget(iterations=5))) > 1
+    emitted, asked, ran = _drive_with_models(monkeypatch, ballot, model_of)
+    assert asked
+    # nothing solved is emitted or run by the engine: only the seed
+    assert [tc.txs for tc in emitted] == ran == seeds
 
 
 # -- fixture gate: drive reaches the asserts a short campaign misses ---------

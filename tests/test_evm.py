@@ -17,6 +17,7 @@ from sctest.errors import (
     MalformedCalldata,
     SchemaError,
     SctestError,
+    TypeMismatch,
     UnknownDestination,
 )
 from sctest.evm import (
@@ -1034,15 +1035,21 @@ def test_a_call_that_changes_nothing_returns_the_world_it_ran_from():
 
 
 def reference_normalize_args(args) -> tuple:
-    """normalize_args as it always builds a new tuple."""
+    """normalize_args as it always builds a new tuple: an int (a bool
+    kept, another int subclass as its int), bytes, a bytearray, or a list
+    or tuple of ints that are not bools; anything else is refused."""
     out = []
     for a in args:
         if isinstance(a, (list, tuple)):
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in a):
+                raise TypeMismatch("an array element no ABI type encodes")
             out.append(tuple(int(x) for x in a))
-        elif isinstance(a, bytearray):
+        elif isinstance(a, (bytes, bytearray)):
             out.append(bytes(a))
+        elif isinstance(a, int):
+            out.append(a if isinstance(a, bool) else int(a))
         else:
-            out.append(a)
+            raise TypeMismatch("an argument no ABI type encodes")
     return tuple(out)
 
 
@@ -1053,10 +1060,36 @@ def _shape(v):
     return type(v), v
 
 
-_scalars = st.integers(0, 2**256 - 1) | st.booleans() | st.binary(max_size=4)
-_arrays = st.lists(st.integers(0, 2**256 - 1) | st.booleans(), max_size=3)
+def _normalized(normalize, args):
+    """The shape of normalize(args), or the class of what it raised."""
+    try:
+        return _shape(normalize(args))
+    except Exception as e:  # the class is what must agree
+        return type(e)
+
+
+class _Word(int):
+    """An int subclass: normalized to its plain int value."""
+
+
+_refused = st.floats(allow_nan=False) | st.text(max_size=2) | st.none()
+_scalars = (
+    st.integers(0, 2**256 - 1)
+    | st.booleans()
+    | st.binary(max_size=4)
+    | st.integers(0, 9).map(_Word)
+)
+_arrays = st.lists(
+    st.integers(0, 2**256 - 1) | st.booleans() | st.integers(0, 9).map(_Word)
+    | _refused,
+    max_size=3,
+)
 _args = st.lists(
-    _scalars | st.binary(max_size=4).map(bytearray) | _arrays | _arrays.map(tuple),
+    _scalars
+    | st.binary(max_size=4).map(bytearray)
+    | _arrays
+    | _arrays.map(tuple)
+    | _refused,
     max_size=4,
 )
 
@@ -1066,12 +1099,14 @@ _args = st.lists(
 def test_normalize_args_matches_reference_and_keeps_canonical_tuples(args, as_tuple):
     if as_tuple:
         args = tuple(args)
-    out = normalize_args(args)
-    ref = reference_normalize_args(args)
-    assert _shape(out) == _shape(ref)
-    if _shape(args) == _shape(ref):  # canonical already: the same object
+    ref = _normalized(reference_normalize_args, args)
+    assert _normalized(lambda a: normalize_args(a, "f"), args) == ref
+    if ref is TypeMismatch:
+        return
+    out = normalize_args(args, "f")
+    if _shape(args) == ref:  # canonical already: the same object
         assert out is args
-    assert normalize_args(out) is out
+    assert normalize_args(out, "f") is out
 
 
 def test_transaction_normalises_args_when_built_and_replaced():

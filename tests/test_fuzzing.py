@@ -406,7 +406,7 @@ def test_testcase_id_is_canonical():
     assert len(tc.id) == 32 and int(tc.id, 16) >= 0
     other = FuzzCase(tuple(camp._setup_txs[:1]))
     assert other.id != tc.id
-    assert len(FuzzCase(()).id) == 32  # drive keys position-0 prefixes by it
+    assert len(FuzzCase(()).id) == 32  # the empty case has one too
 
 
 def _id_tx(**fields) -> Transaction:
@@ -439,14 +439,19 @@ def test_testcase_id_covers_every_field(one, other):
     assert FuzzCase(one).id != FuzzCase(other).id
 
 
-@pytest.mark.parametrize("arg", [1.5, 1.0, "7", None])
-def test_an_arg_the_engine_refuses_has_no_id(arg):
-    # tx_doc wrote int(arg), so 1.5 and "7" took the id of 1 and 7
-    tc = FuzzCase((_id_tx(args=(2, arg)),))
-    with pytest.raises(TypeMismatch, match=f"argument 1 of f is a {type(arg).__name__}"):
-        tc.id
-    with pytest.raises(TypeMismatch):
-        tc.to_doc()
+@pytest.mark.parametrize(
+    "arg",
+    [1.5, 1.0, "7", None, [1.5], [True]],
+    ids=["1.5", "1.0", "7", "None", "array_float", "array_bool"],
+)
+def test_an_arg_the_engine_refuses_is_refused_when_built(arg):
+    # tx_doc wrote int(arg), so 1.5 and "7" took the ids of 1 and 7; an
+    # array element was cut with int(x), so [1.5] and [True] ran as [1]
+    match = f"argument 1 of f is a {type(arg).__name__}"
+    with pytest.raises(TypeMismatch, match=match):
+        _id_tx(args=(2, arg))
+    with pytest.raises(TypeMismatch, match=match):
+        _id_tx()._replace(args=(2, arg))
 
 
 def test_testcase_id_implies_the_first_destination():
