@@ -12,9 +12,11 @@ or slows down during the comparison weighs on both sides alike.  For
 every pair it prints both sides' execs_per_s, wall_s, setup_s and
 peak_rss_mb; at the end the wins of the change on execs_per_s, the
 medians and their ratio, the parent's interquartile range, the median
-and interquartile range of the per-pair change/parent ratios, the
-medians of wall_s and setup_s, and whether every run gave the same
-output digest and exact outcomes.
+and interquartile range of the per-pair change/parent ratios, and, for
+each end-to-end metric of BENCHMARK.json, both medians, the relative
+change and "worse than bound" when the change's median is worse than
+the parent's by more than the metric's bound times the parent's median;
+then whether every run gave the same output digest and exact outcomes.
 The per-pair ratios compare runs made a minute apart, so a host that
 swings between fast and slow states for minutes at a time moves both
 sides of a ratio together.
@@ -29,9 +31,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-RUN_SECONDS = json.loads(
-    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
-)["run_seconds"]
+SPEC = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+RUN_SECONDS = SPEC["run_seconds"]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -104,10 +105,16 @@ def main() -> int:
         f"execs_per_s per-pair ratio median {statistics.median(ratios):.3f}"
         f" (IQR {r1:.3f}-{r3:.3f})"
     )
-    for name in ("wall_s", "setup_s", "peak_rss_mb"):
+    for metric in SPEC["end_to_end"]:
+        name = metric["name"]
+        p = statistics.median(values("parent", name))
+        c = statistics.median(values("change", name))
+        worse = (c - p if metric["better"] == "lower" else p - c) > metric["bound"] * abs(p)
+        change = f"{(c - p) / p:+.3f}" if p else "n/a"
         print(
-            f"{name} median {statistics.median(values('parent', name)):.4f}"
-            f" -> {statistics.median(values('change', name)):.4f}"
+            f"{name} median {p:.4f} -> {c:.4f}, relative change {change}"
+            f" (better {metric['better']}, bound {metric['bound']})"
+            + ("   worse than bound" if worse else "")
         )
     outputs = {r["output"] for side in runs.values() for r in side}
     failed = sum(r["failed"] for side in runs.values() for r in side)

@@ -31,6 +31,9 @@ Conventions:
 - stack underflow, stack overflow past 1024 words, bad jump targets,
   unknown opcodes, and writes under a static context all halt with
   kind "invalid"
+- LOG0..4, CREATE/CREATE2 and SELFDESTRUCT keep their gas, stack effect
+  and halts but leave no record: a LOG emits nothing, a CREATE deploys
+  nothing and pushes the zero address, and SELFDESTRUCT sends nothing
 
 Return value is a tagged tuple:
   ("halt", kind, data, gas_left)           kind: stop return revert invalid
@@ -80,8 +83,6 @@ def run_frame(
     gas: int,
     static: bool,
     trace: list,
-    logs: list,
-    ext: list,
     sha_seen: list,
     state=None,
     callret=None,
@@ -303,43 +304,25 @@ def run_frame(
                 push(pc)
             elif op == 0x5A:  # GAS (remaining after this instruction's cost)
                 push(gas)
-            elif 0xA0 <= op <= 0xA4:  # LOG0..4
+            elif 0xA0 <= op <= 0xA4:  # LOG0..4: pops its offset, size and topics
                 if static:
                     return ("halt", "invalid", b"", gas + _unspent(image, pc, offs, trace))
-                n = op - 0xA0
                 off = pop()
                 size = pop()
-                topics = tuple(pop() for _ in range(n))
-                if size:
-                    if not _ensure(memory, off + size):
-                        return ("halt", "out_of_gas", b"", gas + _unspent(image, pc, offs, trace))
-                    data = bytes(memory[off : off + size])
-                else:
-                    data = b""
-                logs.append((pc, topics, data))
-            elif op == 0xF0 or op == 0xF5:  # CREATE / CREATE2
+                del stack[len(stack) - (op - 0xA0) :]
+                if size and not _ensure(memory, off + size):
+                    return ("halt", "out_of_gas", b"", gas + _unspent(image, pc, offs, trace))
+            elif op == 0xF0 or op == 0xF5:  # CREATE / CREATE2: deploys nothing
                 if static:
                     return ("halt", "invalid", b"", gas + _unspent(image, pc, offs, trace))
-                value = pop()
+                pop()  # value
                 off = pop()
                 size = pop()
-                salt = pop() if op == 0xF5 else None
-                if size:
-                    if not _ensure(memory, off + size):
-                        return ("halt", "out_of_gas", b"", gas + _unspent(image, pc, offs, trace))
-                    init = bytes(memory[off : off + size])
-                else:
-                    init = b""
-                rec = {
-                    "kind": "create2" if op == 0xF5 else "create",
-                    "from": self_addr,
-                    "value": value,
-                    "init": init,
-                }
-                if salt is not None:
-                    rec["salt"] = salt
-                ext.append(rec)
-                push(0)  # no real deployment: zero address
+                if op == 0xF5:
+                    pop()  # salt
+                if size and not _ensure(memory, off + size):
+                    return ("halt", "out_of_gas", b"", gas + _unspent(image, pc, offs, trace))
+                push(0)  # the zero address
             elif op == 0xF1:  # CALL
                 pop()  # gas argument ignored: single shared meter
                 to = pop() & ADDR_MASK
@@ -378,13 +361,9 @@ def run_frame(
                     "call", kind, to, callvalue if op == 0xF4 else 0, arg, gas,
                     (stack, memory, nxt[pc], out_off, out_size),
                 )
-            elif op == 0xFF:  # SELFDESTRUCT
+            elif op == 0xFF:  # SELFDESTRUCT: a clean halt, sending nothing
                 if static:
                     return ("halt", "invalid", b"", gas)
-                beneficiary = pop() & ADDR_MASK
-                ext.append(
-                    {"kind": "selfdestruct", "from": self_addr, "to": beneficiary}
-                )
                 return ("halt", "selfdestruct", b"", gas)
             else:  # INVALID and any unknown byte
                 return ("halt", "invalid", b"", gas)

@@ -114,6 +114,10 @@ class FunctionSig:
                 f"{self.name}: {len(self.param_names)} names for "
                 f"{len(coerced)} params"
             )
+        else:  # arguments are keyed by name (ArgLayout, symexpr)
+            for k, n in enumerate(self.param_names):
+                if n in self.param_names[:k]:
+                    raise ValueError(f"{self.name}: parameter name {n!r} repeats")
 
     @cached_property
     def signature(self) -> str:
@@ -175,18 +179,17 @@ def parse_abi(manifest: dict) -> list[FunctionSig]:
             isinstance(n, str) and n for n in param_names
         ):
             raise SchemaError(f"{path}.param_names", "expected a list of names")
-        if param_names and len(param_names) != len(params):
-            raise SchemaError(
-                f"{path}.param_names", "length does not match params"
+        try:
+            sig = FunctionSig(
+                name,
+                tuple(params),
+                entry_offset,
+                body_range,
+                is_property,
+                tuple(param_names),
             )
-        sig = FunctionSig(
-            name,
-            tuple(params),
-            entry_offset,
-            body_range,
-            is_property,
-            tuple(param_names),
-        )
+        except ValueError as e:  # a name count or a repeated name
+            raise SchemaError(f"{path}.param_names", str(e)) from None
         if sig.signature in seen:
             raise SchemaError(path, f"duplicate function {sig.signature}")
         seen.add(sig.signature)

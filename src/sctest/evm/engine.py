@@ -2,7 +2,7 @@
 
 The frame kernel (sctest._kernels.run_frame) executes straight-line
 bytecode and pauses at CALL-class instructions; this driver resolves the
-callee (inline recursion for deployed addresses, recorded success for
+callee (inline recursion for deployed addresses, empty success for
 unknown ones), maintains the shared gas meter, the per-transaction
 storage/balance overlays, and the trace segments, and commits or
 discards state per the halt kind.  Only OUT_OF_GAS rolls back: REVERT
@@ -32,7 +32,7 @@ _HALT_NAME = {
     "revert": "REVERT",
     "invalid": "INVALID",
     "out_of_gas": "OUT_OF_GAS",
-    "selfdestruct": "STOP",  # a recorded external effect, then a clean halt
+    "selfdestruct": "STOP",  # a clean halt that sends nothing
 }
 
 
@@ -51,8 +51,6 @@ class _TxCtx:
         self.balances = world.accounts
         self.overlays: dict[int, dict[int, int]] = {}
         self.segments: list[tuple[int, tuple[int, ...]]] = []
-        self.ext: list[dict] = []
-        self.logs: list[tuple[int, int, tuple, bytes]] = []
         self.sha: list[tuple[bytes, bytes]] = []
         self.gas = tx.gas
         if tx.value and not self.transfer(tx.source, tx.destination, tx.value):
@@ -105,7 +103,7 @@ def _run_call(
     start_pc: int = 0,
 ) -> tuple[str, bytes]:
     """Run `image` (the code deployed at code_addr) as exec_addr, whose
-    storage, balance and logs it uses, until the frame halts.  Trace
+    storage and balance it uses, until the frame halts.  Trace
     segments are filed under code_addr, so a DELEGATECALL's offsets land
     on the callee's code; the two addresses differ only there."""
     block = ctx.block
@@ -114,14 +112,11 @@ def _run_call(
     state = None if start_pc == 0 else ([], bytearray(), start_pc, 0, 0)
     callret = None
     while True:
-        klogs: list = []
         r = run_frame(
             image, calldata, storage, ctx.balances, exec_addr, caller, callvalue,
             block.timestamp, block.number, ctx.gas, static,
-            seg, klogs, ctx.ext, ctx.sha, state, callret,
+            seg, ctx.sha, state, callret,
         )
-        for pc, topics, data in klogs:
-            ctx.logs.append((exec_addr, pc, topics, data))
         if r[0] == "halt":
             _, kind, data, gas_left = r
             ctx.gas = gas_left
@@ -153,17 +148,14 @@ def _resolve_call(
     static: bool,
     depth: int,
 ) -> tuple[int, bytes]:
-    rec = {"kind": kind, "from": from_addr, "to": to, "value": value, "resolved": False}
-    ctx.ext.append(rec)
-    bundle = ctx.world.deployed.get(to)
     if depth + 1 >= CALL_DEPTH_LIMIT:
         return 0, b""
+    bundle = ctx.world.deployed.get(to)
     if bundle is None:
-        # unknown destination: recorded, succeeds with empty return data
+        # unknown destination: succeeds with empty return data
         if kind == "call" and value and not ctx.transfer(from_addr, to, value):
             return 0, b""
         return 1, b""
-    rec["resolved"] = True
     if kind == "call":
         if value and not ctx.transfer(from_addr, to, value):
             return 0, b""
@@ -232,8 +224,6 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
         data,
         tx.gas - ctx.gas,
         tuple(ctx.segments),
-        tuple(ctx.ext),
-        tuple(ctx.logs),
         tuple(ctx.sha),
     )
     if (

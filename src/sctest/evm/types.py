@@ -86,9 +86,9 @@ class Transaction(_TxFields):
     Exactly one of (args, call_data) drives encoding: structured args are
     ABI-encoded at execution time via the destination's manifest; raw
     call_data is passed through untouched.  A named tuple, so building
-    one is cheap; args pass normalize_args on the way in, by _replace
-    too, so a transaction holding an argument no ABI type can encode is
-    refused when built.
+    one is cheap; args pass normalize_args on the way in, by _make and
+    _replace too, so a transaction holding an argument no ABI type can
+    encode is refused when built.
     """
 
     __slots__ = ()
@@ -110,8 +110,12 @@ class Transaction(_TxFields):
             cls, (function_call, args, call_data, delay, gas, source, destination, value)
         )
 
+    @classmethod
+    def _make(cls, iterable) -> "Transaction":
+        return cls(*iterable)
+
     def _replace(self, **changes) -> "Transaction":
-        tx = Transaction(*map(changes.pop, self._fields, self))
+        tx = self._make(map(changes.pop, self._fields, self))
         if changes:
             raise ValueError(f"Got unexpected field names: {list(changes)!r}")
         return tx
@@ -147,14 +151,15 @@ def tx_doc(tx: Transaction, destination: int | None = None) -> dict:
 
 
 class ExecResult(NamedTuple):
+    """What a transaction gives besides the world after it.  Nothing
+    reads logs or external calls, so no record of them is kept."""
+
     halt: str  # STOP | RETURN | REVERT | INVALID | OUT_OF_GAS
     return_data: bytes
     gas_used: int
     # trace as (address, offsets) segments in execution order; inner call
     # frames contribute their own segments between the caller's
     trace: tuple[tuple[int, tuple[int, ...]], ...]
-    external_calls: tuple[dict, ...]
-    logs: tuple[tuple[int, int, tuple, bytes], ...]  # (address, pc, topics, data)
     # (preimage, digest) pairs observed at SHA3 sites; feeds the
     # preimage table drive rewrites hash equalities against
     sha_preimages: tuple[tuple[bytes, bytes], ...] = ()

@@ -290,13 +290,7 @@ class Campaign:
     def _score(self, entry_blocks: set[tuple[int, int]]) -> int:
         uncovered: set[tuple[int, int]] = set()
         for addr, start in entry_blocks:
-            bundle = self.world.deployed.get(addr)
-            if bundle is None:
-                continue
-            blk = bundle.cfg.blocks.get(start)
-            if blk is None:
-                continue
-            for succ in blk.succs:
+            for succ in self.world.deployed[addr].cfg.blocks[start].succs:
                 if not self.coverage.covered(addr, succ):
                     uncovered.add((addr, succ))
         return len(uncovered) + 1
@@ -315,10 +309,7 @@ class Campaign:
         out: set[tuple[int, int]] = set()
         for res in results:
             for addr, offsets in res.trace:
-                bundle = self.world.deployed.get(addr)
-                if bundle is None:
-                    continue
-                blocks = bundle.cfg.blocks
+                blocks = self.world.deployed[addr].cfg.blocks
                 out.update((addr, off) for off in offsets if off in blocks)
         return out
 

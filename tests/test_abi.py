@@ -33,6 +33,19 @@ def test_parse_abi_duplicate():
         parse_abi({"functions": [fn, dict(fn)]})
 
 
+def test_parse_abi_repeated_param_name():
+    fn = {"name": "f", "params": ["uint8", "uint256"], "param_names": ["x", "x"]}
+    with pytest.raises(SchemaError) as e:
+        parse_abi({"functions": [{"name": "g", "params": []}, fn]})
+    assert "$.functions[1].param_names" in str(e.value)
+    assert "'x'" in str(e.value)
+
+
+def test_function_sig_repeated_param_name():
+    with pytest.raises(ValueError, match="'a' repeats"):
+        FunctionSig("g", ("uint8", "uint8"), param_names=("a", "a"))
+
+
 def test_property_prefix_rule():
     sigs = parse_abi(
         {

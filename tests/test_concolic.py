@@ -389,7 +389,7 @@ def test_shadow_and_kernel_agree_on_selfdestruct():
     run = _shadow_frame(image, b"", None, {}, {}, 0xC0DE, 0x1001, 0, 1, 1, 10_000)
     trace: list = []
     kernel = run_frame(
-        image, b"", {}, {}, 0xC0DE, 0x1001, 0, 1, 1, 10_000, False, trace, [], [], [],
+        image, b"", {}, {}, 0xC0DE, 0x1001, 0, 1, 1, 10_000, False, trace, [],
     )
     _, kind, data, gas_left = kernel
     assert run.halt == kind == "selfdestruct"
@@ -532,7 +532,7 @@ def _check_agree(items, call, storage, gas, value):
     kernel_storage, trace, sha = dict(storage), [], []
     kernel = run_frame(
         image, calldata, kernel_storage, dict(balances), SELF, CALLER, value, 1, 1,
-        gas, False, trace, [], [], sha,
+        gas, False, trace, sha,
     )
     assert kernel[0] == "halt"  # no pausing opcode was generated
     _, kind, data, gas_left = kernel
@@ -566,6 +566,7 @@ ISZERO, POP, CALLDATALOAD, ADD, MUL, MSTORE, MSTORE8, MLOAD, SHA3, DUP1 = (
 )
 CREATE, CALL, STATICCALL = (by_name(n).code for n in ("CREATE", "CALL", "STATICCALL"))
 NOT, JUMP, RETURN, REVERT = (by_name(n).code for n in ("NOT", "JUMP", "RETURN", "REVERT"))
+LOG0, LOG1, LOG4 = (by_name(n).code for n in ("LOG0", "LOG1", "LOG4"))
 ABI_ARGS = (7, (1, 2), b"xyz")
 ABI_CALL = (encode_call(DIFF_SIG, ABI_ARGS), ArgLayout(DIFF_SIG, ABI_ARGS))
 NO_CALL = (b"", None)
@@ -576,6 +577,9 @@ AT_1022 = [("push", 0)] * 1022 + [("jump", 7, 0)]
 # a word with a distinct byte at each position, so a read-back at the
 # wrong offset or length stores a different word
 WORD = int.from_bytes(bytes(range(1, 33)), "big")
+# a sentinel on BASE, then a LOG over written memory: SINK stores the
+# sentinel first only if the LOG popped all its operands and no more
+LOGGED = [*BASE, ("push", 0x55), ("apply", MSTORE, [0, WORD])]
 
 
 @pytest.mark.parametrize(
@@ -608,6 +612,12 @@ WORD = int.from_bytes(bytes(range(1, 33)), "big")
         ([*BASE, ("apply", MSTORE, [64, WORD]), ("apply", MLOAD, [64])], NO_CALL, "stop"),
         ([*BASE, ("apply", MSTORE8, [3, 0xAB]), ("apply", MLOAD, [0])], NO_CALL, "stop"),
         ([*BASE, ("apply", MSTORE, [0, WORD]), ("apply", MLOAD, [16])], NO_CALL, "stop"),
+        # a LOG pops its offset, size and topics and leaves the rest
+        ([*LOGGED, ("apply", LOG0, [3, 40])], NO_CALL, "stop"),
+        ([*LOGGED, ("apply", LOG4, [3, 40, 1, 2, 3, 4])], NO_CALL, "stop"),
+        ([*BASE, ("apply", LOG1, [MEM_LIMIT, 1, 9]), ("push", 1)], NO_CALL, "out_of_gas"),
+        # a LOG1 on two words halts before the words SINK stores are pushed
+        ([("push", 0), ("push", 0), ("op", LOG1), *BASE, ("push", 1)], NO_CALL, "invalid"),
     ],
     ids=[
         "iszero-empty", "iszero-emptied", "calldataload-short", "calldataload-short-abi",
@@ -615,6 +625,7 @@ WORD = int.from_bytes(bytes(range(1, 33)), "big")
         "run-past-1024", "mstore-past-mem-limit-mid-run", "jump-into-a-run",
         "call-short-stack", "create-short-stack", "staticcall-short-stack",
         "mstore-mload", "mstore8-mload", "mload-unaligned",
+        "log0-memory", "log4-memory", "log-past-mem-limit-mid-run", "log1-short-stack",
     ],
 )
 def test_shadow_and_kernel_agree_on_edge_programs(items, call, halt):
@@ -671,7 +682,7 @@ def _shadow_and_kernel(code: bytes, call=NO_CALL, gas=20000):
     trace: list[int] = []
     kernel = run_frame(
         image, calldata, {}, dict(balances), SELF, CALLER, 0, 1, 1,
-        gas, False, trace, [], [], [],
+        gas, False, trace, [],
     )
     return run, kernel, trace
 

@@ -264,7 +264,7 @@ def test_record_memo_drops_the_oldest_trace_first_and_refolds_it(monkeypatch):
     ]
 
     def check(trace):
-        res = ExecResult("STOP", b"", 0, trace, (), ())
+        res = ExecResult("STOP", b"", 0, trace)
         _check_merge(CoverageMap(), CoverageMap(), res, world)
         assert _held() <= 12
 

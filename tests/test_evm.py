@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sctest._kernels import keccak256, run_frame
+from sctest._kernels.interp_py import MEM_LIMIT
 from sctest.bytecode.abi import FunctionSig, parse_abi
 from sctest.bytecode.asm import Asm, dispatcher
 from sctest.bytecode.cfg import build_cfg
@@ -192,7 +193,7 @@ def kernel_binop(name: str, x: int, y: int) -> int:
     )
     image = CodeImage.from_bytecode(code)
     halt, kind, data, _ = run_frame(
-        image, b"", {}, {}, AT, ACCT, 0, 1, 1, 10_000, False, [], [], [], [],
+        image, b"", {}, {}, AT, ACCT, 0, 1, 1, 10_000, False, [], [],
     )
     assert (halt, kind) == ("halt", "return")
     return int.from_bytes(data, "big")
@@ -313,14 +314,6 @@ def test_sha3_opcode_and_preimage_capture():
     want = keccak256((7).to_bytes(32, "big"))
     assert res.return_data == want
     assert ((7).to_bytes(32, "big"), want) in res.sha_preimages
-
-
-def test_log_records_address_pc_topics_data():
-    # MSTORE8(0, 0xAB); LOG1(off 0, size 1, topic 0x77)
-    _, res = run_raw("60ab600053" + "6077" + "6001" + "6000" + "a1" + "00")
-    assert len(res.logs) == 1
-    addr, pc, topics, data = res.logs[0]
-    assert addr == AT and topics == (0x77,) and data == b"\xab"
 
 
 # -- block context and delay -------------------------------------------------
@@ -806,10 +799,6 @@ def test_call_to_unknown_address_succeeds_empty():
           + "600052" + "60206000f3")
     w, res = run_raw(hx)
     assert returned_word(res) == 1
-    assert len(res.external_calls) == 1
-    rec = res.external_calls[0]
-    assert rec["kind"] == "call" and rec["to"] == 0xDEAD
-    assert rec["resolved"] is False
 
 
 def test_recursive_call_depth_capped():
@@ -818,25 +807,46 @@ def test_recursive_call_depth_capped():
           + "600052" + "60206000f3")
     w, res = run_raw(hx)
     assert res.halt == "RETURN"
-    # every frame records its attempt; the one past the cap stays unresolved
-    assert len(res.external_calls) == 8
-    assert all(r["to"] == AT for r in res.external_calls)
-    assert res.external_calls[-1]["resolved"] is False
-    assert all(r["resolved"] for r in res.external_calls[:-1])
+    # the outer frame and seven inner ones enter at offset 0; the call
+    # past the cap runs no frame
+    assert sum(seg[0] == 0 for _, seg in res.trace) == 8
 
 
 def test_create_records_and_pushes_zero():
     # CREATE(value 0, off 0, size 0) -> push 0
     _, res = run_raw("600060006000f0" + "600052" + "60206000f3")
     assert returned_word(res) == 0
-    assert res.external_calls[0]["kind"] == "create"
+
+
+def test_create2_pops_four_words_and_pushes_zero():
+    # 0x55; CREATE2(value 0, off 0, size 0, salt 7); return the pushed
+    # word and the sentinel beneath CREATE2's operands
+    _, res = run_raw("6055" + "6007600060006000f5" + "600052" + "602052"
+                     + "60406000f3")
+    assert res.return_data == (0).to_bytes(32, "big") + (0x55).to_bytes(32, "big")
+
+
+def test_create_past_the_memory_cap_halts_out_of_gas():
+    # CREATE(value 0, off MEM_LIMIT, size 1), then SSTORE(0, 1), cut off
+    _, res = run_raw("6001" + "62" + MEM_LIMIT.to_bytes(3, "big").hex() + "6000f0"
+                     + "6001600055" + "00")
+    assert res.halt == "OUT_OF_GAS"
+    assert res.offsets() == [0, 2, 6, 8]
+    assert res.gas_used == 3 + 3 + 3 + 500  # the SSTORE's run gas came back
+
+
+def test_log_under_a_static_context_halts_invalid_and_gives_back_the_rest_of_its_run():
+    # PUSH1 0, PUSH1 0, LOG0, STOP, in one run: the STOP's 3 gas come back
+    image = CodeImage.from_bytecode(bytes.fromhex("60006000a000"))
+    trace: list = []
+    halt = run_frame(image, b"", {}, {}, AT, ACCT, 0, 1, 1, 100, True, trace, [])
+    assert halt == ("halt", "invalid", b"", 91)
+    assert trace == [0, 2, 4]
 
 
 def test_selfdestruct_records_and_stops():
     w, res = run_raw("6005600055" + "61beef" + "ff")
     assert res.halt == "STOP"
-    assert res.external_calls[-1] == {"kind": "selfdestruct", "from": AT,
-                                      "to": 0xBEEF}
     assert w.storage[AT] == {0: 5}  # clean halt commits
 
 
@@ -973,8 +983,7 @@ def _world_state(w):
 
 
 def _outcome(res):
-    return (res.halt, res.return_data, res.gas_used, res.trace,
-            res.external_calls)
+    return (res.halt, res.return_data, res.gas_used, res.trace)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1119,3 +1128,12 @@ def test_transaction_normalises_args_when_built_and_replaced():
     assert tx._replace(args=None).args is None
     with pytest.raises(ValueError):
         tx._replace(nonsense=1)
+
+
+def test_transaction_make_passes_the_argument_gate():
+    with pytest.raises(TypeMismatch):
+        Transaction._make(("f", (1.5,), None, 0, 0, 0, 0, 0))
+    tx = Transaction("f", (1, (2, 3), b"ab"), destination=AT, value=9)
+    made = Transaction._make(tuple(tx))
+    assert type(made) is Transaction
+    assert made == tx
