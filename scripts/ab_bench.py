@@ -6,7 +6,10 @@ Usage: python3 scripts/ab_bench.py PARENT_DIR CHANGE_DIR --workload W
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T` once
 in each checkout, T being the benchmark's `run_seconds` from the
-BENCHMARK.json of this script's repository.  The parent runs first in
+BENCHMARK.json of this script's repository.  Before the first pair it
+prints whether PYTHONDONTWRITEBYTECODE is set and how many .pyc files
+each checkout's src/ holds, so a reader can tell whether the comparison
+measured cold imports or cached ones.  The parent runs first in
 odd pairs and the change first in even ones, so a host that speeds up
 or slows down during the comparison weighs on both sides alike.  For
 every pair it prints both sides' execs_per_s, wall_s, setup_s and
@@ -26,6 +29,7 @@ only.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -71,6 +75,13 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, required=True)
     args = parser.parse_args()
 
+    flag = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "not set"
+    pycs = [len(list((d / "src").rglob("*.pyc"))) for d in (args.parent, args.change)]
+    print(
+        f"PYTHONDONTWRITEBYTECODE {flag}; .pyc files under src/:"
+        f" parent {pycs[0]}, change {pycs[1]}",
+        flush=True,
+    )
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for k in range(1, args.pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")

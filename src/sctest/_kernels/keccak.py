@@ -13,6 +13,9 @@ __pycache__/ beside it, unless that build is there already, and loads it:
   so concurrent first imports never load a half-written file.
 - The build is kept whether or not PYTHONDONTWRITEBYTECODE is set: it is
   not bytecode, and without it every fresh process would compile again.
+  sctest's own modules keep their bytecode by the same rule (see the
+  sctest package docstring), except that a failed bytecode write is
+  silent.
 - A new build deletes the builds of older keys for the same suffix, so
   edits of the source do not pile up files.
 - Only a build imports subprocess, shlex and sysconfig; loading an

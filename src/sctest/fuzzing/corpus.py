@@ -7,6 +7,7 @@ time.  Findings point back at the test case that produced them.
 """
 
 import json
+import re
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -99,6 +100,19 @@ class BugReport:
         return json.dumps(self.to_doc(), indent=2, sort_keys=True) + "\n"
 
 
+# the name Corpus.save gives an entry's file: <index>_<id>.json
+_ENTRY_NAME = re.compile(r"(\d+)_[0-9a-f]+\.json")
+
+
+def _entry_files(directory: Path) -> list[tuple[int, Path]]:
+    """(index, path) of each entry file Corpus.save wrote in directory."""
+    return [
+        (int(m[1]), path)
+        for path in directory.iterdir()
+        if (m := _ENTRY_NAME.fullmatch(path.name))
+    ]
+
+
 @dataclass
 class Corpus:
     entries: list[TestCase] = field(default_factory=list)
@@ -116,9 +130,13 @@ class Corpus:
     def save(self, directory: str | Path) -> None:
         """One JSON file per entry, named <index>_<id>.json; stable
         across runs.  A file holds the case's to_doc ("id", "txs" and
-        "destination") and its "coverage_delta"."""
+        "destination") and its "coverage_delta".  The entry files of an
+        earlier save into the same directory are deleted first; other
+        files are left alone."""
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
+        for _, path in _entry_files(d):
+            path.unlink()
         for i, (tc, delta) in enumerate(zip(self.entries, self.deltas)):
             doc = tc.to_doc()
             doc["coverage_delta"] = delta
@@ -127,11 +145,11 @@ class Corpus:
 
     @staticmethod
     def load(directory: str | Path, destination: int) -> "Corpus":
-        """The corpus save wrote, in file-name order.  Each case goes to
-        the destination its file records; `destination` is for files
-        that record none."""
+        """The corpus save wrote: its <index>_<id>.json files in index
+        order, other files ignored.  Each case goes to the destination
+        its file records; `destination` is for files that record none."""
         corpus = Corpus()
-        for path in sorted(Path(directory).glob("*.json")):
+        for _, path in sorted(_entry_files(Path(directory))):
             doc = json.loads(path.read_text())
             corpus.add(
                 TestCase.from_doc(doc, destination),

@@ -535,6 +535,31 @@ def test_corpus_save_load_roundtrip(tmp_path):
     assert [tx.destination for tx in legacy.txs] == [0xF00, 0xB0B]
 
 
+def test_corpus_save_replaces_an_earlier_save_and_load_orders_by_index(tmp_path):
+    def corpus_of(*values):
+        c = Corpus()
+        for v in values:
+            c.add(FuzzCase((Transaction("f", (v,), source=0x1001, destination=0xA),)),
+                  {"new_instructions": v, "new_paths": 0})
+        return c
+
+    d = tmp_path / "corpus"
+    corpus_of(0, 1, 2).save(d)
+    (d / "notes.json").write_text("not an entry")
+    corpus_of(9).save(d)
+    loaded = Corpus.load(d, destination=0xF00)
+    assert [tc.txs[0].args for tc in loaded.entries] == [(9,)]
+    assert (d / "notes.json").read_text() == "not an entry"
+    # from index 10,000 on, names no longer sort as their indices do
+    corpus_of(1, 2).save(d)
+    first, second = sorted(d.glob("0*.json"))
+    first.rename(d / first.name.replace("0000_", "1000_"))
+    second.rename(d / second.name.replace("0001_", "10000_"))
+    loaded = Corpus.load(d, destination=0xF00)
+    assert [tc.txs[0].args for tc in loaded.entries] == [(1,), (2,)]
+    assert loaded.deltas == corpus_of(1, 2).deltas
+
+
 # -- campaign -----------------------------------------------------------------
 
 
