@@ -4,19 +4,25 @@ Supported types: uintN (N in {8,16,32,64,128,256}), address, bool, bytes,
 and one-dimensional uintN arrays.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import ArityMismatch, SchemaError, TypeMismatch, ValueOutOfRange
+from ..record import Record, setfield
 from .hashing import selector as _selector
 
 _UINT_BITS = (8, 16, 32, 64, 128, 256)
 
 
-@dataclass(frozen=True)
-class AbiType:
-    kind: str  # "uint" | "address" | "bool" | "bytes" | "array"
-    bits: int = 256  # uint width, or element width for arrays
+class AbiType(Record):
+    _fields = ("kind", "bits")
+
+    def __init__(
+        self,
+        kind: str,  # "uint" | "address" | "bool" | "bytes" | "array"
+        bits: int = 256,  # uint width, or element width for arrays
+    ):
+        setfield(self, "kind", kind)
+        setfield(self, "bits", bits)
 
     @staticmethod
     def parse(text: str) -> "AbiType":
@@ -91,33 +97,43 @@ class AbiType:
             raise TypeMismatch(f"unhandled kind {k}")
 
 
-@dataclass(frozen=True)
-class FunctionSig:
-    name: str
-    params: tuple[AbiType, ...]
-    entry_offset: int | None = None
-    body_range: tuple[int, int] | None = None
-    is_property: bool = False
-    param_names: tuple[str, ...] = ()
+class FunctionSig(Record):
+    """A function's name and parameter types, with its entry offset and
+    body range when known.  Parameters may be given as type names; names
+    default to arg0, arg1, ... and may not repeat, since arguments are
+    keyed by name (ArgLayout, symexpr)."""
 
-    def __post_init__(self):
-        # accept type names as strings for convenience
-        coerced = tuple(
-            AbiType.parse(p) if isinstance(p, str) else p for p in self.params
-        )
-        object.__setattr__(self, "params", coerced)
-        if not self.param_names:
-            names = tuple(f"arg{i}" for i in range(len(coerced)))
-            object.__setattr__(self, "param_names", names)
-        elif len(self.param_names) != len(coerced):
+    _fields = (
+        "name", "params", "entry_offset", "body_range", "is_property", "param_names"
+    )
+
+    def __init__(
+        self,
+        name: str,
+        params: tuple[AbiType | str, ...],
+        entry_offset: int | None = None,
+        body_range: tuple[int, int] | None = None,
+        is_property: bool = False,
+        param_names: tuple[str, ...] = (),
+    ):
+        params = tuple(AbiType.parse(p) if isinstance(p, str) else p for p in params)
+        param_names = tuple(param_names)
+        if not param_names:
+            param_names = tuple(f"arg{i}" for i in range(len(params)))
+        elif len(param_names) != len(params):
             raise ValueError(
-                f"{self.name}: {len(self.param_names)} names for "
-                f"{len(coerced)} params"
+                f"{name}: {len(param_names)} names for {len(params)} params"
             )
-        else:  # arguments are keyed by name (ArgLayout, symexpr)
-            for k, n in enumerate(self.param_names):
-                if n in self.param_names[:k]:
-                    raise ValueError(f"{self.name}: parameter name {n!r} repeats")
+        else:
+            for k, n in enumerate(param_names):
+                if n in param_names[:k]:
+                    raise ValueError(f"{name}: parameter name {n!r} repeats")
+        setfield(self, "name", name)
+        setfield(self, "params", params)
+        setfield(self, "entry_offset", entry_offset)
+        setfield(self, "body_range", body_range)
+        setfield(self, "is_property", is_property)
+        setfield(self, "param_names", param_names)
 
     @cached_property
     def signature(self) -> str:

@@ -5,17 +5,22 @@ layout pass.  Function markers record entry offsets and body ranges for
 abi.json, and per-instruction source lines accumulate into a linemap.
 """
 
-from dataclasses import dataclass
-
 from .opcodes import by_name
 
 
-@dataclass
 class AsmResult:
-    bytecode: bytes
-    linemap: dict[int, int]  # instruction offset -> source line
-    functions: dict[str, tuple[int, tuple[int, int]]]  # name -> (entry, (lo, hi))
-    labels: dict[str, int]
+    def __init__(
+        self,
+        bytecode: bytes,
+        linemap: dict[int, int],  # instruction offset -> source line
+        # name -> (entry, (lo, hi))
+        functions: dict[str, tuple[int, tuple[int, int]]],
+        labels: dict[str, int],
+    ):
+        self.bytecode = bytecode
+        self.linemap = linemap
+        self.functions = functions
+        self.labels = labels
 
 
 class Asm:

@@ -12,8 +12,7 @@ entries come from the manifest or from matching the dispatcher pattern
 inferred as the dominator closure of the entry block.
 """
 
-from dataclasses import dataclass, field, replace
-
+from ..record import Record, setfield
 from .abi import FunctionSig
 from .decode import Instr, decode
 from .opcodes import BLOCK_ENDS, lookup
@@ -25,12 +24,20 @@ _PUSH4 = 0x63
 _EQ = 0x14
 
 
-@dataclass(frozen=True)
-class BasicBlock:
-    start: int
-    instrs: tuple[Instr, ...]
-    succs: tuple[int, ...]
-    unresolved_jump: bool = False
+class BasicBlock(Record):
+    _fields = ("start", "instrs", "succs", "unresolved_jump")
+
+    def __init__(
+        self,
+        start: int,
+        instrs: tuple[Instr, ...],
+        succs: tuple[int, ...],
+        unresolved_jump: bool = False,
+    ):
+        setfield(self, "start", start)
+        setfield(self, "instrs", instrs)
+        setfield(self, "succs", succs)
+        setfield(self, "unresolved_jump", unresolved_jump)
 
     @property
     def end(self) -> int:
@@ -41,14 +48,22 @@ class BasicBlock:
         return self.instrs[-1].name
 
 
-@dataclass
 class Cfg:
-    blocks: dict[int, BasicBlock]
-    order: list[int]  # block starts, ascending
-    preds: dict[int, tuple[int, ...]]
-    block_of: dict[int, int]  # instruction offset -> block start
-    dispatch: dict[bytes, int]  # selector bytes -> entry offset
-    instrs: list[Instr] = field(default_factory=list)  # every instruction, by offset
+    def __init__(
+        self,
+        blocks: dict[int, BasicBlock],
+        order: list[int],  # block starts, ascending
+        preds: dict[int, tuple[int, ...]],
+        block_of: dict[int, int],  # instruction offset -> block start
+        dispatch: dict[bytes, int],  # selector bytes -> entry offset
+        instrs: list[Instr] | None = None,  # every instruction, by offset
+    ):
+        self.blocks = blocks
+        self.order = order
+        self.preds = preds
+        self.block_of = block_of
+        self.dispatch = dispatch
+        self.instrs = [] if instrs is None else instrs
 
     def dominated_by(self, entry_block: int) -> list[int]:
         """Blocks (starts) whose every path from the CFG entry passes
@@ -219,5 +234,9 @@ def resolve_entries(cfg: Cfg, abi: list[FunctionSig]) -> list[FunctionSig]:
                 lo = min(dominated)
                 hi = max(cfg.blocks[b].end for b in dominated)
                 body = (lo, hi)
-        out.append(replace(sig, entry_offset=entry, body_range=body))
+        out.append(
+            FunctionSig(
+                sig.name, sig.params, entry, body, sig.is_property, sig.param_names
+            )
+        )
     return out

@@ -1,18 +1,26 @@
 """Gap-free bytecode decoding and re-encoding."""
 
-from dataclasses import dataclass
-
 from ..errors import TruncatedImmediate
+from ..record import Record, setfield
 from .opcodes import OPCODES, lookup
 
 
-@dataclass(frozen=True)
-class Instr:
-    offset: int
-    code: int  # raw byte as found in the bytecode
-    name: str  # resolved mnemonic; unknown bytes resolve to INVALID
-    imm: int | None = None  # PUSH immediate as an unsigned integer
-    imm_len: int = 0
+class Instr(Record):
+    _fields = ("offset", "code", "name", "imm", "imm_len")
+
+    def __init__(
+        self,
+        offset: int,
+        code: int,  # raw byte as found in the bytecode
+        name: str,  # resolved mnemonic; unknown bytes resolve to INVALID
+        imm: int | None = None,  # PUSH immediate as an unsigned integer
+        imm_len: int = 0,
+    ):
+        setfield(self, "offset", offset)
+        setfield(self, "code", code)
+        setfield(self, "name", name)
+        setfield(self, "imm", imm)
+        setfield(self, "imm_len", imm_len)
 
     @property
     def size(self) -> int:

@@ -10,20 +10,32 @@ and step tables (sctest.evm.image) and the shadow interpreter
 """
 
 import operator
-from dataclasses import dataclass
+
+from ..record import Record, setfield
 
 _MASK256 = (1 << 256) - 1
 
 
-@dataclass(frozen=True)
-class Opcode:
-    mnemonic: str
-    code: int
-    pops: int
-    pushes: int
-    immediate_len: int  # nonzero only for PUSH1..32
-    kind: str  # arith cmp bit stack mem storage ctrl env hash call log halt
-    gas: int  # flat schedule; SHA3 adds 6 per word in its handler
+class Opcode(Record):
+    _fields = ("mnemonic", "code", "pops", "pushes", "immediate_len", "kind", "gas")
+
+    def __init__(
+        self,
+        mnemonic: str,
+        code: int,
+        pops: int,
+        pushes: int,
+        immediate_len: int,  # nonzero only for PUSH1..32
+        kind: str,  # arith cmp bit stack mem storage ctrl env hash call log halt
+        gas: int,  # flat schedule; SHA3 adds 6 per word in its handler
+    ):
+        setfield(self, "mnemonic", mnemonic)
+        setfield(self, "code", code)
+        setfield(self, "pops", pops)
+        setfield(self, "pushes", pushes)
+        setfield(self, "immediate_len", immediate_len)
+        setfield(self, "kind", kind)
+        setfield(self, "gas", gas)
 
 
 def _table() -> dict[int, Opcode]:

@@ -21,7 +21,6 @@ constraints; runs that cover new code along the way are kept.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from ..coverage.covmap import CoverageMap, merge_result
 from ..errors import SctestError
@@ -32,6 +31,7 @@ from ..evm.types import Transaction
 from ..evm.world import make_world
 from ..fuzzing.corpus import Corpus, TestCase
 from ..fuzzing.target import seed_initial_target
+from ..record import Record, setfield
 from .shadow import ShadowRun, shadow_run
 from .solve import Sat, Unsat, solve
 from .symexpr import (
@@ -57,20 +57,29 @@ _MAX_COMBOS = 16  # cap on candidate rewrites tried per conjunction
 _DEPTH = 2  # longest concrete transaction prefix to explore
 
 
-@dataclass
 class DriveBudget:
-    iterations: int = 10  # worklist rounds (one solve attempt each)
+    def __init__(self, iterations: int = 10):
+        self.iterations = iterations  # worklist rounds (one solve attempt each)
 
 
-@dataclass(frozen=True)
-class ConcolicState:
+class ConcolicState(Record):
     """One flippable branch decision observed on a concrete run."""
 
-    input: tuple[Transaction, ...]  # full case; input[position] is symbolic
-    phi_solved: tuple[PathConstraint, ...]
-    phi_target: PathConstraint
-    position: int = 0
-    order: int = 0
+    _fields = ("input", "phi_solved", "phi_target", "position", "order")
+
+    def __init__(
+        self,
+        input: tuple[Transaction, ...],  # full case; input[position] is symbolic
+        phi_solved: tuple[PathConstraint, ...],
+        phi_target: PathConstraint,
+        position: int = 0,
+        order: int = 0,
+    ):
+        setfield(self, "input", input)
+        setfield(self, "phi_solved", phi_solved)
+        setfield(self, "phi_target", phi_target)
+        setfield(self, "position", position)
+        setfield(self, "order", order)
 
 
 def pin_all_but_one(pred: SymExpr, env: dict) -> list[SymExpr]:

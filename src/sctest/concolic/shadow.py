@@ -53,8 +53,6 @@ when the caller passes one; either way the shadow starts from that
 world value and leaves it as it was.
 """
 
-from dataclasses import dataclass
-
 from .._kernels import keccak256
 from .._kernels.interp_py import STACK_LIMIT, _ensure
 from ..bytecode.abi import encode_call
@@ -64,6 +62,7 @@ from ..evm.engine import _route, _TxCtx, execute_sequence
 from ..evm.snapshots import SnapshotCache
 from ..evm.types import Transaction
 from ..evm.world import EvmWorld
+from ..record import Record, setfield
 from .symexpr import (
     Binop,
     Const,
@@ -84,13 +83,22 @@ Shadow = tuple[SymExpr | None, frozenset[int]]  # (expression, slot record)
 _PLAIN: Shadow = (None, _NO_SLOTS)
 
 
-@dataclass(frozen=True)
-class _Region:
-    start: int  # absolute calldata offset
-    size: int
-    param: str
-    kind: str  # word | length | bytes | elems
-    bits: int
+class _Region(Record):
+    _fields = ("start", "size", "param", "kind", "bits")
+
+    def __init__(
+        self,
+        start: int,  # absolute calldata offset
+        size: int,
+        param: str,
+        kind: str,  # word | length | bytes | elems
+        bits: int,
+    ):
+        setfield(self, "start", start)
+        setfield(self, "size", size)
+        setfield(self, "param", param)
+        setfield(self, "kind", kind)
+        setfield(self, "bits", bits)
 
 
 class ArgLayout:
@@ -159,19 +167,35 @@ class ArgLayout:
         return simplify(expr)
 
 
-@dataclass
 class ShadowRun:
-    """Everything one lockstep execution observed."""
+    """Everything one lockstep execution observed; runs compare equal
+    when they observed the same."""
 
-    # stop | return | revert | invalid | out_of_gas | selfdestruct | external_call
-    halt: str
-    return_data: bytes
-    gas_used: int
-    trace: tuple[int, ...]
-    constraints: tuple[PathConstraint, ...]
-    sha_preimages: tuple[tuple[bytes, bytes], ...]
-    storage: dict
-    reads: dict[int, frozenset[int]]  # JUMPI offset -> slots its condition read
+    def __init__(
+        self,
+        # stop | return | revert | invalid | out_of_gas | selfdestruct | external_call
+        halt: str,
+        return_data: bytes,
+        gas_used: int,
+        trace: tuple[int, ...],
+        constraints: tuple[PathConstraint, ...],
+        sha_preimages: tuple[tuple[bytes, bytes], ...],
+        storage: dict,
+        reads: dict[int, frozenset[int]],  # JUMPI offset -> slots its condition read
+    ):
+        self.halt = halt
+        self.return_data = return_data
+        self.gas_used = gas_used
+        self.trace = trace
+        self.constraints = constraints
+        self.sha_preimages = sha_preimages
+        self.storage = storage
+        self.reads = reads
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def decisions(self) -> tuple[tuple[int, bool], ...]:

@@ -13,12 +13,12 @@ verification failure raises, because it can only mean a solver bug.
 """
 
 import math
-from dataclasses import dataclass
 
 # not called here: perfbench/layers.py counts Keccak calls per binding
 # site and wraps this module's keccak256 in every traced round
 from .._kernels import keccak256
 from ..errors import SctestError
+from ..record import Record, setfield
 from .symexpr import (
     UNINTERPRETED,
     Binop,
@@ -45,19 +45,20 @@ class SolverSoundness(SctestError):
     """A produced model failed the substitution check: a solver bug."""
 
 
-@dataclass
 class Sat:
-    model: dict  # Input atom -> word value
+    def __init__(self, model: dict):
+        self.model = model  # Input atom -> word value
 
 
-@dataclass(frozen=True)
-class Unsat:
+class Unsat(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Unknown:
-    reason: str = ""
+class Unknown(Record):
+    _fields = ("reason",)
+
+    def __init__(self, reason: str = ""):
+        setfield(self, "reason", reason)
 
 
 SolverResult = Sat | Unsat | Unknown
@@ -75,14 +76,14 @@ def _normalize(conjunction) -> list[SymExpr] | Unsat:
     return out
 
 
-@dataclass
 class _Rel:
     """One comparison, ISZERO-chains resolved into the positive flag."""
 
-    op: str  # LT | GT | EQ | NZ
-    x: SymExpr
-    y: SymExpr | None
-    positive: bool
+    def __init__(self, op: str, x: SymExpr, y: SymExpr | None, positive: bool):
+        self.op = op  # LT | GT | EQ | NZ
+        self.x = x
+        self.y = y
+        self.positive = positive
 
 
 def _to_rel(pred: SymExpr) -> _Rel:

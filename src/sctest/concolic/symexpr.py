@@ -27,10 +27,9 @@ holds a Keccak term (UNINTERPRETED); `evaluate` and `format_expr` are
 total over every node.
 """
 
-from dataclasses import dataclass
-
 from .._kernels import keccak256
 from ..bytecode.opcodes import BINOP
+from ..record import Record, setfield
 
 MASK256 = (1 << 256) - 1
 
@@ -39,39 +38,61 @@ UNOPS = ("NOT", "ISZERO")
 _BOOL_OPS = ("LT", "GT", "EQ")
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(Record):
+    _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value & MASK256)
-
-
-@dataclass(frozen=True)
-class Input:
-    param: str
-    offset: int = 0
-    kind: str = "word"  # word | elem | byte | length
-    bits: int = 256
+    def __init__(self, value: int):
+        setfield(self, "value", value & MASK256)
 
 
-@dataclass(frozen=True)
-class Unop:
-    op: str
-    x: "SymExpr"
+class Input(Record):
+    _fields = ("param", "offset", "kind", "bits")
+
+    def __init__(
+        self,
+        param: str,
+        offset: int = 0,
+        kind: str = "word",  # word | elem | byte | length
+        bits: int = 256,
+    ):
+        setfield(self, "param", param)
+        setfield(self, "offset", offset)
+        setfield(self, "kind", kind)
+        setfield(self, "bits", bits)
 
 
-@dataclass(frozen=True)
-class Binop:
-    op: str
-    x: "SymExpr"  # popped first (stack top)
-    y: "SymExpr"
+class Unop(Record):
+    _fields = ("op", "x")
+
+    def __init__(self, op: str, x: "SymExpr"):
+        setfield(self, "op", op)
+        setfield(self, "x", x)
 
 
-@dataclass(frozen=True)
-class Keccak:
-    parts: tuple  # word-sized SymExprs, most significant first
-    size: int  # byte length of the hashed buffer
+class Binop(Record):
+    _fields = ("op", "x", "y")
+
+    def __init__(
+        self,
+        op: str,
+        x: "SymExpr",  # popped first (stack top)
+        y: "SymExpr",
+    ):
+        setfield(self, "op", op)
+        setfield(self, "x", x)
+        setfield(self, "y", y)
+
+
+class Keccak(Record):
+    _fields = ("parts", "size")
+
+    def __init__(
+        self,
+        parts: tuple,  # word-sized SymExprs, most significant first
+        size: int,  # byte length of the hashed buffer
+    ):
+        setfield(self, "parts", parts)
+        setfield(self, "size", size)
 
 
 SymExpr = Const | Input | Unop | Binop | Keccak
@@ -381,14 +402,16 @@ def simplify(expr: SymExpr) -> SymExpr:
     return Binop(op, x, y)
 
 
-@dataclass(frozen=True)
-class PathConstraint:
+class PathConstraint(Record):
     """One recorded conditional-branch fact: evaluating `predicate` under
     the run's concrete input is nonzero exactly when `taken` is True."""
 
-    predicate: SymExpr
-    branch_offset: int
-    taken: bool
+    _fields = ("predicate", "branch_offset", "taken")
+
+    def __init__(self, predicate: SymExpr, branch_offset: int, taken: bool):
+        setfield(self, "predicate", predicate)
+        setfield(self, "branch_offset", branch_offset)
+        setfield(self, "taken", taken)
 
     def observed(self) -> SymExpr:
         """The predicate as it held on the recorded path."""

@@ -17,8 +17,6 @@ storage_dependent holds when the run's slot record (ShadowRun.reads)
 names a storage slot that flowed into the branch's condition.
 """
 
-from dataclasses import dataclass
-
 from ..bytecode.abi import FunctionSig
 from ..bytecode.cfg import Cfg
 from ..concolic.shadow import ShadowRun, shadow_run
@@ -38,18 +36,30 @@ from ..errors import SctestError
 from ..evm.bundle import ContractBundle
 from ..evm.snapshots import SnapshotCache
 from ..evm.world import EvmWorld, make_world
+from ..record import Record, setfield
 from .covmap import CoverageMap
 
 
-@dataclass(frozen=True)
-class BranchConstraintInfo:
-    branch_offset: int
-    constraint_text: str
-    inputs_involved: tuple[str, ...]
-    features: dict
-    # nonzero exactly when the dark arm is taken; None when the shadow
-    # saw the branch's condition as concrete
-    predicate: SymExpr | None
+class BranchConstraintInfo(Record):
+    _fields = (
+        "branch_offset", "constraint_text", "inputs_involved", "features", "predicate"
+    )
+
+    def __init__(
+        self,
+        branch_offset: int,
+        constraint_text: str,
+        inputs_involved: tuple[str, ...],
+        features: dict,
+        # nonzero exactly when the dark arm is taken; None when the
+        # shadow saw the branch's condition as concrete
+        predicate: SymExpr | None,
+    ):
+        setfield(self, "branch_offset", branch_offset)
+        setfield(self, "constraint_text", constraint_text)
+        setfield(self, "inputs_involved", inputs_involved)
+        setfield(self, "features", features)
+        setfield(self, "predicate", predicate)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ kept.
 """
 
 import json
-from dataclasses import dataclass, field
 
 from ..bytecode.cfg import Cfg
 from ..evm.types import ExecResult
@@ -38,10 +37,14 @@ _RECORDS_CAP = 1 << 16  # instruction offsets over all keys
 _records_size = 0  # offsets the keys of _RECORDS hold now
 
 
-@dataclass
 class CoverageMap:
-    bits: dict[int, int] = field(default_factory=dict)  # address -> offset bitset
-    path_set: set[int] = field(default_factory=set)
+    def __init__(
+        self,
+        bits: dict[int, int] | None = None,  # address -> offset bitset
+        path_set: set[int] | None = None,
+    ):
+        self.bits = {} if bits is None else bits
+        self.path_set = set() if path_set is None else path_set
 
     def covered(self, address: int, offset: int) -> bool:
         return bool(self.bits.get(address, 0) >> offset & 1)

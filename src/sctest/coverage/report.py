@@ -5,16 +5,17 @@ is one source line (when the bundle ships source.sol plus linemap.json)
 or one disassembly line, prefixed "* " when covered.
 """
 
-from dataclasses import dataclass
-
 from ..evm.bundle import ContractBundle, genesis_config
+from ..record import Record, setfield
 from .covmap import CoverageMap
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    text: str  # full .cov content, header line included
-    summary: dict
+class CoverageReport(Record):
+    _fields = ("text", "summary")
+
+    def __init__(self, text: str, summary: dict):
+        setfield(self, "text", text)  # full .cov content, header line included
+        setfield(self, "summary", summary)
 
 
 def disassembly_lines(bundle: ContractBundle) -> list[tuple[int, str]]:

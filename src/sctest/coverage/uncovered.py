@@ -5,10 +5,9 @@ still has unexecuted instructions inside its body range, and attach the
 branch bottlenecks (see bottleneck.py) that sit inside that body.
 """
 
-from dataclasses import dataclass, field
-
 from ..errors import MissingBodyRange
 from ..evm.bundle import ContractBundle, genesis_config
+from ..record import Record, setfield
 from .bottleneck import BranchConstraintInfo, extract_bottlenecks
 from .covmap import CoverageMap
 
@@ -16,12 +15,20 @@ FULLY_UNCOVERED = "fully_uncovered"
 PARTIALLY_COVERED = "partially_covered"
 
 
-@dataclass(frozen=True)
-class UncoveredFunction:
-    sig: str
-    status: str  # FULLY_UNCOVERED or PARTIALLY_COVERED
-    uncovered_offsets: tuple[int, ...]
-    blocking: tuple[BranchConstraintInfo, ...] = field(default=())
+class UncoveredFunction(Record):
+    _fields = ("sig", "status", "uncovered_offsets", "blocking")
+
+    def __init__(
+        self,
+        sig: str,
+        status: str,  # FULLY_UNCOVERED or PARTIALLY_COVERED
+        uncovered_offsets: tuple[int, ...],
+        blocking: tuple[BranchConstraintInfo, ...] = (),
+    ):
+        setfield(self, "sig", sig)
+        setfield(self, "status", status)
+        setfield(self, "uncovered_offsets", uncovered_offsets)
+        setfield(self, "blocking", blocking)
 
 
 def extract_uncovered_functions(

@@ -2,7 +2,6 @@
 linemap, and genesis config."""
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -13,14 +12,22 @@ from .image import CodeImage
 from .types import DEFAULT_TIMESTAMP, parse_addr
 
 
-@dataclass
 class ContractBundle:
-    name: str
-    bytecode: bytes
-    abi: list[FunctionSig]
-    source: str | None = None
-    linemap: dict[int, int] | None = None
-    world_config: dict | None = None
+    def __init__(
+        self,
+        name: str,
+        bytecode: bytes,
+        abi: list[FunctionSig],
+        source: str | None = None,
+        linemap: dict[int, int] | None = None,
+        world_config: dict | None = None,
+    ):
+        self.name = name
+        self.bytecode = bytecode
+        self.abi = abi
+        self.source = source
+        self.linemap = linemap
+        self.world_config = world_config
 
     @cached_property
     def image(self) -> CodeImage:

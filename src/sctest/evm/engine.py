@@ -15,6 +15,7 @@ exhaustion only).
 from .._kernels import run_frame
 from ..bytecode.abi import encode_call
 from ..errors import (
+    EvmError,
     InsufficientBalance,
     MalformedCalldata,
     SctestError,
@@ -25,6 +26,7 @@ from .types import BlockCtx, ExecResult, Transaction
 from .world import EvmWorld
 
 CALL_DEPTH_LIMIT = 8
+_MASK256 = (1 << 256) - 1
 
 _HALT_NAME = {
     "stop": "STOP",
@@ -38,26 +40,34 @@ _HALT_NAME = {
 
 class _TxCtx:
     """Mutable per-transaction execution state, from the block after
-    tx.delay and with tx.value moved from source to destination; raises
-    InsufficientBalance when the source cannot pay.  balances is the
-    world's own accounts dict until the first transfer copies it, so
-    value moved exactly when balances is not world.accounts."""
+    tx.delay and with tx.value moved from source to destination.  Raises
+    EvmError for a negative delay, a delay that takes the timestamp past
+    a word, or a value that is not a word, and InsufficientBalance when
+    the source cannot pay.  balances is the world's own accounts dict
+    until the first transfer copies it, so value moved exactly when
+    balances is not world.accounts."""
 
     def __init__(self, world: EvmWorld, tx: Transaction):
         self.world = world
         self.block = world.block
         if tx.delay:
-            self.block = BlockCtx(self.block.timestamp + tx.delay, self.block.number)
+            timestamp = self.block.timestamp + tx.delay
+            if tx.delay < 0 or timestamp > _MASK256:
+                raise EvmError(f"delay {tx.delay} is negative or past a word")
+            self.block = BlockCtx(timestamp, self.block.number)
         self.balances = world.accounts
         self.overlays: dict[int, dict[int, int]] = {}
         self.segments: list[tuple[int, tuple[int, ...]]] = []
         self.sha: list[tuple[bytes, bytes]] = []
         self.gas = tx.gas
-        if tx.value and not self.transfer(tx.source, tx.destination, tx.value):
-            raise InsufficientBalance(
-                f"0x{tx.source:040x} holds {self.balances.get(tx.source, 0)}, "
-                f"needs {tx.value}"
-            )
+        if tx.value:
+            if not 0 < tx.value <= _MASK256:
+                raise EvmError(f"value {tx.value} is outside [0, 2**256)")
+            if not self.transfer(tx.source, tx.destination, tx.value):
+                raise InsufficientBalance(
+                    f"0x{tx.source:040x} holds {self.balances.get(tx.source, 0)}, "
+                    f"needs {tx.value}"
+                )
 
     def transfer(self, frm: int, to: int, value: int) -> bool:
         """Move value from frm to to; False, moving nothing, when frm

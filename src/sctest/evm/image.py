@@ -7,11 +7,9 @@ CodeImage.from_bytecode decodes the bytecode itself, with the decoder
 build_cfg uses for its instruction list (Cfg.instrs).
 """
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 from ..bytecode.decode import decode
 from ..bytecode.opcodes import BLOCK_ENDS, by_name, lookup
+from ..record import Record, setfield
 
 # A run ends where a basic block does, at the calls that pause the frame
 # for the driver, and where a handler needs the exact gas meter: SHA3
@@ -31,8 +29,7 @@ STEPS = tuple(
 _NEVER = ((), float("inf"), 0, 0)
 
 
-@dataclass(frozen=True)
-class CodeImage:
+class CodeImage(Record):
     """A contract's code in the arrays run_frame reads.
 
     runs[pc] describes the straight-line run from instruction offset pc
@@ -44,12 +41,22 @@ class CodeImage:
     Offsets inside a PUSH immediate get a run that never fits, so the
     kernel steps there."""
 
-    code: bytes
-    imm: tuple  # push immediate (int) at push offsets, None elsewhere
-    nxt: tuple[int, ...]  # offset of the next instruction, per offset
-    is_jumpdest: bytes  # 1 at JUMPDEST offsets
-    runs: tuple  # per offset: (offsets, gas, need, rise) to the run end
-    steps: ClassVar[tuple] = STEPS  # per opcode: (gas, need, rise)
+    _fields = ("code", "imm", "nxt", "is_jumpdest", "runs")
+    steps = STEPS  # per opcode: (gas, need, rise)
+
+    def __init__(
+        self,
+        code: bytes,
+        imm: tuple,  # push immediate (int) at push offsets, None elsewhere
+        nxt: tuple[int, ...],  # offset of the next instruction, per offset
+        is_jumpdest: bytes,  # 1 at JUMPDEST offsets
+        runs: tuple,  # per offset: (offsets, gas, need, rise) to the run end
+    ):
+        setfield(self, "code", code)
+        setfield(self, "imm", imm)
+        setfield(self, "nxt", nxt)
+        setfield(self, "is_jumpdest", is_jumpdest)
+        setfield(self, "runs", runs)
 
     @staticmethod
     def from_bytecode(code: bytes) -> "CodeImage":

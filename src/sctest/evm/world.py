@@ -1,14 +1,11 @@
 """The modeled execution context: accounts, deployed contracts, storage
 and block metadata."""
 
-from dataclasses import dataclass, field
-
 from ..errors import AddressInUse, DuplicateAddress, SctestError
 from .bundle import ContractBundle, genesis_config
 from .types import DEFAULT_TIMESTAMP, BlockCtx
 
 
-@dataclass
 class EvmWorld:
     """A world is a value: no one writes into it once it is built.
     Balances are ints and the block is a BlockCtx named tuple, so the
@@ -18,10 +15,17 @@ class EvmWorld:
     they did not change; to change a world, build new dicts around the
     parts that stay (as deploy does)."""
 
-    accounts: dict[int, int] = field(default_factory=dict)  # address -> balance
-    deployed: dict[int, ContractBundle] = field(default_factory=dict)
-    storage: dict[int, dict[int, int]] = field(default_factory=dict)
-    block: BlockCtx = field(default_factory=BlockCtx)
+    def __init__(
+        self,
+        accounts: dict[int, int] | None = None,  # address -> balance
+        deployed: dict[int, ContractBundle] | None = None,
+        storage: dict[int, dict[int, int]] | None = None,
+        block: BlockCtx = BlockCtx(),
+    ):
+        self.accounts = {} if accounts is None else accounts
+        self.deployed = {} if deployed is None else deployed
+        self.storage = {} if storage is None else storage
+        self.block = block
 
     def balance(self, address: int) -> int:
         return self.accounts.get(address, 0)

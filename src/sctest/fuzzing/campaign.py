@@ -63,7 +63,6 @@ Bug detection applies two rules to each executed candidate:
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
 from ..bytecode.abi import FunctionSig
@@ -166,29 +165,53 @@ def detect_bugs(
     return out
 
 
-@dataclass
 class ChunkStats:
-    executions: int = 0
-    new_instructions: int = 0
-    new_paths: int = 0
-    new_findings: int = 0
-    # executions not run: the candidate already ran in this campaign
-    # and the map has lost none of its bits or paths since
-    repeats: int = 0
+    """What one run() of a campaign bought; equal when every count is."""
+
+    def __init__(
+        self,
+        executions: int = 0,
+        new_instructions: int = 0,
+        new_paths: int = 0,
+        new_findings: int = 0,
+        # executions not run: the candidate already ran in this campaign
+        # and the map has lost none of its bits or paths since
+        repeats: int = 0,
+    ):
+        self.executions = executions
+        self.new_instructions = new_instructions
+        self.new_paths = new_paths
+        self.new_findings = new_findings
+        self.repeats = repeats
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        counts = ", ".join(f"{k}={v}" for k, v in vars(self).items())
+        return f"ChunkStats({counts})"
 
 
-@dataclass
 class Campaign:
-    world: object
-    target: FuzzTarget
-    rng_seed: int
-
-    coverage: CoverageMap = field(default_factory=CoverageMap)
-    corpus: Corpus = field(default_factory=Corpus)
-    report: BugReport = field(default_factory=BugReport)
-    executions: int = 0
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        world,
+        target: FuzzTarget,
+        rng_seed: int,
+        coverage: CoverageMap | None = None,
+        corpus: Corpus | None = None,
+        report: BugReport | None = None,
+        executions: int = 0,
+    ):
+        self.world = world
+        self.target = target
+        self.rng_seed = rng_seed
+        self.coverage = CoverageMap() if coverage is None else coverage
+        self.corpus = Corpus() if corpus is None else corpus
+        self.report = BugReport() if report is None else report
+        self.executions = executions
         self.destination = contract_under_test(self.world)
         abi = self.world.deployed[self.destination].resolved_abi
         self._props = [s for s in abi if s.is_property]

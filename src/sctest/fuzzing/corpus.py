@@ -8,12 +8,12 @@ time.  Findings point back at the test case that produced them.
 
 import json
 import re
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 from ..bytecode.hashing import keccak256
 from ..evm.types import DEFAULT_GAS, Transaction, parse_addr, tx_doc
+from ..record import Record, setfield
 
 
 def _tx_from_doc(doc: dict, destination: int) -> Transaction:
@@ -36,8 +36,7 @@ def _tx_from_doc(doc: dict, destination: int) -> Transaction:
     )
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(Record):
     """An ordered transaction list, identified by its canonical digest.
 
     The id is a Keccak digest of each transaction's tx_doc, which
@@ -50,7 +49,10 @@ class TestCase:
     go stale.
     """
 
-    txs: tuple[Transaction, ...]
+    _fields = ("txs",)
+
+    def __init__(self, txs: tuple[Transaction, ...]):
+        setfield(self, "txs", txs)
 
     def _tx_docs(self) -> list[dict]:
         first = self.txs[0].destination if self.txs else None
@@ -77,21 +79,30 @@ class TestCase:
         return TestCase(tuple(_tx_from_doc(t, destination) for t in doc["txs"]))
 
 
-@dataclass(frozen=True)
-class Finding:
-    kind: str  # "assert_failure" | "property_violation"
-    pc: int
-    function: str
-    testcase_id: str
-    message: str
+class Finding(Record):
+    _fields = ("kind", "pc", "function", "testcase_id", "message")
+
+    def __init__(
+        self,
+        kind: str,  # "assert_failure" | "property_violation"
+        pc: int,
+        function: str,
+        testcase_id: str,
+        message: str,
+    ):
+        setfield(self, "kind", kind)
+        setfield(self, "pc", pc)
+        setfield(self, "function", function)
+        setfield(self, "testcase_id", testcase_id)
+        setfield(self, "message", message)
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values(self)))
 
 
-@dataclass
 class BugReport:
-    findings: list[Finding] = field(default_factory=list)
+    def __init__(self, findings: list[Finding] | None = None):
+        self.findings = [] if findings is None else findings
 
     def to_doc(self) -> dict:
         return {"findings": [f.to_doc() for f in self.findings]}
@@ -113,12 +124,16 @@ def _entry_files(directory: Path) -> list[tuple[int, Path]]:
     ]
 
 
-@dataclass
 class Corpus:
-    entries: list[TestCase] = field(default_factory=list)
-    # per entry, the coverage bought at insertion:
-    # {"new_instructions": int, "new_paths": int}
-    deltas: list[dict] = field(default_factory=list)
+    def __init__(
+        self,
+        entries: list[TestCase] | None = None,
+        # per entry, the coverage bought at insertion:
+        # {"new_instructions": int, "new_paths": int}
+        deltas: list[dict] | None = None,
+    ):
+        self.entries = [] if entries is None else entries
+        self.deltas = [] if deltas is None else deltas
 
     def add(self, tc: TestCase, delta: dict) -> None:
         self.entries.append(tc)

@@ -12,10 +12,10 @@ from the RNG and rebuilds the one changed argument row.
 """
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..bytecode.abi import AbiType, FunctionSig
+from ..record import Record, setfield
 from .target import FuzzTarget
 
 
@@ -86,17 +86,25 @@ def mutate_value(v, ty: AbiType, rng: random.Random, pool: tuple[int, ...]):
     return _mutate_int(v, ty.bits, rng)
 
 
-@dataclass(frozen=True)
-class MutationPlan:
+class MutationPlan(Record):
     """What mutate needs that is fixed for a whole campaign: every
     mutable (fuzz call, parameter) slot with its declared type, the
     address pool, and the op lists mutate draws from, without and with
     a splice partner.  Build it once with mutation_plan."""
 
-    slots: tuple[tuple[int, int, AbiType], ...]
-    pool: tuple[int, ...]
-    ops: tuple[str, ...]
-    ops_splice: tuple[str, ...]
+    _fields = ("slots", "pool", "ops", "ops_splice")
+
+    def __init__(
+        self,
+        slots: tuple[tuple[int, int, AbiType], ...],
+        pool: tuple[int, ...],
+        ops: tuple[str, ...],
+        ops_splice: tuple[str, ...],
+    ):
+        setfield(self, "slots", slots)
+        setfield(self, "pool", pool)
+        setfield(self, "ops", ops)
+        setfield(self, "ops_splice", ops_splice)
 
 
 def mutation_plan(

@@ -21,11 +21,11 @@ mismatch, E004 unknown alias, E005 value out of range.
 """
 
 import re
-from dataclasses import dataclass, field
 
 from ..bytecode.abi import AbiType, FunctionSig
 from ..errors import EmptyAbi
 from ..evm.types import normalize_args
+from ..record import Record, setfield
 
 _U256 = (1 << 256) - 1
 _U64 = (1 << 64) - 1
@@ -39,41 +39,73 @@ _MUTABLE_RE = re.compile(rf"\?({_IDENT}):([A-Za-z0-9\[\]]+)=(.+)$", re.S)
 _TAIL_RE = re.compile(r"(from|value|delay)\s+(\S+)")
 
 
-@dataclass(frozen=True)
-class CompileError:
-    code: str  # E000..E005
-    line: int
-    col: int
-    message: str
+class CompileError(Record):
+    _fields = ("code", "line", "col", "message")
+
+    def __init__(self, code: str, line: int, col: int, message: str):
+        setfield(self, "code", code)  # E000..E005
+        setfield(self, "line", line)
+        setfield(self, "col", col)
+        setfield(self, "message", message)
 
     def render(self) -> str:
         return f"{self.code} line {self.line} col {self.col}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ConcreteCall:
-    function: str
-    args: tuple
-    sender: str | None = None  # alias; resolved at execution time
-    value: int = 0
-    delay: int = 0
+class ConcreteCall(Record):
+    """One call of a target; its args pass normalize_args."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", normalize_args(self.args, self.function))
+    _fields = ("function", "args", "sender", "value", "delay")
+
+    def __init__(
+        self,
+        function: str,
+        args: tuple,
+        sender: str | None = None,  # alias; resolved at execution time
+        value: int = 0,
+        delay: int = 0,
+    ):
+        setfield(self, "function", function)
+        setfield(self, "args", normalize_args(args, function))
+        setfield(self, "sender", sender)
+        setfield(self, "value", value)
+        setfield(self, "delay", delay)
 
 
-@dataclass(frozen=True)
 class FuzzCall(ConcreteCall):
-    mutable_params: tuple[str, ...] = ()
+    _fields = ConcreteCall._fields + ("mutable_params",)
+
+    def __init__(
+        self,
+        function: str,
+        args: tuple,
+        sender: str | None = None,
+        value: int = 0,
+        delay: int = 0,
+        mutable_params: tuple[str, ...] = (),
+    ):
+        super().__init__(function, args, sender, value, delay)
+        setfield(self, "mutable_params", mutable_params)
 
 
-@dataclass(frozen=True)
-class FuzzTarget:
-    name: str
-    address_aliases: dict[str, int] = field(default_factory=dict)
-    setup: tuple[ConcreteCall, ...] = ()
-    fuzz: tuple[FuzzCall, ...] = ()
-    order_mode: str = "fixed"  # "fixed" | "shuffle"
+class FuzzTarget(Record):
+    _fields = ("name", "address_aliases", "setup", "fuzz", "order_mode")
+
+    def __init__(
+        self,
+        name: str,
+        address_aliases: dict[str, int] | None = None,
+        setup: tuple[ConcreteCall, ...] = (),
+        fuzz: tuple[FuzzCall, ...] = (),
+        order_mode: str = "fixed",  # "fixed" | "shuffle"
+    ):
+        if address_aliases is None:
+            address_aliases = {}
+        setfield(self, "name", name)
+        setfield(self, "address_aliases", address_aliases)
+        setfield(self, "setup", setup)
+        setfield(self, "fuzz", fuzz)
+        setfield(self, "order_mode", order_mode)
 
 
 def _split_args(text: str) -> list[tuple[str, int]]:

@@ -46,6 +46,14 @@ def test_function_sig_repeated_param_name():
         FunctionSig("g", ("uint8", "uint8"), param_names=("a", "a"))
 
 
+def test_function_sig_keeps_param_names_as_a_tuple():
+    names = ["a"]
+    s = FunctionSig("f", ("uint8",), param_names=names)
+    names[0] = "b"
+    assert s.param_names == ("a",)
+    assert hash(s) == hash(FunctionSig("f", ("uint8",), param_names=("a",)))
+
+
 def test_property_prefix_rule():
     sigs = parse_abi(
         {

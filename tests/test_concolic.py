@@ -46,7 +46,7 @@ from sctest.concolic.symexpr import (
 )
 from sctest.concolic.shadow import ArgLayout, _shadow_frame
 from sctest.coverage import CoverageMap, merge_result
-from sctest.errors import InsufficientBalance, MalformedCalldata, SctestError
+from sctest.errors import EvmError, InsufficientBalance, MalformedCalldata, SctestError
 from sctest.evm import CodeImage, Transaction, execute_sequence, execute_tx, make_world
 from sctest.fuzzing import (
     ASSERT_FAILURE,
@@ -348,6 +348,19 @@ def test_shadow_run_refuses_a_value_the_sender_cannot_pay(pool):
     with pytest.raises(InsufficientBalance):
         execute_tx(world, tx)
     with pytest.raises(InsufficientBalance):
+        shadow_run(world, [], tx)
+
+
+@pytest.mark.parametrize("field, wrong", [("value", -5), ("delay", -10)])
+def test_shadow_run_refuses_a_negative_value_or_delay(pool, field, wrong):
+    # a value of -5 credited the sender 5 and left the contract at -5,
+    # and a delay of -10 moved the block timestamp back
+    world, at = make_world(pool)
+    tx = Transaction(function_call="mintDyad", args=(1, 5), source=ACCT_A,
+                     destination=at)._replace(**{field: wrong})
+    with pytest.raises(EvmError, match=field):
+        execute_tx(world, tx)
+    with pytest.raises(EvmError, match=field):
         shadow_run(world, [], tx)
 
 

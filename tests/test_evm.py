@@ -14,6 +14,7 @@ from sctest.coverage import CoverageMap, merge_result
 from sctest.errors import (
     AddressInUse,
     DuplicateAddress,
+    EvmError,
     InsufficientBalance,
     MalformedCalldata,
     SchemaError,
@@ -499,6 +500,29 @@ def test_insufficient_balance():
     with pytest.raises(InsufficientBalance):
         execute_tx(w, Transaction(function_call="raw", call_data=RAW4, value=11,
                                   source=ACCT, destination=AT))
+
+
+@pytest.mark.parametrize("value", [-5, 1 << 256], ids=["negative", "2**256"])
+def test_a_value_outside_a_word_is_refused(value):
+    # CALLVALUE, PUSH1 0, MSTORE, STOP: such a value reached MSTORE,
+    # which raised OverflowError, not an SctestError
+    w = world_with(bundle_from_hex("3460005200"), accounts=[(ACCT, 1 << 257)])
+    tx = Transaction(function_call="raw", call_data=RAW4, value=value,
+                     source=ACCT, destination=AT)
+    with pytest.raises(EvmError, match="value"):
+        execute_tx(w, tx)
+    assert w.accounts == {ACCT: 1 << 257, AT: 0}
+
+
+@pytest.mark.parametrize("delay", [-10, 1 << 256], ids=["negative", "2**256"])
+def test_a_negative_delay_or_one_past_a_word_is_refused(delay):
+    # TIMESTAMP, PUSH1 0, MSTORE, STOP
+    w = world_with(bundle_from_hex("4260005200"))
+    tx = Transaction(function_call="raw", call_data=RAW4, delay=delay,
+                     source=ACCT, destination=AT)
+    with pytest.raises(EvmError, match="delay"):
+        execute_tx(w, tx)
+    assert w.block.timestamp == 1_000_000
 
 
 def test_unknown_function_name():

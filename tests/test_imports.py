@@ -98,6 +98,24 @@ def test_subpackage_imports_first_in_a_fresh_interpreter(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_sctest_generates_no_code():
+    # dataclasses compiles each decorated class's methods from source in
+    # every process; sctest's records are written out instead (record.py)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; import sctest.fuzzing, sctest.concolic, sctest.coverage,"
+        " sctest.evm; print('dataclasses' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def _module_level_imports(body):
     """Names bound by the imports in body, outside functions and classes."""
     for node in body:
