@@ -99,10 +99,10 @@ class FuzzTarget(Record):
         fuzz: tuple[FuzzCall, ...] = (),
         order_mode: str = "fixed",  # "fixed" | "shuffle"
     ):
-        if address_aliases is None:
-            address_aliases = {}
         setfield(self, "name", name)
-        setfield(self, "address_aliases", address_aliases)
+        setfield(
+            self, "address_aliases", {} if address_aliases is None else address_aliases
+        )
         setfield(self, "setup", setup)
         setfield(self, "fuzz", fuzz)
         setfield(self, "order_mode", order_mode)
