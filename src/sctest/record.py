@@ -7,9 +7,9 @@ the very same class, so a FuzzCall never equals a ConcreteCall), hashes
 the tuple of their fields, shows them as `Name(field=value, ...)`, and
 refuses assignment and deletion.  A record is not a sequence.
 
-The classes are written out rather than built by `dataclasses`, which
-generates and compiles each class's methods from source at every
-import, in every process; no bytecode cache can keep that work.
+The classes are written out rather than built by a class decorator
+that generates their methods, which compiles those methods from source
+at every import, in every process; no bytecode cache can keep that work.
 """
 
 from operator import attrgetter
