@@ -220,7 +220,9 @@ def _word(v: int) -> bytes:
 def encode_args(params: tuple[AbiType, ...], args) -> bytes:
     """Standard head/tail ABI encoding of args (selector not included).
 
-    Every argument is validated before its word is built.  Static
+    Every argument is validated before its word is built: a plain int
+    in range of a uint or address here, anything else by
+    AbiType.validate, whose errors are the ones raised.  Static
     arguments are their own head word; a dynamic one's head is the byte
     offset of its tail, counted from the start of the heads.  With no
     dynamic argument the encoding is just the joined head words."""
@@ -231,8 +233,13 @@ def encode_args(params: tuple[AbiType, ...], args) -> bytes:
     tails: list[bytes] = []
     offset = 32 * len(params)
     for t, v in zip(params, args):
-        t.validate(v)
         kind = t.kind
+        if type(v) is int and v >= 0 and (
+            (kind == "uint" and not v >> t.bits) or (kind == "address" and not v >> 160)
+        ):
+            words.append(v.to_bytes(32, "big"))
+            continue
+        t.validate(v)
         if kind == "bytes":
             payload = bytes(v)
             tail = _word(len(payload)) + payload.ljust(

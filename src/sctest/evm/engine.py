@@ -28,6 +28,8 @@ from .world import EvmWorld
 CALL_DEPTH_LIMIT = 8
 _MASK256 = (1 << 256) - 1
 
+_tuple_new = tuple.__new__
+
 _HALT_NAME = {
     "stop": "STOP",
     "return": "RETURN",
@@ -221,20 +223,18 @@ def execute_tx(world: EvmWorld, tx: Transaction) -> tuple[EvmWorld, ExecResult]:
 
     storage, accounts = world.storage, world.accounts
     if halt != "OUT_OF_GAS":
-        for addr in sorted(ctx.overlays):
-            ov = ctx.overlays[addr]  # a private copy already
+        overlays = ctx.overlays  # each a private copy already
+        for addr in sorted(overlays) if len(overlays) > 1 else overlays:
+            ov = overlays[addr]
             if ov != storage.get(addr, {}):
                 if storage is world.storage:
                     storage = dict(storage)
                 storage[addr] = ov
         accounts = ctx.balances
 
-    result = ExecResult(  # positional, in field order: the cheapest build
-        halt,
-        data,
-        tx.gas - ctx.gas,
-        tuple(ctx.segments),
-        tuple(ctx.sha),
+    # in field order, past the named tuple's Python-level __new__
+    result = _tuple_new(
+        ExecResult, (halt, data, tx.gas - ctx.gas, tuple(ctx.segments), tuple(ctx.sha))
     )
     if (
         storage is not world.storage

@@ -59,6 +59,17 @@ Bug detection applies two rules to each executed candidate:
   * assert_failure     - a transaction halted on INVALID
   * property_violation - a zero-argument property function reverts or
                          returns the zero word when probed afterwards
+The first runs only when some result halted INVALID; the probe's
+transactions are built once per campaign.
+
+Each iteration of run() takes from the campaign's one RNG, in order:
+_pick's rng.random(), then, once two entries are in the corpus, the
+splice partner's index below(getrandbits, entries), then mutate's draws
+(sctest.fuzzing.mutate).  below draws as random.Random's choice and
+randrange do, so a fixed seed gives the same candidates on every
+supported Python.  Campaign.executions goes up once per iteration,
+before the candidate is looked up or run, so a finding appended to the
+report sees the count that includes the execution that found it.
 """
 
 import random
@@ -70,10 +81,10 @@ from ..coverage.covmap import CoverageMap, merge_result
 from ..errors import SctestError
 from ..evm.engine import execute_sequence, execute_tx
 from ..evm.snapshots import SnapshotCache
-from ..evm.types import DEFAULT_GAS, ExecResult, Transaction
+from ..evm.types import DEFAULT_GAS, ExecResult, Transaction, normalize_args
 from ..evm.world import contract_under_test
 from .corpus import BugReport, Corpus, Finding, TestCase
-from .mutate import Candidate, initial_candidate, mutate, mutation_plan
+from .mutate import Candidate, below, initial_candidate, mutate, mutation_plan
 from .target import ConcreteCall, FuzzTarget
 
 CHUNK = 1000  # executions per scheduling iteration
@@ -83,6 +94,11 @@ ASSERT_FAILURE = "assert_failure"
 PROPERTY_VIOLATION = "property_violation"
 
 _ZERO_WORD = b"\x00" * 32
+
+# builds a Transaction from its fields past Transaction.__new__;
+# Campaign._execute passes each call's args through normalize_args
+# itself, so the one gate still sees every argument
+_tuple_new = tuple.__new__
 
 
 def _detect_asserts(
@@ -113,29 +129,34 @@ def _detect_asserts(
     return out
 
 
-def _probe_properties(
-    world, props: list[FunctionSig], sender: int, destination: int
-) -> list[tuple[str, int, str, str]]:
-    """Call each property function once against a settled world."""
-    out = []
-    for sig in props:
-        _, res = execute_tx(
-            world,
-            Transaction(
-                function_call=sig.name,
-                args=(),
-                source=sender,
-                destination=destination,
-            ),
+def _property_txs(
+    props: list[FunctionSig], sender: int, destination: int
+) -> tuple[Transaction, ...]:
+    """One zero-argument call of each property function."""
+    return tuple(
+        Transaction(
+            function_call=sig.name, args=(), source=sender, destination=destination
         )
+        for sig in props
+    )
+
+
+def _probe_properties(
+    world, probes: tuple[Transaction, ...]
+) -> list[tuple[str, int, str, str]]:
+    """Run each property call of `probes` once against a settled world."""
+    out = []
+    for tx in probes:
+        _, res = execute_tx(world, tx)
+        name = tx.function_call
         if res.failed:
-            reason = f"{sig.name}() {res.halt.lower()}s"
+            reason = f"{name}() {res.halt.lower()}s"
         elif res.return_data == _ZERO_WORD:
-            reason = f"{sig.name}() returns the zero word"
+            reason = f"{name}() returns the zero word"
         else:
             continue
         off = res.last_offset[1] if res.last_offset else 0
-        out.append((PROPERTY_VIOLATION, off, sig.name, reason))
+        out.append((PROPERTY_VIOLATION, off, name, reason))
     return out
 
 
@@ -161,7 +182,7 @@ def detect_bugs(
         if destination is None:
             destination = contract_under_test(world_after)
         sender = next(iter(world_after.accounts))
-        out += _probe_properties(world_after, props, sender, destination)
+        out += _probe_properties(world_after, _property_txs(props, sender, destination))
     return out
 
 
@@ -214,8 +235,11 @@ class Campaign:
         self.executions = executions
         self.destination = contract_under_test(self.world)
         abi = self.world.deployed[self.destination].resolved_abi
-        self._props = [s for s in abi if s.is_property]
         self.default_sender = next(iter(self.world.accounts))
+        # one call of each property function, built once
+        self._prop_txs = _property_txs(
+            [s for s in abi if s.is_property], self.default_sender, self.destination
+        )
         pool = tuple(
             sorted(
                 set(self.world.accounts) | set(self.target.address_aliases.values())
@@ -237,9 +261,15 @@ class Campaign:
         self._held: tuple[dict[int, int], set[int]] = ({}, set())
         self._fixed = [self._fixed_fields(c) for c in self.target.fuzz]
 
-        self._setup_txs = [
-            self._tx(self._fixed_fields(c), c.args) for c in self.target.setup
-        ]
+        self._setup_txs = []
+        for call in self.target.setup:
+            function, delay, source, value = self._fixed_fields(call)
+            self._setup_txs.append(
+                Transaction(
+                    function, call.args, delay=delay, source=source,
+                    destination=self.destination, value=value,
+                )
+            )
         self.snapshot, setup_results = execute_sequence(
             self.world, self._setup_txs
         )
@@ -265,20 +295,24 @@ class Campaign:
         fixes for the whole campaign."""
         return call.function, call.delay, self._resolve_sender(call.sender), call.value
 
-    def _tx(self, fixed: tuple, args: tuple) -> Transaction:
-        function, delay, source, value = fixed
-        # positional, in field order (no call_data, default gas): the
-        # cheapest way to build one, and the campaign builds one per call
-        return Transaction(
-            function, args, None, delay, DEFAULT_GAS, source, self.destination, value
-        )
-
     def _execute(self, cand: Candidate) -> tuple[list, list, object]:
         """Run `cand` from its longest kept prefix.  Returns its
         transactions, one step (world after, result, next steps) per
         call (next is None for a call that ran now), and the world it
         resumed from."""
-        txs = [self._tx(self._fixed[i], cand.args[i]) for i in cand.order]
+        args, fixed, destination = cand.args, self._fixed, self.destination
+        txs = []
+        for i in cand.order:
+            function, delay, source, value = fixed[i]
+            txs.append(
+                _tuple_new(
+                    Transaction,
+                    (
+                        function, normalize_args(args[i], function), None,
+                        delay, DEFAULT_GAS, source, destination, value,
+                    ),
+                )
+            )
         steps = []
         node = self._trie
         for tx in txs:
@@ -301,9 +335,7 @@ class Campaign:
         hit = self._probes.get(id(world))
         if hit is not None:
             return hit[1]
-        found = _probe_properties(
-            world, self._props, self.default_sender, self.destination
-        )
+        found = _probe_properties(world, self._prop_txs)
         if held:
             self._probes[id(world)] = (world, found)
         return found
@@ -347,41 +379,42 @@ class Campaign:
 
     def run(self, execs: int = CHUNK) -> ChunkStats:
         """Execute up to `execs` candidates; returns what the chunk gained."""
-        stats = ChunkStats()
         self._cum_weights = None
         ran = self._ran
         if self._lost_coverage():
             ran.clear()
+        coverage, prop_txs = self.coverage, self._prop_txs
+        paths = coverage.path_set
+        rng, plan, cands = self.rng, self._plan, self._cands
+        getrandbits = rng.getrandbits
+        repeats = new_instructions = new_paths = new_findings = 0
         for _ in range(execs):
-            if not self._started:
-                cand = initial_candidate(self.target)
-                self._started = True
-                force_insert = True
-            else:
+            if self._started:
                 cand = self._pick()
-                other = None
-                if len(self._cands) >= 2:
-                    other = self._cands[self.rng.randrange(len(self._cands))]
-                cand = mutate(cand, self._plan, self.rng, other)
+                n = len(cands)
+                other = cands[below(getrandbits, n)] if n >= 2 else None
+                cand = mutate(cand, plan, rng, other)
                 force_insert = False
+            else:
+                cand = initial_candidate(self.target)
+                self._started = force_insert = True
 
+            # counted before any finding of this execution is appended
             self.executions += 1
-            stats.executions += 1
             if cand in ran:
-                stats.repeats += 1
+                repeats += 1
                 continue
+
             txs, steps, start = self._execute(cand)
-            if steps:
-                worlds, results, _ = zip(*steps)
-                world_after = worlds[-1]
-            else:  # a target without fuzz calls
-                world_after, worlds, results = self.snapshot, (), ()
-            paths = self.coverage.path_set
-            before_paths = len(paths)
+            world = steps[-1][0] if steps else start
+            before = len(paths)
             gained = 0
-            for world, res in zip(worlds, results):
-                gained += merge_result(self.coverage, res, world)
-            new_paths = len(paths) - before_paths
+            invalid = False
+            for after, res, _ in steps:
+                gained += merge_result(coverage, res, after)
+                if res.halt == "INVALID":
+                    invalid = True
+            new = len(paths) - before
             if len(ran) >= _RAN_CAP:
                 # keep the newer half: one pass per _RAN_CAP // 2
                 # insertions, where dropping the oldest key each time
@@ -389,40 +422,40 @@ class Campaign:
                 for old in list(islice(ran, len(ran) - _RAN_CAP // 2)):
                     del ran[old]
             ran[cand] = None
-            stats.new_instructions += gained
-            stats.new_paths += new_paths
+            new_instructions += gained
+            new_paths += new
 
-            raw = self._pending + _detect_asserts(txs, results, world_after)
-            self._pending = []
-            found = self._probe(world_after, world_after is start) if self._props else []
-            raw += found
-            fresh = [
-                (kind, pc, fn, msg)
-                for kind, pc, fn, msg in raw
-                if (kind, pc, fn) not in self._finding_keys
-            ]
+            raw = self._pending
+            if raw:
+                self._pending = []
+            if invalid:
+                raw = raw + _detect_asserts(txs, [r for _, r, _ in steps], world)
+            if prop_txs:
+                found = self._probe(world, world is start)
+                if found:
+                    raw = raw + found
+            # no list is built when nothing was found
+            fresh = raw and [f for f in raw if f[:3] not in self._finding_keys]
 
-            if gained > 0 or fresh or force_insert:
+            if gained or fresh or force_insert:
                 tc = TestCase((*self._setup_txs, *txs))
-                self.corpus.add(
-                    tc, {"new_instructions": gained, "new_paths": new_paths}
-                )
-                self._cands.append(cand)
-                self._blocks.append(self._trace_blocks(results))
+                self.corpus.add(tc, {"new_instructions": gained, "new_paths": new})
+                cands.append(cand)
+                self._blocks.append(self._trace_blocks([r for _, r, _ in steps]))
                 node = self._trie  # resumed steps are kept already
                 for tx, step in zip(txs, steps):
                     node = node.setdefault(tx, step[:2] + ({},))[2]
-                if self._props:  # world_after is in prefixes now
-                    self._probes[id(world_after)] = (world_after, found)
+                if prop_txs:  # world is in prefixes now
+                    self._probes[id(world)] = (world, found)
                 self._cum_weights = None
                 for kind, pc, fn, msg in fresh:
                     self._finding_keys.add((kind, pc, fn))
-                    self.report.findings.append(
-                        Finding(kind, pc, fn, tc.id, msg)
-                    )
-                stats.new_findings += len(fresh)
-        self._held = dict(self.coverage.bits), set(self.coverage.path_set)
-        return stats
+                    self.report.findings.append(Finding(kind, pc, fn, tc.id, msg))
+                new_findings += len(fresh)
+        self._held = dict(coverage.bits), set(paths)
+        return ChunkStats(
+            max(execs, 0), new_instructions, new_paths, new_findings, repeats
+        )
 
     def finalize(self) -> None:
         """Shrink the corpus to entries that still pay for themselves."""

@@ -21,6 +21,7 @@ from sctest.errors import SctestError, TypeMismatch
 from sctest.evm.world import contract_under_test, deploy, make_world
 from sctest.fuzzing import (
     ASSERT_FAILURE,
+    CHUNK,
     PROPERTY_VIOLATION,
     BugReport,
     Campaign,
@@ -43,6 +44,7 @@ from sctest.fuzzing import (
 )
 from sctest.fuzzing import TestCase as FuzzCase
 from sctest.fuzzing import campaign as campaign_mod
+from sctest.fuzzing.mutate import below
 from sctest.fuzzing.target import FuzzCall
 
 from conftest import BUNDLE_NAMES, FIXTURES
@@ -281,6 +283,119 @@ def test_seed_initial_target_rejects_empty_abi():
 # -- mutation -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", [0, 42, 77])
+def test_below_draws_as_randrange_and_choice_do(seed):
+    # every n up to 1100 crosses each power-of-two boundary up to 1024,
+    # where the bits drawn per try grow and rejections are most frequent
+    mine, ref = random.Random(seed), random.Random(seed)
+    for n in range(1, 1101):
+        assert below(mine.getrandbits, n) == ref.randrange(n)
+        assert mine.getstate() == ref.getstate()
+        if n == 1:  # randrange(1, 1) is empty, and so is below 0
+            with pytest.raises(ValueError):
+                ref.randrange(1, n)
+            with pytest.raises(ValueError):
+                1 + below(mine.getrandbits, n - 1)
+        else:
+            assert 1 + below(mine.getrandbits, n - 1) == ref.randrange(1, n)
+        assert mine.getstate() == ref.getstate()
+        seq = range(7, 7 + n)
+        assert seq[below(mine.getrandbits, len(seq))] == ref.choice(seq)
+        assert mine.getstate() == ref.getstate()
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            below(mine.getrandbits, n)
+    assert mine.getstate() == ref.getstate()
+
+
+def _reference_int(v, bits, rng):
+    mask = (1 << bits) - 1
+    op = rng.randrange(3)
+    if op == 0:
+        return rng.choice([0, 1, mask, 1 << (bits - 1), (v + 1) & mask, (v - 1) & mask])
+    if op == 1:
+        return rng.getrandbits(bits)
+    return v ^ (1 << rng.randrange(bits))
+
+
+def _reference_value(v, ty, rng, pool):
+    if ty.kind == "bool":
+        return not v
+    if ty.kind == "address":
+        others = [p for p in pool if p != v]
+        return rng.choice(others or list(pool) or [v])
+    if ty.kind == "bytes":
+        op = rng.choice(["append", "drop", "flip"] if v else ["append"])
+        if op == "append":
+            return v + bytes([rng.randrange(256)])
+        if op == "drop":
+            return v[:-1]
+        i = rng.randrange(len(v))
+        return v[:i] + bytes([v[i] ^ (1 << rng.randrange(8))]) + v[i + 1 :]
+    if ty.kind == "array":
+        op = rng.choice(["grow", "shrink", "element"] if v else ["grow"])
+        if op == "grow":
+            return v + (rng.getrandbits(ty.bits),)
+        i = rng.randrange(len(v))
+        if op == "shrink":
+            return v[:i] + v[i + 1 :]
+        return v[:i] + (_reference_int(v[i], ty.bits, rng),) + v[i + 1 :]
+    return _reference_int(v, ty.bits, rng)
+
+
+def _reference_mutate(cand, plan, rng, other=None):
+    """mutate written with random's choice and randrange, as the RNG
+    contract was first stated (full orders only)."""
+    ops = plan.ops_splice if other is not None and other != cand else plan.ops
+    if not ops:
+        return cand
+    op = rng.choice(ops)
+    if op == "swap":
+        j = rng.randrange(len(cand.order) - 1)
+        order = list(cand.order)
+        order[j], order[j + 1] = order[j + 1], order[j]
+        return cand._replace(order=tuple(order))
+    if op == "splice":
+        if len(cand.args) == 1:
+            return cand._replace(args=other.args)
+        cut = rng.randrange(1, len(cand.args))
+        return cand._replace(args=cand.args[:cut] + other.args[cut:])
+    ci, pi, ty = rng.choice(plan.slots)
+    row = list(cand.args[ci])
+    row[pi] = _reference_value(row[pi], ty, rng, plan.pool)
+    return cand._replace(args=cand.args[:ci] + (tuple(row),) + cand.args[ci + 1 :])
+
+
+TOY_SHUFFLE = """\
+target toy
+fuzz:
+    call f(?a:uint8=1, ?b:bool=true, ?c:bytes=0x01, ?d:uint256[]=[1, 2])
+    call g(?who:address=0x1001)
+order shuffle
+"""
+
+
+@pytest.mark.parametrize("name", ["toy", *BUNDLE_NAMES])
+def test_mutate_draws_as_choice_and_randrange_do(name):
+    if name == "toy":
+        abi, pool = TOY_ABI, (0x1001, 0x1002, 0xC0DE)
+        t = parse_target(TOY_SHUFFLE, abi)
+    else:
+        abi, pool = load_bundle(FIXTURES / name).resolved_abi, (0x1001, 0x1002)
+        t = seed_initial_target(abi)
+    plan = mutation_plan(t, abi, pool)
+    mine, ref, pick = random.Random(5), random.Random(5), random.Random(6)
+    population = [initial_candidate(t)]
+    for _ in range(3000):
+        cand = pick.choice(population)
+        other = pick.choice(population) if pick.random() < 0.5 else None
+        out = mutate(cand, plan, mine, other)
+        assert out == _reference_mutate(cand, plan, ref, other)
+        assert mine.getstate() == ref.getstate()
+        population.append(out)
+    assert len(set(population)) > 1
+
+
 def test_uint8_mutations_stay_in_domain_and_reach_boundaries():
     ty = AbiType.parse("uint8")
     rng = random.Random(7)
@@ -377,6 +492,29 @@ def test_adjacent_swap_only_in_shuffle_mode():
     assert same.order == (0, 1)  # nothing to do: no mutables, no shuffle
 
 
+def test_swap_on_a_one_call_order_returns_the_candidate():
+    # a shuffle target whose candidate runs one call: the swap op is
+    # drawn, finds no adjacent pair, and hands the candidate back
+    abi = pool_abi()
+    t = seed_initial_target(abi)
+    assert t.order_mode == "shuffle" and len(t.fuzz) == 3
+    plan = mutation_plan(t, abi, (0x1001, 0x1002))
+    first = initial_candidate(t)
+    one = first._replace(order=(2,))
+    rng = random.Random(1)
+    swaps = 0
+    twin = random.Random()
+    for _ in range(200):
+        twin.setstate(rng.getstate())
+        op = plan.ops[twin.randrange(len(plan.ops))]
+        out = mutate(one, plan, rng)
+        assert out.order == (2,)
+        if op == "swap":  # it drew its op and nothing else
+            assert out == one and twin.getstate() == rng.getstate()
+            swaps += 1
+    assert swaps > 0
+
+
 def test_list_valued_array_seed_mutates():
     call = FuzzCall("f", (7, True, bytearray(b"\x01"), [1, 2]), None, 0, 0,
                     ("a", "b", "c", "d"))
@@ -466,7 +604,7 @@ def test_testcase_id_implies_the_first_destination():
 
 
 def test_campaign_transactions_match_keyword_built_ones():
-    # Campaign._tx builds Transactions positionally; delay and gas are
+    # Campaign._execute builds Transactions positionally; delay and gas are
     # adjacent ints, so a field reorder would swap them without an error
     bundle = load_bundle(FIXTURES / "pool")
     world, at = make_world(bundle)
@@ -561,6 +699,31 @@ def test_corpus_save_replaces_an_earlier_save_and_load_orders_by_index(tmp_path)
 
 
 # -- campaign -----------------------------------------------------------------
+
+
+class _StampedFindings(list):
+    """A findings list that records the campaign's execution count at
+    each append, as the benchmark's execs_to_bug reads it."""
+
+    def __init__(self, campaign):
+        super().__init__()
+        self.campaign = campaign
+        self.stamps: list[int] = []
+
+    def append(self, finding):
+        self.stamps.append(self.campaign.executions)
+        super().append(finding)
+
+
+@pytest.mark.parametrize("seed, stamps", [(42, [438]), (77, [1616])])
+def test_a_finding_is_appended_when_executions_counts_its_run(seed, stamps):
+    bundle = load_bundle(FIXTURES / "bytekey")
+    world, _ = make_world(bundle)
+    camp = Campaign(world, seed_initial_target(bundle.resolved_abi), rng_seed=seed)
+    camp.report.findings = _StampedFindings(camp)
+    for _ in range(5000 // CHUNK):
+        camp.run(CHUNK)
+    assert camp.report.findings.stamps == stamps
 
 
 def test_gate_campaign_finds_assert_failure():
@@ -949,9 +1112,7 @@ class ProbeEveryRunCampaign(Campaign):
     probes the world it ends on."""
 
     def _probe(self, world, held):
-        return campaign_mod._probe_properties(
-            world, self._props, self.default_sender, self.destination
-        )
+        return campaign_mod._probe_properties(world, self._prop_txs)
 
 
 @pytest.mark.parametrize("seed", [42, 77])
